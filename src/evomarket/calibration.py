@@ -6,15 +6,18 @@ The fit protocol mirrors how the model is identified in practice:
    floor ratio (grid over the floor, closed-form log-linear regression
    inside, natural-scale selection, golden-section refinement).
 2. With the decline rate held fixed, fit both waves jointly to the
-   penetration and unit-sales series.  The spreading and evolutionary
-   plateaus enter both models linearly, so only the innovation rate,
-   the imitation rate and the shape constant are searched nonlinearly
-   (separable least squares, Golub & Pereyra 1973): Levenberg–Marquardt
-   over their logs from a fixed start lattice, with the two plateaus
-   solved inside every residual evaluation by linear least squares
-   bounded to [0, 1].  Residuals are taken relative to the observations,
-   matching multiplicative noise, so both series weigh in on the same
-   scale.
+   penetration and unit-sales series.
+
+Every diffusion fit here uses one method.  The plateaus enter both wave
+models linearly, so only the innovation rate, the imitation rate and
+the shape constant are searched nonlinearly (separable least squares,
+Golub & Pereyra 1973): Levenberg–Marquardt over their logs from a fixed
+start lattice, with the plateaus solved inside every residual
+evaluation by bounded linear least squares.  The two-wave fit divides
+its residuals by the observations, matching multiplicative noise, so
+both series weigh in on the same scale; the one-wave estimators
+(:class:`BassCurveFit`, :class:`GompertzCurveFit`) keep natural-scale
+residuals.
 
 The onset delay between introduction and the start of the price decline
 is analyst-supplied, never fitted.  Everything here is deterministic:
@@ -32,7 +35,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import least_squares, lsq_linear, minimize
+from scipy.optimize import least_squares, lsq_linear
 
 from ._validation import as_float_array, check_fitted, check_positive
 from .base import BaseModel
@@ -70,7 +73,8 @@ __all__ = [
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
-# Deterministic multi-start lattice for the simplex fit: 16 starts.
+# Start lattice of the spreading-wave fit over (innovation, imitation):
+# 16 starts, tried in this order.
 DEFAULT_STARTS: tuple[tuple[float, float], ...] = tuple(
     (a0, b0) for a0 in (0.002, 0.01, 0.05, 0.2) for b0 in (0.5, 1.5, 3.0, 6.0)
 )
@@ -84,7 +88,8 @@ TWO_WAVE_STARTS: tuple[tuple[float, float, float], ...] = tuple(
     for s0 in (10.0, 100.0, 1000.0)
 )
 
-# Box the joint fit's log-parameters are clipped to before evaluation.
+# Box the log-parameters (innovation, imitation, shape) are clipped to
+# before evaluation.
 _TWO_WAVE_LOG_LO = np.log([1e-5, 1e-6, 1e-2])
 _TWO_WAVE_LOG_HI = np.log([1.0, 10.0, 1e6])
 
@@ -342,6 +347,79 @@ class PriceDeclineFit(BaseModel):
 
 
 # ---------------------------------------------------------------------------
+# separable least squares
+# ---------------------------------------------------------------------------
+
+
+def _separable_lm(
+    design, observed, weights, starts, log_lo, log_hi, upper=1.0, fixed=None
+):
+    """Levenberg–Marquardt over log-parameters with linear plateaus solved inside.
+
+    The model is ``design(p) @ plateaus``: ``design`` maps log-parameters,
+    clipped to ``[log_lo, log_hi]``, to model columns at unit plateau.
+    Inside every residual evaluation the plateaus are the weighted linear
+    least-squares solution, bounded to ``[0, upper]`` through BVLS when
+    the unbounded solution leaves the box, or held at ``fixed`` when it
+    is given.  Residuals are ``weights * (observed - model)``; a start
+    (on the natural scale) whose residuals are not finite is skipped.
+
+    Returns ``(best, runs)``.  ``runs`` pairs the index of every start
+    that ended with finite residuals with its run.  ``best`` is the run
+    of lowest cost, ties going to the earliest start, with ``log_params``
+    (clipped), ``design`` (the unweighted columns there) and
+    ``plateaus`` added.
+
+    Raises
+    ------
+    FitError
+        When no start yields finite residuals.
+    """
+    weighted_observed = weights * observed
+
+    def plateaus(weighted_design: np.ndarray) -> np.ndarray:
+        if fixed is not None:
+            return fixed
+        coef = np.linalg.lstsq(weighted_design, weighted_observed, rcond=None)[0]
+        if np.any((coef < 0) | (coef > upper)):
+            coef = lsq_linear(
+                weighted_design, weighted_observed, bounds=(0.0, upper), method="bvls"
+            ).x
+        return coef
+
+    def weighted_residuals(log_params) -> np.ndarray:
+        weighted_design = weights[:, None] * design(np.clip(log_params, log_lo, log_hi))
+        if not np.all(np.isfinite(weighted_design)):
+            return np.full(observed.size, np.inf)
+        return weighted_observed - weighted_design @ plateaus(weighted_design)
+
+    best, runs = None, []
+    for index, start in enumerate(starts):
+        try:
+            run = least_squares(
+                weighted_residuals,
+                np.log(start),
+                method="lm",
+                xtol=1e-12,
+                ftol=1e-12,
+                gtol=1e-12,
+            )
+        except ValueError:  # residuals not finite at the start
+            continue
+        if np.isfinite(run.cost):
+            runs.append((index, run))
+            if best is None or run.cost < best.cost:
+                best = run
+    if best is None:
+        raise FitError("no start gave finite residuals")
+
+    best.log_params = np.clip(best.x, log_lo, log_hi)
+    best.design = design(best.log_params)
+    best.plateaus = plateaus(weights[:, None] * best.design)
+    return best, runs
+
+
+# ---------------------------------------------------------------------------
 # evolutionary (price-driven) wave
 # ---------------------------------------------------------------------------
 
@@ -349,14 +427,11 @@ class PriceDeclineFit(BaseModel):
 class GompertzCurveFit(BaseModel):
     """Fit the price-driven penetration curve at a fixed decline rate.
 
-    For every plateau candidate on a grid the shape constant has a
-    closed form: with the slope pinned at twice the decline rate, the
-    intercept of a (variance-weighted) regression of
-    ``log(-log(n / plateau))`` on time is the log shape.  Candidates a
-    penetration observation would exceed are skipped.  The winning
-    candidate is polished by a simplex on the natural-scale residuals,
-    which removes the upward plateau bias the hard grid constraint
-    would otherwise inherit from noise.
+    Separable least squares on the natural-scale residuals: the plateau
+    enters the curve linearly, so Levenberg–Marquardt searches only the
+    log shape constant, from the shape values of ``TWO_WAVE_STARTS``,
+    while every residual evaluation solves the plateau by linear least
+    squares bounded to ``[0, plateau_bound]``.
 
     Parameters
     ----------
@@ -365,14 +440,9 @@ class GompertzCurveFit(BaseModel):
     fixed_plateau : float or None
         When set, the plateau is not fitted (sum-to-one convention or a
         household-normalized maximum); only the shape is estimated.
-    plateau_grid : int
-        Number of plateau candidates between the largest observation
-        and ``plateau_bound``.
     plateau_bound : float
-        Upper end of the plateau grid (a household-normalized maximum
+        Upper bound of the fitted plateau (a household-normalized maximum
         penetration may be passed here).
-    polish : bool
-        Run the natural-scale simplex polish after the grid.
 
     Attributes
     ----------
@@ -387,17 +457,13 @@ class GompertzCurveFit(BaseModel):
         intro_year: float = 0.0,
         onset_delay: float = 0.0,
         fixed_plateau: float | None = None,
-        plateau_grid: int = 120,
         plateau_bound: float = 1.0,
-        polish: bool = True,
     ):
         self.decline_rate = decline_rate
         self.intro_year = intro_year
         self.onset_delay = onset_delay
         self.fixed_plateau = fixed_plateau
-        self.plateau_grid = plateau_grid
         self.plateau_bound = plateau_bound
-        self.polish = polish
 
     def _coerce(self, X, y):
         if isinstance(X, TimeSeries):
@@ -413,83 +479,32 @@ class GompertzCurveFit(BaseModel):
     def fit(self, X, y=None):
         check_positive(self.decline_rate, "decline_rate")
         t, target = self._coerce(X, y)
-        rate2 = 2.0 * self.decline_rate
+        if not np.any(target > 0):
+            raise FitError("penetration target has no positive observations")
+        rate = self.decline_rate
 
-        def shape_for(plateau: float, skip_exceeded: bool = True) -> float | None:
-            if skip_exceeded and np.any(target >= plateau):
-                return None  # an observation exceeds the candidate plateau
-            keep = (target > 0) & (target < plateau)
-            if keep.sum() < 3:
-                return None
-            # log(target/plateau) = -shape * exp(-rate2 * t) + noise
-            u = np.log(target[keep] / plateau)
-            w = u**2  # inverse variance of log(-u) under multiplicative noise
-            value = np.log(-u) + rate2 * t[keep]
-            shape = float(np.exp((w * value).sum() / w.sum()))
-            return shape if np.isfinite(shape) and shape > 0 else None
+        def design(log_shape):
+            gomp = GompertzParams(plateau=1.0, shape=np.exp(log_shape[0]), rate=rate)
+            return gompertz_penetration(t, gomp)[:, None]
 
-        def sse(shape: float, plateau: float) -> float:
-            model = plateau * np.exp(-shape * np.exp(-rate2 * t))
-            return float(((target - model) ** 2).sum())
-
+        fixed = None
         if self.fixed_plateau is not None:
-            plateau0 = float(self.fixed_plateau)
-            shape0 = shape_for(plateau0, skip_exceeded=False)
-            if shape0 is None:
-                raise FitError("fixed plateau is infeasible for these observations")
-            candidates = [(sse(shape0, plateau0), shape0, plateau0)]
-            mode = "fixed"
-        else:
-            top = float(target.max()) * (1.0 + 1e-9)
-            if top <= 0:
-                raise FitError("penetration target has no positive observations")
-            grid = (
-                np.linspace(top, self.plateau_bound, self.plateau_grid)
-                if top < self.plateau_bound
-                else np.array([top])
-            )
-            candidates = []
-            for plateau in grid:
-                shape = shape_for(float(plateau))
-                if shape is not None:
-                    candidates.append((sse(shape, float(plateau)), shape, float(plateau)))
-            mode = "fitted"
-        if not candidates:
-            raise FitError("no feasible plateau candidate")
-        best_sse, shape, plateau = min(candidates, key=lambda c: c[0])
+            fixed = np.array([float(self.fixed_plateau)])
+        best, _ = _separable_lm(
+            design,
+            target,
+            np.ones(target.size),
+            [(shape,) for shape in sorted({s for *_, s in TWO_WAVE_STARTS})],
+            _TWO_WAVE_LOG_LO[2:],
+            _TWO_WAVE_LOG_HI[2:],
+            upper=self.plateau_bound,
+            fixed=fixed,
+        )
 
-        if self.polish:
-            if mode == "fixed":
-
-                def objective(p):
-                    return sse(float(np.exp(p[0])), plateau)
-
-                start = np.array([np.log(shape)])
-            else:
-
-                def objective(p):
-                    cand_plateau = p[1]
-                    if not 0.0 < cand_plateau <= max(1.2, self.plateau_bound):
-                        return 1e12
-                    return sse(float(np.exp(p[0])), cand_plateau)
-
-                start = np.array([np.log(shape), plateau])
-            res = minimize(
-                objective,
-                start,
-                method="Nelder-Mead",
-                options=dict(xatol=1e-9, fatol=1e-16, maxiter=1500),
-            )
-            if res.fun <= best_sse:
-                shape = float(np.exp(res.x[0]))
-                if mode == "fitted":
-                    plateau = float(res.x[1])
-                best_sse = float(res.fun)
-
-        self.shape_ = float(shape)
-        self.plateau_ = float(plateau)
-        self.sse_ = float(best_sse)
-        self.plateau_mode_ = mode
+        self.shape_ = float(np.exp(best.log_params[0]))
+        self.plateau_ = float(best.plateaus[0])
+        self.sse_ = float(2.0 * best.cost)
+        self.plateau_mode_ = "fitted" if fixed is None else "fixed"
         self.residuals_ = target - self.predict(t)
         return self
 
@@ -542,20 +557,24 @@ def evolutionary_wave_model(
 
 
 class BassCurveFit(BaseModel):
-    """Fit the spreading wave with a deterministic multi-start simplex.
+    """Fit the spreading wave by separable least squares.
 
     The objective is the natural-scale residual sum of squares against
     the first-purchase rate (``kind="sales"``), the penetration closed
     form (``kind="penetration"``), or the full wave including known
-    repurchase machinery (``kind="sales"`` with ``wave`` set).  The
-    search runs in log-parameter space inside fixed bounds from a fixed
-    start lattice; the reported optimum is the best over all starts,
-    ties broken by the lowest start index.
+    repurchase machinery (``kind="sales"`` with ``wave`` set).  Each of
+    these models is linear in the plateau, so Levenberg–Marquardt
+    searches log innovation and log imitation from every start of
+    ``starts``, inside the box of the two-wave fit, while every residual
+    evaluation solves the plateau by linear least squares bounded to
+    [0, 1].  The reported optimum is the best over all starts, ties
+    broken by the lowest start index.
 
     Attributes
     ----------
     innovation_, imitation_, plateau_, sse_ : float
-    start_results_ : list of (sse, start_index, params) for every start.
+    start_results_ : list of (sse, start_index, (innovation, imitation))
+        for every start that ended with finite residuals.
     """
 
     def __init__(
@@ -564,11 +583,6 @@ class BassCurveFit(BaseModel):
         intro_year: float = 0.0,
         wave: WaveParams | None = None,
         starts: Sequence[tuple[float, float]] = DEFAULT_STARTS,
-        innovation_bounds: tuple[float, float] = (1e-5, 1.0),
-        imitation_bounds: tuple[float, float] = (1e-6, 10.0),
-        plateau_bounds: tuple[float, float] = (1e-4, 1.0),
-        xatol: float = 1e-7,
-        maxiter: int = 800,
     ):
         if kind not in ("sales", "penetration"):
             raise ValueError("kind must be 'sales' or 'penetration'")
@@ -576,11 +590,6 @@ class BassCurveFit(BaseModel):
         self.intro_year = intro_year
         self.wave = wave
         self.starts = starts
-        self.innovation_bounds = innovation_bounds
-        self.imitation_bounds = imitation_bounds
-        self.plateau_bounds = plateau_bounds
-        self.xatol = xatol
-        self.maxiter = maxiter
 
     def _model(self, t, params: BassParams):
         if self.kind == "penetration":
@@ -600,45 +609,23 @@ class BassCurveFit(BaseModel):
         if t.size < 4:
             raise FitError("spreading-wave fit needs at least 4 observations")
 
-        log_lo = np.log(
-            [self.innovation_bounds[0], self.imitation_bounds[0], self.plateau_bounds[0]]
-        )
-        log_hi = np.log(
-            [self.innovation_bounds[1], self.imitation_bounds[1], self.plateau_bounds[1]]
+        def design(log_params):
+            innovation, imitation = np.exp(log_params)
+            return self._model(t, BassParams(innovation, imitation, 1.0))[:, None]
+
+        log_lo, log_hi = _TWO_WAVE_LOG_LO[:2], _TWO_WAVE_LOG_HI[:2]
+        best, runs = _separable_lm(
+            design, target, np.ones(target.size), self.starts, log_lo, log_hi
         )
 
-        def objective(p):
-            if np.any(p < log_lo) or np.any(p > log_hi):
-                return 1e12
-            a, b, n0 = np.exp(p)
-            resid = target - self._model(t, BassParams(a, b, n0))
-            return float((resid**2).sum())
-
-        mass = float(np.trapezoid(np.maximum(target, 0.0), t))
-        plateau0 = float(np.clip(mass, self.plateau_bounds[0] * 10, 1.0))
-        start_points = [
-            np.array([np.log(a0), np.log(b0), np.log(plateau0)])
-            for a0, b0 in self.starts
+        self.innovation_, self.imitation_ = map(float, np.exp(best.log_params))
+        self.plateau_ = float(best.plateaus[0])
+        self.sse_ = float(2.0 * best.cost)
+        self.start_results_ = [
+            (float(2.0 * run.cost), index, tuple(np.exp(np.clip(run.x, log_lo, log_hi))))
+            for index, run in runs
         ]
-
-        results = []
-        for index, x0 in enumerate(start_points):
-            res = minimize(
-                objective,
-                np.clip(x0, log_lo, log_hi),
-                method="Nelder-Mead",
-                options=dict(xatol=self.xatol, fatol=1e-16, maxiter=self.maxiter),
-            )
-            results.append((float(res.fun), index, tuple(np.exp(res.x))))
-        best_sse, best_index, best_params = min(results, key=lambda r: (r[0], r[1]))
-
-        self.innovation_, self.imitation_, self.plateau_ = map(float, best_params)
-        self.sse_ = best_sse
-        self.start_results_ = results
-        self.best_start_ = best_index
-        self.residuals_ = target - self._model(
-            t, BassParams(self.innovation_, self.imitation_, self.plateau_)
-        )
+        self.residuals_ = target - self._model(t, self.params_())
         return self
 
     def params_(self) -> BassParams:
@@ -710,7 +697,6 @@ def _good_models(good: GoodParams):
         plateau=good.evolutionary_plateau,
         shape=good.shape,
         rate=good.decline_rate,
-        time_shift=good.onset_delay,
     )
     spread_wave, evo_wave, _ = wave_params(good)
     return bass, gomp, spread_wave, evo_wave
@@ -857,13 +843,10 @@ def fit_two_wave(
             _relative_weights(sales.values, "sales"),
         ]
     )
-    weighted_observed = weights * observed
 
     def design(log_params) -> np.ndarray:
         """Penetration-then-sales model columns of each wave at unit plateau."""
-        innovation, imitation, shape = np.exp(
-            np.clip(log_params, _TWO_WAVE_LOG_LO, _TWO_WAVE_LOG_HI)
-        )
+        innovation, imitation, shape = np.exp(log_params)
         bass = BassParams(innovation, imitation, 1.0)
         gomp = GompertzParams(plateau=1.0, shape=shape, rate=rate)
         spreading = np.concatenate(
@@ -880,46 +863,12 @@ def fit_two_wave(
         )
         return np.column_stack([spreading, evolutionary])
 
-    def plateaus(weighted_design: np.ndarray) -> np.ndarray:
-        coef = np.linalg.lstsq(weighted_design, weighted_observed, rcond=None)[0]
-        if np.any((coef < 0) | (coef > 1)):
-            coef = lsq_linear(
-                weighted_design, weighted_observed, bounds=(0.0, 1.0), method="bvls"
-            ).x
-        return coef
-
-    def weighted_residuals(log_params) -> np.ndarray:
-        weighted_design = weights[:, None] * design(log_params)
-        if not np.all(np.isfinite(weighted_design)):
-            return np.full(observed.size, np.inf)
-        return weighted_observed - weighted_design @ plateaus(weighted_design)
-
-    best = None
-    for start in TWO_WAVE_STARTS:
-        try:
-            run = least_squares(
-                weighted_residuals,
-                np.log(start),
-                method="lm",
-                xtol=1e-12,
-                ftol=1e-12,
-                gtol=1e-12,
-            )
-        except ValueError:  # residuals not finite at the start
-            continue
-        if np.isfinite(run.cost) and (best is None or run.cost < best.cost):
-            best = run
-    if best is None:
-        raise FitError("no start of the two-wave fit gave finite residuals")
-
-    innovation, imitation, shape = map(
-        float, np.exp(np.clip(best.x, _TWO_WAVE_LOG_LO, _TWO_WAVE_LOG_HI))
+    best, _ = _separable_lm(
+        design, observed, weights, TWO_WAVE_STARTS, _TWO_WAVE_LOG_LO, _TWO_WAVE_LOG_HI
     )
-    model = design(best.x)
-    spreading_plateau, evolutionary_plateau = map(
-        float, plateaus(weights[:, None] * model)
-    )
-    resid = observed - model @ np.array([spreading_plateau, evolutionary_plateau])
+    innovation, imitation, shape = map(float, np.exp(best.log_params))
+    spreading_plateau, evolutionary_plateau = map(float, best.plateaus)
+    resid = observed - best.design @ np.array([spreading_plateau, evolutionary_plateau])
     pen_resid, sales_resid = resid[: t_pen.size], resid[t_pen.size :]
 
     return FitResult(

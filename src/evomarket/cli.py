@@ -59,10 +59,6 @@ EXIT_FORMAT = 3
 EXIT_FIT = 4
 EXIT_NUMERIC = 5
 
-# parse_series is the documented name of the CSV reader.
-parse_series = read_series_csv
-
-
 class UsageError(Exception):
     """Bad invocation or configuration; maps to exit code 2."""
 
@@ -174,18 +170,17 @@ def _cmd_simulate(args, config) -> int:
         plateau=good.evolutionary_plateau,
         shape=good.shape,
         rate=good.decline_rate,
-        time_shift=good.onset_delay,
     )
     grid = step * np.arange(int(round(horizon / step)) + 1)
     bass_curve = AdoptionCurve(grid, bass_penetration(grid, bass), bass_rate(grid, bass))
     evo_curve = AdoptionCurve(
-        grid, gompertz_penetration(grid, gomp), gompertz_rate(grid, gomp),
-        origin=good.onset_delay,
+        grid, gompertz_penetration(grid, gomp), gompertz_rate(grid, gomp)
     )
     spreading = wave_sales(bass_curve, spread_wave, echoes)
     evolutionary = wave_sales(evo_curve, evo_wave, echoes)
-    sales = total_sales(spreading, evolutionary, step, shift=good.onset_delay)
-    sales_years = good.intro_year + step * np.arange(sales.size)
+    # the evolutionary wave runs past the horizon by the onset delay; cut
+    # the sales to the penetration grid
+    sales = total_sales(spreading, evolutionary, step, shift=good.onset_delay)[: grid.size]
     penetration = bass_curve.penetration + gompertz_penetration(
         grid - good.onset_delay, gomp
     )
@@ -197,7 +192,7 @@ def _cmd_simulate(args, config) -> int:
         TimeSeries(good.intro_year + grid, np.clip(penetration, 0.0, 1.0), "penetration"),
         out / "penetration.csv",
     )
-    write_series_csv(TimeSeries(sales_years, sales, "sales"), out / "sales.csv")
+    write_series_csv(TimeSeries(good.intro_year + grid, sales, "sales"), out / "sales.csv")
     write_series_csv(
         TimeSeries(good.intro_year + good.onset_delay + grid, price, "nominal_price"),
         out / "price.csv",
@@ -208,7 +203,7 @@ def _cmd_simulate(args, config) -> int:
             good.intro_year + grid,
             [
                 ("penetration", np.clip(penetration, 0.0, 1.0)),
-                ("sales", sales[: grid.size]),
+                ("sales", sales),
             ],
             title=f"{good.name}: simulated curves",
             x_label="year",
@@ -223,7 +218,7 @@ def _require_series(config, option, kind) -> TimeSeries:
         raise UsageError(f"[fit] {option} is required")
     if not Path(path).exists():
         raise UsageError(f"[fit] {option}: file not found: {path}")
-    series = parse_series(path)
+    series = read_series_csv(path)
     if series.kind is not None and series.kind != kind:
         raise FormatError(f"{path}: expected kind {kind!r}, got {series.kind!r}")
     return series
@@ -294,7 +289,7 @@ def _cmd_fit(args, config) -> int:
     if share_path is not None:
         if not Path(share_path).exists():
             raise UsageError(f"[fit] share_series: file not found: {share_path}")
-        share = parse_series(share_path)
+        share = read_series_csv(share_path)
         share_fit = calibration.FisherPryFit(origin_year=good.intro_year).fit(share)
         result = calibration.FitResult(
             **{

@@ -88,15 +88,12 @@ class GompertzParams:
     """Price-driven diffusion parameters.
 
     ``rate`` is the price decline rate (shared with :class:`PriceDecline`);
-    ``shape`` shifts the curve in time; ``time_shift`` is the delay, in
-    years, between product introduction and the onset of the price-driven
-    wave.
+    ``shape`` shifts the curve in time.
     """
 
     plateau: float
     shape: float
     rate: float
-    time_shift: float = 0.0
 
     def __post_init__(self):
         check_positive(self.plateau, "plateau")
@@ -109,16 +106,12 @@ class GompertzParams:
 class AdoptionCurve:
     """Sampled penetration and adoption rate on a shared time grid.
 
-    ``times`` are years on the curve's own clock; ``origin`` records
-    where that clock starts relative to product introduction, so the
-    spreading wave carries ``origin=0`` and the price-driven wave
-    ``origin=time_shift``.
+    ``times`` are years on the curve's own clock.
     """
 
     times: np.ndarray
     penetration: np.ndarray
     rate: np.ndarray
-    origin: float = 0.0
 
     def __post_init__(self):
         times = as_float_array(self.times, "times")
@@ -234,13 +227,15 @@ def gompertz_rate(t_prime, params: GompertzParams):
     """First-purchase sales rate of the price-driven process (1/year).
 
     Time derivative of :func:`gompertz_penetration`; maximal exactly
-    when the penetration passes ``plateau / e``.
+    when the penetration passes ``plateau / e``.  Zero where the
+    penetration underflows to zero, including far before the onset,
+    where ``exp(-2 rate t')`` overflows.
     """
     t_arr = np.asarray(t_prime, dtype=float)
-    decay = np.exp(-2.0 * params.rate * t_arr)
-    out = 2.0 * params.rate * params.shape * decay * gompertz_penetration(
-        t_arr, params
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        decay = np.exp(-2.0 * params.rate * t_arr)
+        pen = gompertz_penetration(t_arr, params)
+        out = np.where(pen > 0, 2.0 * params.rate * params.shape * decay * pen, 0.0)
     return float(out) if np.isscalar(t_prime) else out
 
 

@@ -160,19 +160,6 @@ class Population:
         return self._reproductions.copy()
 
     @property
-    def products(self) -> tuple[Product, ...]:
-        return tuple(
-            Product(y, x, mu, eta, gamma)
-            for y, x, mu, eta, gamma in zip(
-                self._sales,
-                self._stocks,
-                self._prices,
-                self._preferences,
-                self._reproductions,
-            )
-        )
-
-    @property
     def total_sales(self) -> float:
         return float(self._sales.sum())
 

@@ -64,9 +64,6 @@ class TimeSeries:
             raise FormatError("window selects no observations")
         return TimeSeries(self.years[mask], self.values[mask], self.kind)
 
-    def shifted(self, offset: float) -> "TimeSeries":
-        return TimeSeries(self.years + offset, self.values, self.kind)
-
 
 def read_series_csv(path) -> TimeSeries:
     """Parse a series file, reporting malformed rows with line numbers.

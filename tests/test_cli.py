@@ -61,6 +61,16 @@ class TestSimulate:
         svg = (out / "simulate.svg").read_text(encoding="utf-8")
         assert svg.startswith("<svg") and "polyline" in svg
 
+    def test_sales_end_at_the_horizon(self, tmp_path):
+        # fax's price decline sets in 4 years after introduction; its
+        # sales must still stop where the penetration grid does
+        cfg = write_config(tmp_path, "[good]\nbenchmark = fax\n[simulate]\nhorizon = 20\n")
+        out = tmp_path / "out"
+        assert run("simulate", "--config", str(cfg), "--out", str(out)) == EXIT_OK
+        sales = read_series_csv(out / "sales.csv")
+        penetration = read_series_csv(out / "penetration.csv")
+        assert np.array_equal(sales.years, penetration.years)
+
     def test_does_not_mutate_inputs(self, tmp_path):
         cfg = write_config(tmp_path, "[good]\nbenchmark = colour_tv\n")
         before = cfg.read_bytes()
@@ -140,8 +150,26 @@ sales_series = {data_dir}/sales.csv
         assert run("fit", "--config", str(cfg), "--out", str(tmp_path / "o")) == EXIT_FIT
 
     def test_no_feasible_start_is_fit_error(self, tmp_path):
+        # sales so small that their relative weights overflow leave no
+        # start with finite residuals
+        data = tmp_path / "data"
+        data.mkdir()
+        good = BENCHMARKS["fax"]
+        sales = synthesize("sales", good)
+        write_series_csv(synthesize("nominal_price", good), data / "nominal_price.csv")
+        write_series_csv(synthesize("penetration", good), data / "penetration.csv")
+        write_series_csv(
+            TimeSeries(sales.years, 1e-310 * sales.values, "sales"), data / "sales.csv"
+        )
+        cfg = self.fit_config(tmp_path, data, benchmark="fax")
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = run("fit", "--config", str(cfg), "--out", str(tmp_path / "o"))
+        assert code == EXIT_FIT
+
+    def test_price_collapse_fits(self, tmp_path):
         # a price that collapses within a year implies a decline rate so
-        # steep that the evolutionary wave overflows before its onset
+        # steep that exp(-2 rate t') overflows before the onset; the
+        # evolutionary rate is zero there, so the fit still runs
         data = tmp_path / "data"
         data.mkdir()
         good = BENCHMARKS["fax"]
@@ -153,9 +181,10 @@ sales_series = {data_dir}/sales.csv
         write_series_csv(synthesize("penetration", good), data / "penetration.csv")
         write_series_csv(synthesize("sales", good), data / "sales.csv")
         cfg = self.fit_config(tmp_path, data, benchmark="fax")
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore"):
             code = run("fit", "--config", str(cfg), "--out", str(tmp_path / "o"))
-        assert code == EXIT_FIT
+        assert code == EXIT_OK
+        assert read_fit_table(tmp_path / "o" / "fit_table.csv")["decline_rate"] > 50.0
 
 
 class TestFitTable:

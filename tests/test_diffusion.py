@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
@@ -174,6 +176,14 @@ class TestGompertz:
     def test_rate_vanishes_in_both_tails(self):
         assert gompertz_rate(-100.0, self.colour) == pytest.approx(0.0, abs=1e-12)
         assert gompertz_rate(1e4, self.colour) == pytest.approx(0.0, abs=1e-12)
+
+    def test_rate_is_zero_where_the_decay_overflows(self):
+        # exp(-2 * 100 * -4) overflows; the rate is zero there, not nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert gompertz_rate(-4.0, GompertzParams(1.0, 10.0, 100.0)) == 0.0
+            out = gompertz_rate(np.array([-4.0, 0.0]), GompertzParams(1.0, 10.0, 100.0))
+        assert out[0] == 0.0 and out[1] > 0.0
 
     def test_frozen_price_limit(self):
         frozen = GompertzParams(plateau=0.9, shape=5.0, rate=0.0)
