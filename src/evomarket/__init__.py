@@ -59,7 +59,6 @@ from .evodyn import (
 )
 from .lifecycle import (
     FailureDistribution,
-    LifecycleParams,
     WaveParams,
     multiple_sales,
     replacement_sales,

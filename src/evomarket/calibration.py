@@ -3,25 +3,27 @@
 The fit protocol mirrors how the model is identified in practice:
 
 1. From the nominal price series, estimate the decline rate and the
-   floor ratio (grid over the floor, closed-form log-linear regression
-   inside, natural-scale selection, golden-section refinement).
+   floor ratio of the scaled price ``amplitude * exp(-rate * t') + floor``.
 2. With the decline rate held fixed, fit both waves jointly to the
    penetration and unit-sales series.
 
-Every diffusion fit here uses one method.  The plateaus enter both wave
-models linearly, so only the innovation rate, the imitation rate and
+Every nonlinear fit here uses one method.  The amplitude and floor of
+the price, and the plateaus of both waves, enter their models linearly,
+so only the decline rate, the innovation rate, the imitation rate and
 the shape constant are searched nonlinearly (separable least squares,
 Golub & Pereyra 1973): Levenberg–Marquardt over their logs from a fixed
-start lattice, with the plateaus solved inside every residual
-evaluation by bounded linear least squares.  The two-wave fit divides
-its residuals by the observations, matching multiplicative noise, so
-both series weigh in on the same scale; the one-wave estimators
-(:class:`BassCurveFit`, :class:`GompertzCurveFit`) keep natural-scale
-residuals.
+start lattice, with the linear coefficients solved inside every residual
+evaluation by bounded linear least squares.  The price fit and the
+two-wave fit divide their residuals by the observations, matching
+multiplicative noise, so the penetration and sales series weigh in on
+the same scale; the one-wave estimators (:class:`BassCurveFit`,
+:class:`GompertzCurveFit`) keep natural-scale residuals.  Only the
+logistic substitution fit (:class:`FisherPryFit`) is a closed-form
+regression.
 
 The onset delay between introduction and the start of the price decline
 is analyst-supplied, never fitted.  Everything here is deterministic:
-fixed grids, fixed start lattices, seeded noise.
+fixed start lattices, seeded noise.
 
 Fitters follow the scikit-learn estimator protocol (``fit`` /
 ``predict`` / ``get_params``); fitted attributes carry a trailing
@@ -71,7 +73,13 @@ __all__ = [
     "ROUND_TRIP_TOLERANCES",
 ]
 
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+# Start lattice of the price-decline fit over the decline rate.
+PRICE_STARTS: tuple[tuple[float], ...] = ((0.1,),)
+
+# Box the log decline rate is clipped to before evaluation; a fit that
+# ends on the lower edge shows no decline.
+_PRICE_LOG_LO = np.log([1e-10])
+_PRICE_LOG_HI = np.log([1e3])
 
 # Start lattice of the spreading-wave fit over (innovation, imitation):
 # 16 starts, tried in this order.
@@ -203,55 +211,40 @@ def price_function(
     return TimeSeries(t_prime, scaled - floor_ratio, kind=None)
 
 
-def _weighted_logfit(
-    t: np.ndarray, z: np.ndarray, floor: float
-) -> tuple[float, float]:
-    """Closed-form weighted regression of ``log z`` on ``t``.
-
-    Weights are the inverse variances of ``log z`` under multiplicative
-    noise on ``z + floor``, which turns off the floor-dominated tail.
-    Returns ``(decline_rate, intercept)``.
-    """
-    w = (z / (z + floor)) ** 2 if floor > 0 else np.ones_like(z)
-    sw = w.sum()
-    t_bar = (w * t).sum() / sw
-    log_z = np.log(z)
-    z_bar = (w * log_z).sum() / sw
-    var = (w * (t - t_bar) ** 2).sum()
-    if var <= 0:
-        return 0.0, z_bar
-    slope = (w * (t - t_bar) * (log_z - z_bar)).sum() / var
-    return -slope, z_bar - slope * t_bar
-
-
 class PriceDeclineFit(BaseModel):
     """Estimate the price decline rate and floor ratio from nominal prices.
 
-    Grid search over the floor ratio with a closed-form (weighted)
-    log-linear regression inside each candidate; candidates are ranked
-    by their natural-scale residual sum of squares over all
-    observations, and the winner is refined by golden section.
+    The scaled price model ``amplitude * exp(-rate * t') + floor`` is
+    linear in the amplitude and the floor, so this is a one-rate case of
+    the separable least-squares solve of the wave fits:
+    Levenberg–Marquardt searches the log decline rate from
+    ``PRICE_STARTS``, while every residual evaluation solves the
+    amplitude (bounded to [0, inf)) and the floor (bounded to [0, 1)) by
+    linear least squares.  Residuals are divided by the observations,
+    the weighting that matches multiplicative noise.
 
     Parameters
     ----------
     intro_year, onset_delay, intro_price, income :
         See :class:`FitSpec`; they are replicated here so the estimator
         is self-contained.
-    floor_step : float
-        Grid spacing of the floor-ratio candidates in [0, 1).
-    refine_iters : int
-        Golden-section iterations around the best grid point.
 
     Attributes
     ----------
     decline_rate_ : float
     floor_ratio_ : float
     intercept_ : float
-        Fitted log-scale intercept (zero for an exactly scaled series).
+        Log of the fitted amplitude at ``t' = 0`` (zero for an exactly
+        scaled series).
     sse_ : float
         Natural-scale residual sum of squares.
     residuals_ : numpy.ndarray
+        Natural-scale residuals.
     n_obs_ : int
+    converged_ : bool
+        Whether the winning Levenberg–Marquardt run met its tolerances.
+    nfev_ : int
+        Residual evaluations of the winning run.
     """
 
     def __init__(
@@ -260,15 +253,11 @@ class PriceDeclineFit(BaseModel):
         onset_delay: float = 0.0,
         intro_price: float = 1.0,
         income: IncomeModel | None = None,
-        floor_step: float = 0.01,
-        refine_iters: int = 60,
     ):
         self.intro_year = intro_year
         self.onset_delay = onset_delay
         self.intro_price = intro_price
         self.income = income
-        self.floor_step = floor_step
-        self.refine_iters = refine_iters
 
     def _spec(self) -> FitSpec:
         return FitSpec(
@@ -282,55 +271,41 @@ class PriceDeclineFit(BaseModel):
         t_prime, scaled = _scaled_prices(series, self._spec())
         if t_prime.size < 4:
             raise FitError("price fit needs at least 4 observations after the onset")
+        # the amplitude refers to the first observation, so a clock far
+        # from zero does not scale the amplitude column out of reach
+        start = t_prime.min()
+        elapsed = t_prime - start
+        ones = np.ones(t_prime.size)
 
-        def candidate(floor: float):
-            z = scaled - floor
-            keep = z > 0
-            if keep.sum() < 4:
-                return None
-            rate, icept = _weighted_logfit(t_prime[keep], z[keep], floor)
-            if rate <= 1e-10:  # slower than this is no decline at all
-                return None
-            model = np.exp(icept - rate * t_prime) + floor
-            return float(((scaled - model) ** 2).sum()), rate, icept
+        def design(log_rate):
+            return np.column_stack([np.exp(-np.exp(log_rate[0]) * elapsed), ones])
 
-        best = None
-        for floor in np.arange(0.0, 1.0, self.floor_step):
-            out = candidate(floor)
-            if out is not None and (best is None or out[0] < best[0]):
-                best = (*out, floor)
-        if best is None:
-            raise FitError("no feasible floor candidate; series shows no decline")
+        best, _ = _separable_lm(
+            design,
+            scaled,
+            _relative_weights(scaled, "price"),
+            PRICE_STARTS,
+            _PRICE_LOG_LO,
+            _PRICE_LOG_HI,
+            upper=np.array([np.inf, 1.0]),
+        )
+        amplitude, floor = map(float, best.plateaus)
+        log_rate = best.log_params[0]
+        # the modeled fall over the observations; below 1e-10 of the
+        # starting level it is rounding, not a decline
+        fall = -amplitude * np.expm1(-np.exp(log_rate) * elapsed.max())
+        negligible = fall <= 1e-10 * (amplitude + floor)
+        if floor >= 1.0 or log_rate <= _PRICE_LOG_LO[0] or negligible:
+            raise FitError("series shows no decline below the introduction price")
 
-        floor0 = best[3]
-        lo = max(0.0, floor0 - self.floor_step)
-        hi = min(1.0 - 1e-9, floor0 + self.floor_step)
-        c = hi - _GOLDEN * (hi - lo)
-        d = lo + _GOLDEN * (hi - lo)
-        f_c, f_d = candidate(c), candidate(d)
-        for _ in range(self.refine_iters):
-            c_val = np.inf if f_c is None else f_c[0]
-            d_val = np.inf if f_d is None else f_d[0]
-            if c_val < d_val:
-                hi, d, f_d = d, c, f_c
-                c = hi - _GOLDEN * (hi - lo)
-                f_c = candidate(c)
-            else:
-                lo, c, f_c = c, d, f_d
-                d = lo + _GOLDEN * (hi - lo)
-                f_d = candidate(d)
-        floor = 0.5 * (lo + hi)
-        out = candidate(floor)
-        if out is None or out[0] > best[0]:
-            floor, out = best[3], best[:3]
-        sse, rate, icept = out
-
-        self.decline_rate_ = float(rate)
-        self.floor_ratio_ = float(floor)
-        self.intercept_ = float(icept)
-        self.sse_ = float(sse)
-        self.residuals_ = scaled - (np.exp(icept - rate * t_prime) + floor)
+        self.decline_rate_ = float(np.exp(log_rate))
+        self.floor_ratio_ = floor
+        self.intercept_ = float(np.log(amplitude) + self.decline_rate_ * start)
+        self.residuals_ = scaled - best.design @ best.plateaus
+        self.sse_ = float((self.residuals_**2).sum())
         self.n_obs_ = int(t_prime.size)
+        self.converged_ = bool(best.success)
+        self.nfev_ = int(best.nfev)
         return self
 
     def transform(self, series: TimeSeries) -> TimeSeries:
@@ -351,6 +326,25 @@ class PriceDeclineFit(BaseModel):
 # ---------------------------------------------------------------------------
 
 
+def _relative_weights(values: np.ndarray, name: str) -> np.ndarray:
+    """Inverse observation scale, floored at ``_WEIGHT_FLOOR`` of the maximum.
+
+    Raises
+    ------
+    FitError
+        When the series has no positive value, or its values are so
+        small (subnormal) that their inverses overflow.
+    """
+    top = float(values.max())
+    if top <= 0:
+        raise FitError(f"{name} series has no positive observations")
+    with np.errstate(over="ignore"):
+        weights = 1.0 / np.maximum(values, _WEIGHT_FLOOR * top)
+    if not np.all(np.isfinite(weights)):
+        raise FitError(f"{name} series is too small in scale: its weights overflow")
+    return weights
+
+
 def _separable_lm(
     design, observed, weights, starts, log_lo, log_hi, upper=1.0, fixed=None
 ):
@@ -359,10 +353,11 @@ def _separable_lm(
     The model is ``design(p) @ plateaus``: ``design`` maps log-parameters,
     clipped to ``[log_lo, log_hi]``, to model columns at unit plateau.
     Inside every residual evaluation the plateaus are the weighted linear
-    least-squares solution, bounded to ``[0, upper]`` through BVLS when
-    the unbounded solution leaves the box, or held at ``fixed`` when it
-    is given.  Residuals are ``weights * (observed - model)``; a start
-    (on the natural scale) whose residuals are not finite is skipped.
+    least-squares solution, bounded to ``[0, upper]`` (``upper`` is one
+    bound or one per column) through BVLS when the unbounded solution
+    leaves the box, or held at ``fixed`` when it is given.  Residuals
+    are ``weights * (observed - model)``; a start (on the natural scale)
+    whose residuals are not finite is skipped.
 
     Returns ``(best, runs)``.  ``runs`` pairs the index of every start
     that ended with finite residuals with its run.  ``best`` is the run
@@ -449,6 +444,10 @@ class GompertzCurveFit(BaseModel):
     shape_, plateau_, sse_ : float
     plateau_mode_ : str
         ``"fitted"`` or ``"fixed"``.
+    converged_ : bool
+        Whether the winning Levenberg–Marquardt run met its tolerances.
+    nfev_ : int
+        Residual evaluations of the winning run.
     """
 
     def __init__(
@@ -506,6 +505,8 @@ class GompertzCurveFit(BaseModel):
         self.sse_ = float(2.0 * best.cost)
         self.plateau_mode_ = "fitted" if fixed is None else "fixed"
         self.residuals_ = target - self.predict(t)
+        self.converged_ = bool(best.success)
+        self.nfev_ = int(best.nfev)
         return self
 
     def predict(self, t_prime):
@@ -575,6 +576,10 @@ class BassCurveFit(BaseModel):
     innovation_, imitation_, plateau_, sse_ : float
     start_results_ : list of (sse, start_index, (innovation, imitation))
         for every start that ended with finite residuals.
+    converged_ : bool
+        Whether the winning Levenberg–Marquardt run met its tolerances.
+    nfev_ : int
+        Residual evaluations of the winning run.
     """
 
     def __init__(
@@ -626,6 +631,8 @@ class BassCurveFit(BaseModel):
             for index, run in runs
         ]
         self.residuals_ = target - self._model(t, self.params_())
+        self.converged_ = bool(best.success)
+        self.nfev_ = int(best.nfev)
         return self
 
     def params_(self) -> BassParams:
@@ -772,14 +779,6 @@ def synthesize_share(
 # ---------------------------------------------------------------------------
 
 
-def _relative_weights(values: np.ndarray, name: str) -> np.ndarray:
-    """Inverse observation scale, floored at ``_WEIGHT_FLOOR`` of the maximum."""
-    top = float(values.max())
-    if top <= 0:
-        raise FitError(f"{name} series has no positive observations")
-    return 1.0 / np.maximum(values, _WEIGHT_FLOOR * top)
-
-
 def fit_two_wave(
     price: TimeSeries,
     penetration: TimeSeries,
@@ -812,7 +811,8 @@ def fit_two_wave(
     ``sse`` and ``residuals`` report each series on its natural scale.
     ``provenance["alternations"]`` counts the joint solves (always one);
     ``converged`` and ``nfev`` describe the winning Levenberg–Marquardt
-    run, so a fit that stopped on its evaluation limit says so.
+    run, so a fit that stopped on its evaluation limit says so, and
+    ``price_converged`` does the same for the price fit.
 
     Raises
     ------
@@ -903,6 +903,7 @@ def fit_two_wave(
             "alternations": 1,
             "converged": bool(best.success),
             "nfev": int(best.nfev),
+            "price_converged": price_fit.converged_,
             "analyst_warnings": warnings,
         },
     )

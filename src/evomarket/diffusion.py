@@ -216,10 +216,12 @@ def gompertz_penetration(t_prime, params: GompertzParams):
     """Price-driven penetration on the evolutionary clock.
 
     Defined for all real ``t_prime`` (the wave has no sharp start);
-    monotone increasing with limit ``plateau``.
+    monotone increasing with limit ``plateau``.  Zero, with no warning,
+    where ``exp(-2 rate t')`` overflows.
     """
     t_arr = np.asarray(t_prime, dtype=float)
-    out = params.plateau * np.exp(-params.shape * np.exp(-2.0 * params.rate * t_arr))
+    with np.errstate(over="ignore"):
+        out = params.plateau * np.exp(-params.shape * np.exp(-2.0 * params.rate * t_arr))
     return float(out) if np.isscalar(t_prime) else out
 
 

@@ -63,11 +63,6 @@ class Product:
         check_nonnegative(self.price, "price")
         check_positive(self.preference, "preference")
 
-    @property
-    def supply(self) -> float:
-        """Supply flow: (reproduction + 1) times the sales flow."""
-        return (self.reproduction + 1.0) * self.sales
-
 
 @dataclass(frozen=True)
 class DemandState:
@@ -162,10 +157,6 @@ class Population:
     @property
     def total_sales(self) -> float:
         return float(self._sales.sum())
-
-    @property
-    def total_supply(self) -> float:
-        return float(((self._reproductions + 1.0) * self._sales).sum())
 
     @property
     def shares(self) -> np.ndarray:

@@ -23,7 +23,6 @@ from .errors import FormatError
 __all__ = [
     "FailureDistribution",
     "WaveParams",
-    "LifecycleParams",
     "replacement_sales",
     "multiple_sales",
     "wave_sales",
@@ -91,19 +90,6 @@ class WaveParams:
             raise ValueError("replacement_fraction must lie in [0, 1]")
         if self.replacement_fraction > 0 and self.failure is None:
             raise ValueError("replacement requires a failure distribution")
-
-
-@dataclass(frozen=True)
-class LifecycleParams:
-    """Repurchase parameters for both waves plus the echo count."""
-
-    spreading: WaveParams
-    evolutionary: WaveParams
-    echoes: int = 1
-
-    def __post_init__(self):
-        if self.echoes < 1:
-            raise ValueError("echoes must be at least 1")
 
 
 def replacement_sales(

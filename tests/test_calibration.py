@@ -8,6 +8,7 @@ from evomarket.calibration import (
     FitSpec,
     GompertzCurveFit,
     PriceDeclineFit,
+    _separable_lm,
     fit_two_wave,
     price_function,
     round_trip,
@@ -66,16 +67,37 @@ class TestPriceDeclineFit:
     def test_noiseless_recovery(self):
         fit = PriceDeclineFit().fit(price_series(0.103, 0.0))
         assert fit.decline_rate_ == pytest.approx(0.103, abs=1e-6)
-        assert fit.floor_ratio_ == pytest.approx(0.0, abs=0.005)
+        assert fit.floor_ratio_ == pytest.approx(0.0, abs=1e-9)
 
     def test_noiseless_recovery_with_floor(self):
         fit = PriceDeclineFit().fit(price_series(0.2, 0.33))
         assert fit.decline_rate_ == pytest.approx(0.2, abs=1e-6)
-        assert fit.floor_ratio_ == pytest.approx(0.33, abs=0.005)
+        assert fit.floor_ratio_ == pytest.approx(0.33, abs=1e-9)
+
+    @pytest.mark.parametrize("name", sorted(BENCHMARKS))
+    def test_noiseless_recovery_of_every_good(self, name):
+        good = BENCHMARKS[name]
+        fit = PriceDeclineFit(
+            intro_year=good.intro_year, onset_delay=good.onset_delay
+        ).fit(synthesize("nominal_price", good))
+        assert fit.decline_rate_ == pytest.approx(good.decline_rate, rel=1e-9)
+        assert fit.floor_ratio_ == pytest.approx(good.floor_ratio or 0.0, abs=1e-9)
+        assert fit.converged_ is True
+        assert fit.nfev_ > 0
 
     def test_constant_series_fails(self):
         series = TimeSeries(np.arange(8.0), np.full(8, 0.7), "nominal_price")
-        with pytest.raises(FitError):
+        with pytest.raises(FitError, match="no decline"):
+            PriceDeclineFit().fit(series)
+
+    @pytest.mark.parametrize(
+        "values",
+        [np.full(30, 0.9), np.full(8, 1.0), 0.5 + 0.01 * np.arange(8.0)],
+        ids=["flat", "at_the_introduction_price", "rising"],
+    )
+    def test_series_without_a_decline_fails(self, values):
+        series = TimeSeries(np.arange(float(values.size)), values, "nominal_price")
+        with pytest.raises(FitError, match="no decline"):
             PriceDeclineFit().fit(series)
 
     def test_too_few_points(self):
@@ -104,6 +126,14 @@ class TestPriceDeclineFit:
         )
         assert abs(deflated.decline_rate_ / rate - 1.0) < 0.05
         assert abs(undeflated.decline_rate_ / rate - 1.0) > 0.20
+
+    def test_fit_does_not_depend_on_the_time_origin(self):
+        series = price_series(0.2, 0.33, intro_year=1960.0, noise=0.02, seed=3)
+        shifted = PriceDeclineFit().fit(series)
+        aligned = PriceDeclineFit(intro_year=1960.0).fit(series)
+        assert shifted.decline_rate_ == pytest.approx(aligned.decline_rate_, rel=1e-9)
+        assert shifted.floor_ratio_ == pytest.approx(aligned.floor_ratio_, abs=1e-9)
+        assert shifted.predict(1965.0) == pytest.approx(aligned.predict(5.0), rel=1e-9)
 
     def test_transform_uses_fitted_floor(self):
         fit = PriceDeclineFit().fit(price_series(0.2, 0.33))
@@ -135,6 +165,8 @@ class TestGompertzCurveFit:
         assert fit.shape_ == pytest.approx(27.0, rel=0.01)
         assert fit.plateau_ == pytest.approx(0.97, abs=0.005)
         assert fit.plateau_mode_ == "fitted"
+        assert fit.converged_ is True
+        assert fit.nfev_ > 0
 
     def test_fixed_plateau_mode(self):
         t, values = gompertz_series(0.103, 27.0, 0.97)
@@ -177,6 +209,8 @@ class TestBassCurveFit:
         assert fit.innovation_ == pytest.approx(0.01, rel=1e-6)
         assert fit.imitation_ == pytest.approx(1.0, rel=1e-6)
         assert fit.plateau_ == pytest.approx(0.03, rel=1e-6)
+        assert fit.converged_ is True
+        assert fit.nfev_ > 0
 
     def test_pure_innovation_degenerate_case(self):
         params = BassParams(0.25, 0.0, 0.5)
@@ -265,6 +299,20 @@ class TestSynthesize:
             synthesize("volume", BENCHMARKS["fax"])
 
 
+class TestSeparableLm:
+    def test_no_finite_start_is_fit_error(self):
+        def design(log_params):
+            return np.full((3, 1), np.inf)
+
+        # scipy differences the infinite residuals before it rejects a start
+        with np.errstate(invalid="ignore"), pytest.raises(
+            FitError, match="no start gave finite residuals"
+        ):
+            _separable_lm(
+                design, np.ones(3), np.ones(3), [(1.0,), (2.0,)], np.log([0.1]), np.log([10])
+            )
+
+
 class TestFitTwoWave:
     @pytest.mark.parametrize("name", ROUND_TRIP_GOODS)
     def test_noiseless_full_recovery(self, name):
@@ -298,10 +346,12 @@ class TestFitTwoWave:
             "alternations",
             "converged",
             "nfev",
+            "price_converged",
         }
         assert result.provenance["alternations"] == 1
         assert result.provenance["converged"] is True
         assert result.provenance["nfev"] > 0
+        assert result.provenance["price_converged"] is True
 
     def test_sse_is_natural_scale_per_series(self):
         good = BENCHMARKS["bw_tv"]

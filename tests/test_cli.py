@@ -149,9 +149,9 @@ sales_series = {data_dir}/sales.csv
         cfg = self.fit_config(tmp_path, data)
         assert run("fit", "--config", str(cfg), "--out", str(tmp_path / "o")) == EXIT_FIT
 
-    def test_no_feasible_start_is_fit_error(self, tmp_path):
-        # sales so small that their relative weights overflow leave no
-        # start with finite residuals
+    def test_no_feasible_start_is_fit_error(self, tmp_path, capsys):
+        # sales so small that their relative weights overflow cannot be
+        # weighed; the fit fails naming the series
         data = tmp_path / "data"
         data.mkdir()
         good = BENCHMARKS["fax"]
@@ -162,9 +162,9 @@ sales_series = {data_dir}/sales.csv
             TimeSeries(sales.years, 1e-310 * sales.values, "sales"), data / "sales.csv"
         )
         cfg = self.fit_config(tmp_path, data, benchmark="fax")
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = run("fit", "--config", str(cfg), "--out", str(tmp_path / "o"))
+        code = run("fit", "--config", str(cfg), "--out", str(tmp_path / "o"))
         assert code == EXIT_FIT
+        assert "sales series" in capsys.readouterr().err
 
     def test_price_collapse_fits(self, tmp_path):
         # a price that collapses within a year implies a decline rate so
@@ -181,8 +181,7 @@ sales_series = {data_dir}/sales.csv
         write_series_csv(synthesize("penetration", good), data / "penetration.csv")
         write_series_csv(synthesize("sales", good), data / "sales.csv")
         cfg = self.fit_config(tmp_path, data, benchmark="fax")
-        with np.errstate(over="ignore"):
-            code = run("fit", "--config", str(cfg), "--out", str(tmp_path / "o"))
+        code = run("fit", "--config", str(cfg), "--out", str(tmp_path / "o"))
         assert code == EXIT_OK
         assert read_fit_table(tmp_path / "o" / "fit_table.csv")["decline_rate"] > 50.0
 

@@ -185,6 +185,11 @@ class TestGompertz:
             out = gompertz_rate(np.array([-4.0, 0.0]), GompertzParams(1.0, 10.0, 100.0))
         assert out[0] == 0.0 and out[1] > 0.0
 
+    def test_penetration_is_zero_where_the_decay_overflows(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert gompertz_penetration(-4.0, GompertzParams(1.0, 10.0, 100.0)) == 0.0
+
     def test_frozen_price_limit(self):
         frozen = GompertzParams(plateau=0.9, shape=5.0, rate=0.0)
         t = np.linspace(-10, 10, 7)

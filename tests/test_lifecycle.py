@@ -189,23 +189,7 @@ class TestTotalSales:
         assert out[-1] > curve.rate[-1] * 100
 
 
-class TestLifecycleParams:
-    def test_bundles_both_waves(self):
-        from evomarket.lifecycle import LifecycleParams
-
-        params = LifecycleParams(
-            spreading=WaveParams(0.06, 0.3, FailureDistribution("delta", 9.2)),
-            evolutionary=WaveParams(0.06, 0.65, FailureDistribution("delta", 10.2)),
-            echoes=2,
-        )
-        assert params.spreading.failure.lifetime == 9.2
-
-    def test_echo_count_is_at_least_one(self):
-        from evomarket.lifecycle import LifecycleParams
-
-        with pytest.raises(ValueError):
-            LifecycleParams(WaveParams(), WaveParams(), echoes=0)
-
+class TestWaveParams:
     def test_replacement_needs_failure_model(self):
         with pytest.raises(ValueError):
             WaveParams(multiple_rate=0.0, replacement_fraction=0.3, failure=None)

@@ -1,4 +1,4 @@
-"""Property tests of the one-wave estimators over the benchmark parameter box.
+"""Property tests of the one-wave and price estimators over the benchmark box.
 
 Each parameter is drawn between its smallest and largest value over the
 six benchmark goods, so the tests cover the whole box the fixtures span
@@ -15,6 +15,7 @@ from evomarket.calibration import (
     DEFAULT_STARTS,
     BassCurveFit,
     GompertzCurveFit,
+    PriceDeclineFit,
     spreading_wave_model,
 )
 from evomarket.diffusion import (
@@ -23,6 +24,7 @@ from evomarket.diffusion import (
     bass_penetration,
     gompertz_penetration,
 )
+from evomarket.series import TimeSeries
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=25)
 
@@ -44,10 +46,15 @@ gompertz_params = st.builds(
     shape=benchmark_range("shape"),
     rate=benchmark_range("decline_rate"),
 )
+# a good without a floor ratio has a floor of zero
+price_floors = st.floats(
+    0.0, max(good.floor_ratio or 0.0 for good in BENCHMARKS.values())
+)
 goods = st.sampled_from(sorted(BENCHMARKS))
 seeds = st.integers(0, 2**32 - 1)
 
 T_SPREAD = np.arange(30.0)
+T_PRICE = np.arange(30.0)
 # the decline clock of a good observed for 40 years, with the price
 # decline setting in after up to 4 years
 T_EVOLVE = np.arange(40.0) - 4.0
@@ -130,3 +137,33 @@ def test_gompertz_plateau_stays_in_bounds_near_saturation(shape, rate, bound, se
     noisy = np.clip(clean * (1.0 + 0.02 * rng.standard_normal(clean.size)), 0.0, 1.0)
     fit = GompertzCurveFit(decline_rate=rate, plateau_bound=bound).fit(T_EVOLVE, noisy)
     assert 0.0 <= fit.plateau_ <= bound
+
+
+def price_path(rate, floor, scale=1.0, noise=1.0):
+    values = scale * (np.exp(-rate * T_PRICE) + floor) * noise
+    return TimeSeries(T_PRICE, values, "nominal_price")
+
+
+@PROPERTY_SETTINGS
+@given(rate=benchmark_range("decline_rate"), floor=price_floors)
+def test_price_noiseless_recovery(rate, floor):
+    fit = PriceDeclineFit().fit(price_path(rate, floor))
+    assert fit.decline_rate_ == pytest.approx(rate, rel=1e-6)
+    assert fit.floor_ratio_ == pytest.approx(floor, rel=1e-6, abs=1e-9)
+
+
+@PROPERTY_SETTINGS
+@given(
+    rate=benchmark_range("decline_rate"),
+    floor=price_floors,
+    scale=st.floats(1e-3, 1e4),
+    seed=seeds,
+)
+def test_price_fit_does_not_depend_on_the_intro_price_scale(rate, floor, scale, seed):
+    rng = np.random.default_rng(seed)
+    noise = 1.0 + 0.02 * rng.standard_normal(T_PRICE.size)
+    unit = PriceDeclineFit().fit(price_path(rate, floor, noise=noise))
+    scaled = PriceDeclineFit(intro_price=scale).fit(price_path(rate, floor, scale, noise))
+    assert scaled.decline_rate_ == pytest.approx(unit.decline_rate_, rel=1e-6)
+    assert scaled.floor_ratio_ == pytest.approx(unit.floor_ratio_, rel=1e-6, abs=1e-9)
+    assert scaled.sse_ == pytest.approx(unit.sse_, rel=1e-6)
