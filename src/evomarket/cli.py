@@ -411,6 +411,8 @@ def _cmd_dist(args, config) -> int:
         f"reproduction long-window mean: {repro.long_window_mean!r}",
         "reproduction long-window target: "
         f"{0.05 / (100.0 * 10.0)!r}",
+        "reproduction long-window standard error: "
+        f"{repro.long_window_standard_error!r}",
     ]
     (out / "dist_report.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
     if args.plot:

@@ -11,12 +11,16 @@ reproduction coefficient reproduces the separation between its
 short-window mean (zero) and its long-window mean (investment driven).
 
 Every simulation takes an explicit seed and is reproducible bit for bit
-for that seed; paths with distinct seeds are independent and may run
-concurrently.
+for that seed.  The Langevin ensemble splits its paths into fixed blocks,
+each drawing from its own stream spawned from the seed, and steps the
+blocks on a thread pool with one worker per CPU the process may run on;
+its samples depend on the seed alone, not on the number of cores.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,13 +112,18 @@ class SizeDistParams:
 
 @dataclass(frozen=True)
 class ReproductionSimResult:
-    """Path and windowed means returned by :func:`reproduction_param_sim`."""
+    """Path and windowed means returned by :func:`reproduction_param_sim`.
+
+    ``long_window_standard_error`` is the standard error of
+    ``long_window_mean`` implied by the process parameters.
+    """
 
     times: np.ndarray
     path: np.ndarray
     short_window_means: np.ndarray
     short_window: float
     long_window_mean: float
+    long_window_standard_error: float
 
 
 def langevin_price_sim(
@@ -145,6 +154,22 @@ def langevin_price_sim(
     return path
 
 
+# Paths per block of the Langevin ensemble.  Each block draws from its
+# own spawned stream, so the samples depend on this constant and the
+# seed, never on how many workers share out the blocks.
+_BLOCK_PATHS = 2_500
+# Steps of normals a block draws at a time (1.3 MB per block).
+_CHUNK_STEPS = 64
+
+
+def _cpu_count() -> int:
+    """Number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
 def langevin_price_ensemble(
     params: PriceNoiseParams,
     dt: float,
@@ -158,26 +183,70 @@ def langevin_price_ensemble(
     Runs ``n_paths`` paths from zero, discards a burn-in of
     ``burn_in`` time units (default ``10 / (b^2 / noise)``, ten
     relaxation times) and then keeps ``keep_steps`` consecutive states
-    of every path.  Returns the flattened samples, ``n_paths *
-    keep_steps`` of them.
+    of every path.  Returns the flattened samples, step-major:
+    ``n_paths * keep_steps`` of them, the states of all paths at the
+    first kept step, then at the second, and so on.
+
+    The paths run in blocks of ``_BLOCK_PATHS`` (the last block may be
+    shorter).  Block ``k`` draws its normals from
+    ``SeedSequence(seed).spawn(n_blocks)[k]``, so the blocks are
+    independent and the samples depend only on the seed and the block
+    size.  The blocks are spread over a thread pool with one worker per
+    CPU the process may run on; the result is the same on any number
+    of cores.
     """
     check_positive(dt, "dt")
     if n_paths < 1 or keep_steps < 1:
         raise ValueError("n_paths and keep_steps must be at least 1")
     if burn_in is None:
         burn_in = 10.0 * params.noise / params.restoring**2
-    burn_steps = int(round(burn_in / dt))
-    rng = np.random.default_rng(seed)
-    x = np.zeros(n_paths)
-    sq = np.sqrt(params.noise * dt)
-    b_dt = params.restoring * dt
-    for _ in range(burn_steps):
-        x += -b_dt * np.sign(x) + sq * rng.standard_normal(n_paths)
+    steps = int(round(burn_in / dt)) + keep_steps
+    drift = params.restoring * dt
+    kick = np.sqrt(params.noise * dt) / drift
+    n_blocks = -(-n_paths // _BLOCK_PATHS)
+    streams = np.random.SeedSequence(seed).spawn(n_blocks)
     kept = np.empty((keep_steps, n_paths))
-    for i in range(keep_steps):
-        x += -b_dt * np.sign(x) + sq * rng.standard_normal(n_paths)
-        kept[i] = x
+    with ThreadPoolExecutor(max_workers=min(_cpu_count(), n_blocks)) as pool:
+        futures = [
+            pool.submit(
+                _langevin_block,
+                stream,
+                steps,
+                kick,
+                drift,
+                kept[:, lo : lo + _BLOCK_PATHS],
+            )
+            for stream, lo in zip(streams, range(0, n_paths, _BLOCK_PATHS))
+        ]
+        for future in futures:
+            future.result()
     return kept.ravel()
+
+
+def _langevin_block(stream, steps, kick, drift, kept):
+    """Step one block of paths from zero and fill its columns ``kept``.
+
+    The state is held in units of the drift step ``b * dt``, where one
+    step is ``x <- x - sign(x) + kick * xi``; the kept states are scaled
+    back at the end.  numpy releases the GIL inside the normal fills and
+    the ufunc loops, so blocks on different workers run in parallel.
+    """
+    rng = np.random.default_rng(stream)
+    x = np.zeros(kept.shape[1])
+    sign = np.empty_like(x)
+    normals = np.empty((_CHUNK_STEPS, x.size))
+    first_kept = steps - kept.shape[0]
+    for start in range(0, steps, _CHUNK_STEPS):
+        chunk = normals[: min(_CHUNK_STEPS, steps - start)]
+        rng.standard_normal(out=chunk)
+        chunk *= kick
+        for step, row in enumerate(chunk, start):
+            np.sign(x, out=sign)
+            x -= sign
+            x += row
+            if step >= first_kept:
+                kept[step - first_kept] = x
+    kept *= drift
 
 
 def laplace_pdf(x, restoring: float, noise: float):
@@ -198,9 +267,13 @@ def laplace_cdf(x, restoring: float, noise: float):
     check_positive(noise, "noise")
     x_arr = np.asarray(x, dtype=float)
     scale = noise / (2.0 * restoring)
-    out = np.where(
-        x_arr < 0, 0.5 * np.exp(x_arr / scale), 1.0 - 0.5 * np.exp(-x_arr / scale)
-    )
+    # e = 0.5 exp(-|x| / scale) is the tail mass beyond |x| on either
+    # side; one exponential of a non-positive argument cannot overflow
+    out = np.abs(x_arr, out=np.empty_like(x_arr))
+    out /= -scale
+    np.exp(out, out=out)
+    out *= 0.5
+    np.subtract(1.0, out, out=out, where=x_arr >= 0)
     return float(out) if np.isscalar(x) else out
 
 
@@ -214,10 +287,12 @@ def laplace_fit(samples) -> tuple[float, float]:
     data = as_float_array(samples, "samples")
     if data.size < 2:
         raise ValueError("laplace_fit needs at least two samples")
-    ordered = np.sort(data)
-    location = float(ordered[(data.size - 1) // 2])
-    scale = float(np.abs(data - location).mean())
-    return location, scale
+    middle = (data.size - 1) // 2
+    work = np.partition(data, middle)
+    location = float(work[middle])
+    np.subtract(data, location, out=work)
+    np.abs(work, out=work)
+    return location, float(work.mean())
 
 
 def growth_rate_transform(y_prev, y_next):
@@ -306,7 +381,11 @@ def reproduction_param_sim(
     The result reports means over short windows (long against the
     relaxation time, short against the amortization time: statistically
     zero) and over the whole post-burn-in path (positive, approaching
-    ``jump_size / (amortization * compensation)``).
+    ``jump_size / (amortization * compensation)``).  The process is
+    AR(1) with ``phi = 1 - compensation*dt`` and innovation variance
+    ``sigma^2 = noise_amp^2 dt + jump_size^2 dt / amortization``, so the
+    mean of its ``n`` post-burn-in values has standard error
+    ``sigma / ((1 - phi) sqrt(n))``.
 
     Raises
     ------
@@ -345,22 +424,48 @@ def reproduction_param_sim(
     window_means = (
         tail[: n_windows * window_len].reshape(n_windows, window_len).mean(axis=1)
     )
+    innovation_var = (
+        params.noise_amp**2 * dt + params.jump_size**2 * dt / params.amortization
+    )
     return ReproductionSimResult(
         times=times,
         path=path,
         short_window_means=window_means,
         short_window=window_len * dt,
         long_window_mean=float(tail.mean()),
+        long_window_standard_error=float(
+            np.sqrt(innovation_var / tail.size) / (params.compensation * dt)
+        ),
     )
 
 
+# Ranks per pass of ks_statistic: its two buffers stay in cache.
+_KS_CHUNK = 65_536
+
+
 def ks_statistic(samples, cdf) -> float:
-    """Kolmogorov-Smirnov distance between samples and a CDF callable."""
+    """Kolmogorov-Smirnov distance between samples and a CDF callable.
+
+    The largest of ``(i + 1)/n - F(x_i)`` and ``F(x_i) - i/n`` over the
+    sorted samples ``x_i``, evaluated a chunk of ranks at a time.
+    """
     data = np.sort(as_float_array(samples, "samples"))
     n = data.size
     if n == 0:
         raise ValueError("ks_statistic needs samples")
     theory = np.asarray(cdf(data), dtype=float)
-    upper = np.max(np.arange(1, n + 1) / n - theory)
-    lower = np.max(theory - np.arange(0, n) / n)
-    return float(max(upper, lower))
+    ranks = np.arange(min(n, _KS_CHUNK), dtype=float)
+    gap = np.empty_like(ranks)
+    distance = -np.inf
+    for lo in range(0, n, _KS_CHUNK):
+        f = theory[lo : lo + _KS_CHUNK]
+        d = gap[: f.size]
+        np.add(ranks[: f.size], lo + 1, out=d)
+        d /= n
+        d -= f
+        distance = max(distance, d.max())
+        np.add(ranks[: f.size], lo, out=d)
+        d /= n
+        np.subtract(f, d, out=d)
+        distance = max(distance, d.max())
+    return float(distance)

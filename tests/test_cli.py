@@ -216,6 +216,22 @@ class TestDist:
         assert "ks distance" in report
         assert "long-window mean" in report
 
+    def test_reports_long_window_standard_error(self, tmp_path):
+        cfg = write_config(tmp_path, "[dist]\npaths = 300\nkeep = 40\n")
+        out = tmp_path / "out"
+        assert run("dist", "--config", str(cfg), "--seed", "3", "--out", str(out)) == EXIT_OK
+        report = (out / "dist_report.txt").read_text(encoding="utf-8")
+        values = dict(line.split(": ", 1) for line in report.splitlines()[1:])
+        # dist's reproduction run: AR(1) with 1 - phi = compensation * dt,
+        # Gaussian plus Poisson-jump innovations, and a burn-in of
+        # 5 / compensation before the long window
+        compensation, jump, amortization, noise_amp, dt = 10.0, 0.05, 100.0, 0.05, 0.02
+        sigma = np.sqrt(noise_amp**2 * dt + jump**2 * dt / amortization)
+        n = 1_500_000 - round(5.0 / compensation / dt)
+        expected = sigma / (compensation * dt * np.sqrt(n))
+        reported = float(values["reproduction long-window standard error"])
+        assert reported == pytest.approx(expected, rel=1e-12)
+
     def test_deterministic_given_seed(self, tmp_path):
         cfg = write_config(tmp_path, "[dist]\npaths = 300\nkeep = 40\n")
         out_a, out_b = tmp_path / "a", tmp_path / "b"

@@ -1,7 +1,11 @@
+import sys
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from evomarket import stochastic
 from evomarket.errors import StepSizeError
 from evomarket.stochastic import (
     PriceNoiseParams,
@@ -46,10 +50,49 @@ class TestLangevinPriceSim:
         assert not np.array_equal(a, b)
 
     def test_stationary_variance(self):
+        # over seeds 0-29 the variance of 25,000 paths had a standard
+        # deviation of 1.3% of its target, so 5% is more than 3 of them
         samples = langevin_price_ensemble(
-            UNIT_NOISE, dt=1e-3, n_paths=2000, keep_steps=500, seed=11
+            UNIT_NOISE, dt=1e-3, n_paths=25_000, keep_steps=500, seed=11
         )
         assert samples.var() == pytest.approx(0.5, rel=0.05)
+
+
+class TestLangevinPriceEnsemble:
+    BLOCK = stochastic._BLOCK_PATHS
+
+    def ensemble(self, n_paths, seed=5, keep_steps=10):
+        return langevin_price_ensemble(
+            UNIT_NOISE, 1e-3, n_paths, keep_steps, seed, burn_in=0.02
+        )
+
+    def test_same_seed_is_bit_identical(self):
+        n_paths = self.BLOCK + 300
+        assert np.array_equal(self.ensemble(n_paths), self.ensemble(n_paths))
+
+    def test_worker_count_does_not_change_samples(self, monkeypatch):
+        n_paths = 3 * self.BLOCK + 100
+        monkeypatch.setattr(stochastic, "_cpu_count", lambda: 1)
+        serial = self.ensemble(n_paths)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (2, 8):
+                monkeypatch.setattr(stochastic, "_cpu_count", lambda: workers)
+                assert np.array_equal(self.ensemble(n_paths), serial)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("n_paths", [BLOCK + 7, 10])
+    def test_partial_blocks(self, n_paths):
+        samples = self.ensemble(n_paths, keep_steps=4)
+        assert samples.shape == (4 * n_paths,)
+        assert np.all(np.isfinite(samples))
+
+    def test_blocks_draw_distinct_streams(self):
+        states = self.ensemble(2 * self.BLOCK).reshape(10, -1)
+        first, second = states[:, : self.BLOCK], states[:, self.BLOCK :]
+        assert np.intersect1d(first, second).size == 0
 
 
 class TestLaplacePdf:
@@ -76,6 +119,13 @@ class TestLaplacePdf:
             integral, _ = quad(lambda s: laplace_pdf(s, 1.0, 1.0), -np.inf, x)
             assert laplace_cdf(x, 1.0, 1.0) == pytest.approx(integral, abs=1e-8)
 
+    def test_cdf_far_tails_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert laplace_cdf(1000.0, 1.0, 1.0) == 1.0
+            assert laplace_cdf(-1000.0, 1.0, 1.0) == 0.0
+            assert np.array_equal(laplace_cdf(np.array([-1e3, 1e3]), 1.0, 1.0), [0.0, 1.0])
+
 
 class TestLaplaceFit:
     def test_hand_computable(self):
@@ -86,6 +136,21 @@ class TestLaplaceFit:
     def test_lower_median_tie_rule(self):
         location, _ = laplace_fit([1.0, 2.0, 3.0, 4.0])
         assert location == 2.0
+
+    @pytest.mark.parametrize(
+        "samples",
+        [
+            np.random.default_rng(1).laplace(0.3, 1.1, 1001),
+            np.random.default_rng(2).laplace(-0.2, 0.7, 1000),
+            np.array([3.0, 1.0, 2.0, 2.0, 2.0, 5.0, 1.0, 2.0]),
+        ],
+        ids=["odd", "even", "tied"],
+    )
+    def test_matches_sorted_lower_median(self, samples):
+        ordered = np.sort(samples)
+        location = ordered[(samples.size - 1) // 2]
+        scale = np.abs(samples - location).mean()
+        assert laplace_fit(samples) == (location, scale)
 
     def test_quantile_grid_recovery(self):
         u = (np.arange(4001) + 0.5) / 4001
@@ -251,3 +316,25 @@ class TestKsStatistic:
     def test_shifted_distribution_detected(self):
         u = (np.arange(1000) + 0.5) / 1000 + 0.4
         assert ks_statistic(u, lambda x: np.clip(x, 0, 1)) > 0.3
+
+    @pytest.mark.parametrize(
+        "samples, distance", [([0.7, 0.1, 0.4], 0.3), ([0.9, 0.5], 0.5)]
+    )
+    def test_hand_checked(self, samples, distance):
+        assert ks_statistic(samples, lambda x: x) == pytest.approx(distance, abs=1e-15)
+
+    def test_matches_sort_and_arange_formula(self):
+        samples = np.random.default_rng(8).laplace(0.0, 0.5, 100_000)
+        original = samples.copy()
+
+        def cdf(x):
+            return laplace_cdf(x, 1.0, 1.0)
+
+        data = np.sort(samples)
+        n = data.size
+        theory = cdf(data)
+        expected = max(
+            np.max(np.arange(1, n + 1) / n - theory), np.max(theory - np.arange(n) / n)
+        )
+        assert ks_statistic(samples, cdf) == pytest.approx(expected, abs=1e-15)
+        assert np.array_equal(samples, original)
