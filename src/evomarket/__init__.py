@@ -58,7 +58,6 @@ from .evodyn import (
     stationary_demand,
 )
 from .lifecycle import (
-    FailureDistribution,
     WaveParams,
     multiple_sales,
     replacement_sales,

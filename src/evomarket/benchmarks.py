@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .lifecycle import FailureDistribution, WaveParams
+from .lifecycle import WaveParams
 
 __all__ = ["GoodParams", "BENCHMARKS", "ROUND_TRIP_GOODS", "VCR_FORMAT_CONTEST", "wave_params"]
 
@@ -192,19 +192,11 @@ def wave_params(good: GoodParams) -> tuple[WaveParams, WaveParams, list[str]]:
     spreading = WaveParams(
         multiple_rate=spread_q,
         replacement_fraction=spread_r,
-        failure=FailureDistribution(
-            "delta", good.spreading_lifetime or _DEFAULT_LIFETIME
-        )
-        if spread_r > 0
-        else None,
+        lifetime=(good.spreading_lifetime or _DEFAULT_LIFETIME) if spread_r > 0 else None,
     )
     evolutionary = WaveParams(
         multiple_rate=evo_q,
         replacement_fraction=evo_r,
-        failure=FailureDistribution(
-            "delta", good.evolutionary_lifetime or _DEFAULT_LIFETIME
-        )
-        if evo_r > 0
-        else None,
+        lifetime=(good.evolutionary_lifetime or _DEFAULT_LIFETIME) if evo_r > 0 else None,
     )
     return spreading, evolutionary, warnings

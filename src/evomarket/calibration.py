@@ -51,6 +51,7 @@ from .diffusion import (
     gompertz_rate,
 )
 from .errors import FitError
+from .evodyn import fisher_pry_share
 from .lifecycle import WaveParams
 from .market import IncomeModel
 from .series import TimeSeries
@@ -135,8 +136,8 @@ class FitResult:
     ``share``) to their natural-scale residual sums of squares;
     ``residuals`` holds the corresponding residual arrays;
     ``provenance`` records series digests, so results can be traced to
-    their inputs, and how the fit was reached (solve count, convergence
-    flag, evaluation count).
+    their inputs, and how the fit was reached (convergence flags,
+    evaluation count).
     """
 
     good: str | None
@@ -535,7 +536,7 @@ def spreading_wave_model(t, params: BassParams, wave: WaveParams | None = None):
         if wave.multiple_rate > 0:
             out = out + wave.multiple_rate * bass_penetration(t_arr, params)
         if wave.replacement_fraction > 0:
-            lag = t_arr - wave.failure.lifetime
+            lag = t_arr - wave.lifetime
             echo = np.where(lag >= 0, bass_rate(np.maximum(lag, 0.0), params), 0.0)
             out = out + wave.replacement_fraction * echo
     return float(out) if np.isscalar(t) else out
@@ -552,7 +553,7 @@ def evolutionary_wave_model(
             out = out + wave.multiple_rate * gompertz_penetration(t_arr, params)
         if wave.replacement_fraction > 0:
             out = out + wave.replacement_fraction * gompertz_rate(
-                t_arr - wave.failure.lifetime, params
+                t_arr - wave.lifetime, params
             )
     return float(out) if np.isscalar(t_prime) else out
 
@@ -689,8 +690,7 @@ class FisherPryFit(BaseModel):
     def predict(self, years):
         check_fitted(self, "advantage_")
         t = np.asarray(years, dtype=float) - self.origin_year
-        out = 1.0 / (1.0 + np.exp(-(self.advantage_ * t + self.intercept_)))
-        return float(out) if np.isscalar(years) else out
+        return fisher_pry_share(t, self.advantage_, self.intercept_)
 
 
 # ---------------------------------------------------------------------------
@@ -765,8 +765,7 @@ def synthesize_share(
 ) -> TimeSeries:
     """Sample the logistic substitution share, clipped to the open interval."""
     years = as_float_array(years, "years")
-    t = years - origin_year
-    values = 1.0 / (1.0 + np.exp(-(advantage * t + intercept)))
+    values = fisher_pry_share(years - origin_year, advantage, intercept)
     if noise > 0:
         rng = np.random.default_rng(seed)
         values = values * (1.0 + noise * rng.standard_normal(values.size))
@@ -809,10 +808,10 @@ def fit_two_wave(
 
     The lowest weighted cost wins, ties going to the earliest start.
     ``sse`` and ``residuals`` report each series on its natural scale.
-    ``provenance["alternations"]`` counts the joint solves (always one);
-    ``converged`` and ``nfev`` describe the winning Levenberg–Marquardt
-    run, so a fit that stopped on its evaluation limit says so, and
-    ``price_converged`` does the same for the price fit.
+    ``provenance["converged"]`` and ``provenance["nfev"]`` describe the
+    winning Levenberg–Marquardt run, so a fit that stopped on its
+    evaluation limit says so, and ``price_converged`` does the same for
+    the price fit.
 
     Raises
     ------
@@ -900,7 +899,6 @@ def fit_two_wave(
             "price_digest": series_digest(price),
             "penetration_digest": series_digest(penetration),
             "sales_digest": series_digest(sales),
-            "alternations": 1,
             "converged": bool(best.success),
             "nfev": int(best.nfev),
             "price_converged": price_fit.converged_,

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -229,26 +230,17 @@ def _format_float(value) -> str:
 
 
 def write_fit_table(result: calibration.FitResult, path: Path) -> None:
-    """Write a fit result as a ``parameter,value`` CSV table."""
-    rows = [
-        ("good", result.good or ""),
-        ("decline_rate", _format_float(result.decline_rate)),
-        ("floor_ratio", _format_float(result.floor_ratio)),
-        ("shape", _format_float(result.shape)),
-        ("evolutionary_plateau", _format_float(result.evolutionary_plateau)),
-        ("innovation", _format_float(result.innovation)),
-        ("imitation", _format_float(result.imitation)),
-        ("spreading_plateau", _format_float(result.spreading_plateau)),
-        ("spreading_multiple", _format_float(result.spreading_multiple)),
-        ("spreading_replacement", _format_float(result.spreading_replacement)),
-        ("spreading_lifetime", _format_float(result.spreading_lifetime)),
-        ("evolutionary_multiple", _format_float(result.evolutionary_multiple)),
-        ("evolutionary_replacement", _format_float(result.evolutionary_replacement)),
-        ("evolutionary_lifetime", _format_float(result.evolutionary_lifetime)),
-        ("advantage", _format_float(result.advantage)),
-        ("intercept", _format_float(result.intercept)),
+    """Write a fit result as a ``parameter,value`` CSV table.
+
+    One row per field of :class:`~evomarket.calibration.FitResult`, in
+    field order, leaving out ``sse``, ``residuals`` and ``provenance``.
+    """
+    lines = ["parameter,value", f"good,{result.good or ''}"]
+    lines += [
+        f"{item.name},{_format_float(getattr(result, item.name))}"
+        for item in dataclasses.fields(result)
+        if item.name not in ("good", "sse", "residuals", "provenance")
     ]
-    lines = ["parameter,value"] + [f"{k},{v}" for k, v in rows]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -291,12 +283,8 @@ def _cmd_fit(args, config) -> int:
             raise UsageError(f"[fit] share_series: file not found: {share_path}")
         share = read_series_csv(share_path)
         share_fit = calibration.FisherPryFit(origin_year=good.intro_year).fit(share)
-        result = calibration.FitResult(
-            **{
-                **{k: getattr(result, k) for k in result.__dataclass_fields__},
-                "advantage": share_fit.advantage_,
-                "intercept": share_fit.intercept_,
-            }
+        result = dataclasses.replace(
+            result, advantage=share_fit.advantage_, intercept=share_fit.intercept_
         )
 
     out = args.out

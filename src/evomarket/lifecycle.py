@@ -1,10 +1,11 @@
 """Product life cycle: first purchase plus replacement and multiple purchase.
 
-Replacement demand echoes the first-purchase wave after the product
-lifetime, repeatedly and with geometric damping; multiple purchase
-scales with the installed base.  Summing both repurchase channels over
-the spreading and the price-driven wave gives the aggregate unit sales
-and their multi-year periodicity.
+Every unit fails exactly one product lifetime after purchase, so
+replacement demand is the first-purchase wave shifted by the lifetime on
+the grid, repeated with geometric damping; no convolution is needed.
+Multiple purchase scales with the installed base.  Summing both
+repurchase channels over the spreading and the price-driven wave gives
+the aggregate unit sales and their multi-year periodicity.
 
 All series transforms are linear, operate on uniform grids and return
 new arrays.
@@ -21,7 +22,6 @@ from .diffusion import AdoptionCurve
 from .errors import FormatError
 
 __all__ = [
-    "FailureDistribution",
     "WaveParams",
     "replacement_sales",
     "multiple_sales",
@@ -31,80 +31,38 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class FailureDistribution:
-    """Distribution of the time to product failure.
-
-    ``kind`` is ``"delta"`` (all units fail exactly at ``lifetime``) or
-    ``"gaussian"`` (spread ``sigma`` around ``lifetime``, truncated at
-    zero and renormalized so the discretized kernel carries unit mass).
-    """
-
-    kind: str
-    lifetime: float
-    sigma: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("delta", "gaussian"):
-            raise ValueError(f"unknown failure kind {self.kind!r}")
-        check_positive(self.lifetime, "lifetime")
-        if self.kind == "gaussian":
-            if self.sigma is None:
-                raise ValueError("gaussian failure distribution needs sigma")
-            check_positive(self.sigma, "sigma")
-
-    def kernel(self, step: float) -> np.ndarray:
-        """Discretized failure density times the grid step.
-
-        The kernel sums to one exactly, which makes the replaced mass
-        equal the source mass once the support fits the horizon.
-        """
-        check_positive(step, "step")
-        if self.kind == "delta":
-            lag = int(round(self.lifetime / step))
-            kernel = np.zeros(lag + 1)
-            kernel[lag] = 1.0
-            return kernel
-        half_width = 6.0 * self.sigma
-        n_cells = int(np.ceil((self.lifetime + half_width) / step))
-        lags = step * np.arange(n_cells + 1)
-        density = np.exp(-((lags - self.lifetime) ** 2) / (2.0 * self.sigma**2))
-        weights = np.full(lags.size, step)
-        weights[0] *= 0.5
-        weights[-1] *= 0.5
-        kernel = density * weights
-        return kernel / kernel.sum()
-
-
-@dataclass(frozen=True)
 class WaveParams:
     """Repurchase machinery attached to one diffusion wave."""
 
     multiple_rate: float = 0.0
     replacement_fraction: float = 0.0
-    failure: FailureDistribution | None = None
+    lifetime: float | None = None
 
     def __post_init__(self):
         if self.multiple_rate < 0:
             raise ValueError("multiple_rate must be non-negative")
         if not 0.0 <= self.replacement_fraction <= 1.0:
             raise ValueError("replacement_fraction must lie in [0, 1]")
-        if self.replacement_fraction > 0 and self.failure is None:
-            raise ValueError("replacement requires a failure distribution")
+        if self.lifetime is not None:
+            check_positive(self.lifetime, "lifetime")
+        if self.replacement_fraction > 0 and self.lifetime is None:
+            raise ValueError("replacement requires a product lifetime")
 
 
 def replacement_sales(
     first_purchase,
     step: float,
     fraction: float,
-    failure: FailureDistribution,
+    lifetime: float,
     echoes: int = 1,
 ) -> np.ndarray:
     """Replacement demand induced by a first-purchase sales series.
 
-    The first echo convolves the source with the failure density and
-    scales it by the replaced ``fraction``; each further echo replaces
-    the previous one, giving geometric damping.  For the delta kind the
-    convolution reduces to an exact shift by the lifetime.
+    Every unit fails exactly ``lifetime`` years after purchase, and a
+    ``fraction`` of the failed units is bought again.  The first echo is
+    the source moved ``round(lifetime / step)`` cells later and scaled by
+    ``fraction``; each further echo replaces the previous one, giving
+    geometric damping.
 
     Parameters
     ----------
@@ -113,17 +71,19 @@ def replacement_sales(
     step : float
     fraction : float
         Fraction of previous sales that comes back for replacement.
-    failure : FailureDistribution
+    lifetime : float
+        Product lifetime in years.
     echoes : int
         Number of recurrent replacement waves to accumulate.
 
     Returns
     -------
     numpy.ndarray
-        Sum of all echoes, zero before the first achievable lag.
+        Sum of all echoes, zero before the first lag.
     """
     source = as_float_array(first_purchase, "first_purchase")
     check_positive(step, "step")
+    check_positive(lifetime, "lifetime")
     if not 0.0 <= fraction <= 1.0:
         raise ValueError("fraction must lie in [0, 1]")
     if echoes < 1:
@@ -131,11 +91,16 @@ def replacement_sales(
     out = np.zeros_like(source)
     if fraction == 0.0:
         return out
-    kernel = failure.kernel(step)
+    lag = int(round(lifetime / step))
+    # echo k covers cells k * lag onward; it is echo k - 1 cut by one lag
     echo = source
+    start = 0
     for _ in range(echoes):
-        echo = fraction * np.convolve(echo, kernel)[: source.size]
-        out += echo
+        start += lag
+        if start >= source.size:
+            break
+        echo = fraction * echo[: echo.size - lag]
+        out[start:] += echo
     return out
 
 
@@ -159,7 +124,7 @@ def wave_sales(curve: AdoptionCurve, wave: WaveParams, echoes: int = 1) -> np.nd
     )
     if wave.replacement_fraction > 0:
         out = out + replacement_sales(
-            curve.rate, step, wave.replacement_fraction, wave.failure, echoes
+            curve.rate, step, wave.replacement_fraction, wave.lifetime, echoes
         )
     return out
 

@@ -268,9 +268,12 @@ def laplace_cdf(x, restoring: float, noise: float):
     x_arr = np.asarray(x, dtype=float)
     scale = noise / (2.0 * restoring)
     # e = 0.5 exp(-|x| / scale) is the tail mass beyond |x| on either
-    # side; one exponential of a non-positive argument cannot overflow
+    # side; one exponential of a non-positive argument cannot overflow,
+    # and where the quotient overflows to -inf its exponential is the
+    # right 0
     out = np.abs(x_arr, out=np.empty_like(x_arr))
-    out /= -scale
+    with np.errstate(over="ignore"):
+        out /= -scale
     np.exp(out, out=out)
     out *= 0.5
     np.subtract(1.0, out, out=out, where=x_arr >= 0)

@@ -35,7 +35,6 @@ from evomarket.evodyn import (
     stationary_demand,
 )
 from evomarket.lifecycle import (
-    FailureDistribution,
     WaveParams,
     replacement_sales,
     wave_sales,
@@ -350,9 +349,7 @@ def test_criterion_11_lifecycle_echoes_and_periodicity(capsys):
         # geometric echo amplitudes, exactly, for the sharp lifetime
         impulse = np.zeros(200)
         impulse[0] = 1.0
-        echoes = replacement_sales(
-            impulse, step, 0.5, FailureDistribution("delta", 5.0), echoes=3
-        )
+        echoes = replacement_sales(impulse, step, 0.5, 5.0, echoes=3)
         assert echoes[50] == 0.5 and echoes[100] == 0.25 and echoes[150] == 0.125
         assert np.count_nonzero(echoes) == 3
 
@@ -362,9 +359,7 @@ def test_criterion_11_lifecycle_echoes_and_periodicity(capsys):
         padded = np.zeros(400)
         padded[10 : 10 + source_curve.rate.size] = source_curve.rate
         padded[10] = 0.0
-        replaced = replacement_sales(
-            padded, step, 0.3, FailureDistribution("delta", 5.0), echoes=1
-        )
+        replaced = replacement_sales(padded, step, 0.3, 5.0, echoes=1)
         balance = np.trapezoid(replaced, dx=step) / (
             0.3 * np.trapezoid(padded, dx=step)
         )
@@ -375,7 +370,7 @@ def test_criterion_11_lifecycle_echoes_and_periodicity(capsys):
         wave = WaveParams(
             multiple_rate=0.06,
             replacement_fraction=0.3,
-            failure=FailureDistribution("delta", 9.2),
+            lifetime=9.2,
         )
         sales = wave_sales(curve, wave, echoes=2)
         interior = (sales[1:-1] > sales[:-2]) & (sales[1:-1] > sales[2:])

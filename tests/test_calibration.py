@@ -343,12 +343,10 @@ class TestFitTwoWave:
             "price_digest",
             "penetration_digest",
             "sales_digest",
-            "alternations",
             "converged",
             "nfev",
             "price_converged",
         }
-        assert result.provenance["alternations"] == 1
         assert result.provenance["converged"] is True
         assert result.provenance["nfev"] > 0
         assert result.provenance["price_converged"] is True

@@ -205,6 +205,24 @@ class TestFitTable:
         assert table["decline_rate"] == 0.103
         assert table["floor_ratio"] == 1 / 3.0
         assert table["advantage"] is None
+        assert list(table) == [
+            "good",
+            "decline_rate",
+            "floor_ratio",
+            "shape",
+            "evolutionary_plateau",
+            "innovation",
+            "imitation",
+            "spreading_plateau",
+            "spreading_multiple",
+            "spreading_replacement",
+            "spreading_lifetime",
+            "evolutionary_multiple",
+            "evolutionary_replacement",
+            "evolutionary_lifetime",
+            "advantage",
+            "intercept",
+        ]
 
 
 class TestDist:

@@ -3,7 +3,6 @@ import pytest
 
 from evomarket.diffusion import AdoptionCurve, BassParams, bass_ode
 from evomarket.lifecycle import (
-    FailureDistribution,
     WaveParams,
     multiple_sales,
     replacement_sales,
@@ -22,20 +21,17 @@ def impulse(n, index=0, value=1.0):
 
 class TestReplacementSales:
     def test_delta_impulse_single_echo(self):
-        failure = FailureDistribution("delta", lifetime=9.2)
-        out = replacement_sales(impulse(200), STEP, 0.3, failure, echoes=1)
+        out = replacement_sales(impulse(200), STEP, 0.3, 9.2, echoes=1)
         expected = np.zeros(200)
         expected[92] = 0.3
         assert np.array_equal(out, expected)
 
     def test_zero_fraction(self):
-        failure = FailureDistribution("delta", lifetime=5.0)
-        out = replacement_sales(impulse(100), STEP, 0.0, failure, echoes=3)
+        out = replacement_sales(impulse(100), STEP, 0.0, 5.0, echoes=3)
         assert np.all(out == 0.0)
 
     def test_geometric_echo_decay(self):
-        failure = FailureDistribution("delta", lifetime=5.0)
-        out = replacement_sales(impulse(200), STEP, 0.5, failure, echoes=3)
+        out = replacement_sales(impulse(200), STEP, 0.5, 5.0, echoes=3)
         expected = np.zeros(200)
         expected[50] = 0.5
         expected[100] = 0.25
@@ -44,12 +40,11 @@ class TestReplacementSales:
         assert np.count_nonzero(out) == 3
 
     def test_linearity(self, rng):
-        failure = FailureDistribution("gaussian", lifetime=6.0, sigma=0.8)
         a = rng.uniform(0.0, 1.0, 300)
         b = rng.uniform(0.0, 1.0, 300)
 
         def op(series):
-            return replacement_sales(series, STEP, 0.4, failure, echoes=2)
+            return replacement_sales(series, STEP, 0.4, 6.0, echoes=2)
 
         assert np.max(np.abs(op(a + b) - (op(a) + op(b)))) < 1e-12
         assert np.max(np.abs(op(2.5 * a) - 2.5 * op(a))) < 1e-12
@@ -65,43 +60,15 @@ class TestReplacementSales:
         return padded
 
     def test_delta_mass_balance(self):
-        failure = FailureDistribution("delta", lifetime=5.0)
         padded = self._padded_source()
-        replaced = replacement_sales(padded, STEP, 0.3, failure, echoes=1)
+        replaced = replacement_sales(padded, STEP, 0.3, 5.0, echoes=1)
         source_mass = np.trapezoid(padded, dx=STEP)
         replaced_mass = np.trapezoid(replaced, dx=STEP)
         assert replaced_mass == pytest.approx(0.3 * source_mass, rel=1e-9)
 
-    def test_gaussian_mass_balance(self):
-        failure = FailureDistribution("gaussian", lifetime=5.0, sigma=0.5)
-        padded = self._padded_source()
-        replaced = replacement_sales(padded, STEP, 0.3, failure, echoes=1)
-        assert np.trapezoid(replaced, dx=STEP) == pytest.approx(
-            0.3 * np.trapezoid(padded, dx=STEP), rel=1e-9
-        )
-
-    def test_narrow_gaussian_converges_to_delta(self):
-        params = BassParams(innovation=0.02, imitation=2.5, plateau=0.18)
-        curve = bass_ode(params, horizon=20.0, step=STEP)
-        lifetime = 5.0
-        delta_out = replacement_sales(
-            curve.rate, STEP, 0.3, FailureDistribution("delta", lifetime), 1
-        )
-        gauss_out = replacement_sales(
-            curve.rate,
-            STEP,
-            0.3,
-            FailureDistribution("gaussian", lifetime, sigma=lifetime / 100.0),
-            1,
-        )
-        # tolerance: two grid steps of smearing on the source's slope
-        slope_bound = np.max(np.abs(np.diff(delta_out))) / STEP
-        assert np.max(np.abs(gauss_out - delta_out)) <= 2.0 * STEP * slope_bound
-
     def test_nonnegative_output(self, rng):
-        failure = FailureDistribution("gaussian", lifetime=4.0, sigma=1.0)
         series = rng.uniform(0.0, 1.0, 200)
-        assert np.all(replacement_sales(series, STEP, 0.7, failure, 2) >= 0.0)
+        assert np.all(replacement_sales(series, STEP, 0.7, 4.0, 2) >= 0.0)
 
 
 class TestMultipleSales:
@@ -141,7 +108,7 @@ class TestWaveSales:
         wave = WaveParams(
             multiple_rate=0.0,
             replacement_fraction=0.3,
-            failure=FailureDistribution("delta", 9.2),
+            lifetime=9.2,
         )
         out = wave_sales(curve, wave)
         assert out[0] == pytest.approx(1.0)
@@ -152,7 +119,7 @@ class TestWaveSales:
         wave = WaveParams(
             multiple_rate=0.06,
             replacement_fraction=0.3,
-            failure=FailureDistribution("delta", 9.2),
+            lifetime=9.2,
         )
         out = wave_sales(self.curve, wave, echoes=2)
         interior = (out[1:-1] > out[:-2]) & (out[1:-1] > out[2:])
@@ -192,19 +159,4 @@ class TestTotalSales:
 class TestWaveParams:
     def test_replacement_needs_failure_model(self):
         with pytest.raises(ValueError):
-            WaveParams(multiple_rate=0.0, replacement_fraction=0.3, failure=None)
-
-
-class TestFailureDistribution:
-    def test_gaussian_needs_sigma(self):
-        with pytest.raises(ValueError):
-            FailureDistribution("gaussian", lifetime=5.0)
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            FailureDistribution("weibull", lifetime=5.0)
-
-    def test_kernel_unit_mass(self):
-        kernel = FailureDistribution("gaussian", 5.0, sigma=1.0).kernel(STEP)
-        assert kernel.sum() == pytest.approx(1.0, rel=1e-12)
-        assert kernel.size < 5.0 / STEP + 6.0 / STEP + 2
+            WaveParams(multiple_rate=0.0, replacement_fraction=0.3, lifetime=None)

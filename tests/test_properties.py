@@ -1,4 +1,4 @@
-"""Property tests of the one-wave and price estimators over the benchmark box.
+"""Property tests of the estimators and the replacement echoes over the benchmark box.
 
 Each parameter is drawn between its smallest and largest value over the
 six benchmark goods, so the tests cover the whole box the fixtures span
@@ -7,8 +7,9 @@ rather than a few hand-picked points.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from evomarket.benchmarks import BENCHMARKS, wave_params
 from evomarket.calibration import (
@@ -19,11 +20,14 @@ from evomarket.calibration import (
     spreading_wave_model,
 )
 from evomarket.diffusion import (
+    AdoptionCurve,
     BassParams,
     GompertzParams,
     bass_penetration,
+    bass_rate,
     gompertz_penetration,
 )
+from evomarket.lifecycle import WaveParams, replacement_sales, wave_sales
 from evomarket.series import TimeSeries
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=25)
@@ -49,6 +53,10 @@ gompertz_params = st.builds(
 # a good without a floor ratio has a floor of zero
 price_floors = st.floats(
     0.0, max(good.floor_ratio or 0.0 for good in BENCHMARKS.values())
+)
+# a good without a multiple-purchase rate has a rate of zero
+spreading_multiples = st.floats(
+    0.0, max(good.spreading_multiple or 0.0 for good in BENCHMARKS.values())
 )
 goods = st.sampled_from(sorted(BENCHMARKS))
 seeds = st.integers(0, 2**32 - 1)
@@ -167,3 +175,65 @@ def test_price_fit_does_not_depend_on_the_intro_price_scale(rate, floor, scale, 
     assert scaled.decline_rate_ == pytest.approx(unit.decline_rate_, rel=1e-6)
     assert scaled.floor_ratio_ == pytest.approx(unit.floor_ratio_, rel=1e-6, abs=1e-9)
     assert scaled.sse_ == pytest.approx(unit.sse_, rel=1e-6)
+
+
+def convolved_echoes(source, step, fraction, lifetime, echoes):
+    """Replacement echoes as a grid convolution with a delta failure kernel."""
+    lag = round(lifetime / step)
+    kernel = np.zeros(lag + 1)
+    kernel[lag] = 1.0
+    out = np.zeros_like(source)
+    echo = source
+    for _ in range(echoes):
+        echo = fraction * np.convolve(echo, kernel)[: source.size]
+        out += echo
+    return out
+
+
+ECHO_STEP = 0.1
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(
+    source=arrays(float, st.integers(1, 300), elements=st.floats(-1e6, 1e6)),
+    scale=st.sampled_from([1.0, 1e-300]),
+    lifetime=st.floats(1e-3, 35.0),
+    fraction=st.floats(0.0, 1.0),
+    echoes=st.integers(1, 5),
+)
+# lags of 0, of exactly the series length, and past it
+@example(source=np.ones(50), scale=1.0, lifetime=0.01, fraction=0.5, echoes=5)
+@example(source=np.ones(50), scale=1.0, lifetime=5.0, fraction=0.5, echoes=3)
+@example(source=np.ones(50), scale=1.0, lifetime=30.0, fraction=0.5, echoes=1)
+def test_replacement_sales_is_the_delta_convolution(
+    source, scale, lifetime, fraction, echoes
+):
+    source = scale * source
+    out = replacement_sales(source, ECHO_STEP, fraction, lifetime, echoes)
+    expected = convolved_echoes(source, ECHO_STEP, fraction, lifetime, echoes)
+    assert np.array_equal(out, expected)
+
+
+@PROPERTY_SETTINGS
+@given(
+    params=bass_params,
+    multiple=spreading_multiples,
+    fraction=st.floats(0.0, 1.0),
+    lifetime_cells=st.integers(20, 300),
+    echoes=st.integers(1, 5),
+)
+def test_wave_sales_is_the_closed_form_echo_sum(
+    params, multiple, fraction, lifetime_cells, echoes
+):
+    step = 0.05
+    cells = np.arange(801)
+    grid = step * cells
+    curve = AdoptionCurve(grid, bass_penetration(grid, params), bass_rate(grid, params))
+    out = wave_sales(curve, WaveParams(multiple, fraction, lifetime_cells * step), echoes)
+    expected = curve.rate + multiple * curve.penetration
+    for k in range(1, echoes + 1):
+        # t - k * lifetime counted in whole cells, so it is exactly 0 where the echo starts
+        lag = step * (cells - k * lifetime_cells)
+        echo = np.where(lag >= 0, bass_rate(np.maximum(lag, 0.0), params), 0.0)
+        expected = expected + fraction**k * echo
+    assert np.max(np.abs(out - expected)) <= 1e-12 * np.max(expected)

@@ -126,6 +126,13 @@ class TestLaplacePdf:
             assert laplace_cdf(-1000.0, 1.0, 1.0) == 0.0
             assert np.array_equal(laplace_cdf(np.array([-1e3, 1e3]), 1.0, 1.0), [0.0, 1.0])
 
+    def test_cdf_beyond_float_range_of_the_quotient(self):
+        # |x| / scale overflows to inf; its exponential is still the right 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = laplace_cdf(np.array([1e308, -1e308, 0.0]), 1.0, 1.0)
+        assert np.array_equal(out, [1.0, 0.0, 0.5])
+
 
 class TestLaplaceFit:
     def test_hand_computable(self):
