@@ -11,9 +11,12 @@ Every nonlinear fit here uses one method.  The amplitude and floor of
 the price, and the plateaus of both waves, enter their models linearly,
 so only the decline rate, the innovation rate, the imitation rate and
 the shape constant are searched nonlinearly (separable least squares,
-Golub & Pereyra 1973): Levenberg–Marquardt over their logs from a fixed
-start lattice, with the linear coefficients solved inside every residual
-evaluation by bounded linear least squares.  The price fit and the
+Golub & Pereyra 1973): Levenberg–Marquardt over their logs, with the
+linear coefficients solved inside every residual evaluation by bounded
+linear least squares.  The search screens a fixed start lattice with one
+residual evaluation per start, then refines only the four best starts
+(the stage-1 filter of multistart scatter search, Ugray et al. 2007).
+The price fit and the
 two-wave fit divide their residuals by the observations, matching
 multiplicative noise, so the penetration and sales series weigh in on
 the same scale; the one-wave estimators (:class:`BassCurveFit`,
@@ -83,13 +86,13 @@ _PRICE_LOG_LO = np.log([1e-10])
 _PRICE_LOG_HI = np.log([1e3])
 
 # Start lattice of the spreading-wave fit over (innovation, imitation):
-# 16 starts, tried in this order.
+# 16 starts, screened in this order.
 DEFAULT_STARTS: tuple[tuple[float, float], ...] = tuple(
     (a0, b0) for a0 in (0.002, 0.01, 0.05, 0.2) for b0 in (0.5, 1.5, 3.0, 6.0)
 )
 
 # Start lattice of the joint two-wave fit over (innovation, imitation,
-# shape): 18 starts, tried in this order.
+# shape): 18 starts, screened in this order.
 TWO_WAVE_STARTS: tuple[tuple[float, float, float], ...] = tuple(
     (a0, b0, s0)
     for a0 in (0.002, 0.02)
@@ -101,6 +104,12 @@ TWO_WAVE_STARTS: tuple[tuple[float, float, float], ...] = tuple(
 # before evaluation.
 _TWO_WAVE_LOG_LO = np.log([1e-5, 1e-6, 1e-2])
 _TWO_WAVE_LOG_HI = np.log([1.0, 10.0, 1e6])
+
+# Starts refined by Levenberg–Marquardt once every start of a lattice has
+# been screened by the cost of one residual evaluation.  Fewer refined
+# starts miss the full lattice's optimum on noiseless goods with low
+# imitation and shape (tests/test_properties.py).
+_REFINE_STARTS = 4
 
 # Observations below this fraction of a series' maximum are weighted as
 # if they sat at it, so exact zeros (before an onset) keep a finite weight.
@@ -357,14 +366,19 @@ def _separable_lm(
     least-squares solution, bounded to ``[0, upper]`` (``upper`` is one
     bound or one per column) through BVLS when the unbounded solution
     leaves the box, or held at ``fixed`` when it is given.  Residuals
-    are ``weights * (observed - model)``; a start (on the natural scale)
-    whose residuals are not finite is skipped.
+    are ``weights * (observed - model)``.
 
-    Returns ``(best, runs)``.  ``runs`` pairs the index of every start
-    that ended with finite residuals with its run.  ``best`` is the run
-    of lowest cost, ties going to the earliest start, with ``log_params``
-    (clipped), ``design`` (the unweighted columns there) and
-    ``plateaus`` added.
+    The search runs in two stages.  The screen evaluates the residuals
+    once at every start (given on the natural scale) and drops the
+    starts where they are not finite.  The refinement ranks the rest by
+    cost, ties going to the earlier start, and runs Levenberg–Marquardt
+    only from the ``_REFINE_STARTS`` best of them, in lattice order.
+
+    Returns ``(best, runs)``.  ``runs`` pairs the index of every refined
+    start with its run.  ``best`` is the run of lowest cost, ties going
+    to the earliest start, with ``log_params`` (clipped), ``design`` (the
+    unweighted columns there), ``plateaus``, ``starts_screened`` (the
+    starts with finite residuals) and ``starts_refined`` added.
 
     Raises
     ------
@@ -389,29 +403,34 @@ def _separable_lm(
             return np.full(observed.size, np.inf)
         return weighted_observed - weighted_design @ plateaus(weighted_design)
 
-    best, runs = None, []
+    # screen: one residual evaluation per start
+    screened = []
     for index, start in enumerate(starts):
-        try:
-            run = least_squares(
-                weighted_residuals,
-                np.log(start),
-                method="lm",
-                xtol=1e-12,
-                ftol=1e-12,
-                gtol=1e-12,
-            )
-        except ValueError:  # residuals not finite at the start
-            continue
-        if np.isfinite(run.cost):
-            runs.append((index, run))
-            if best is None or run.cost < best.cost:
-                best = run
-    if best is None:
+        resid = weighted_residuals(np.log(start))
+        if np.all(np.isfinite(resid)):
+            screened.append((float(resid @ resid), index))
+    if not screened:
         raise FitError("no start gave finite residuals")
+
+    # refine: Levenberg–Marquardt from the best screened starts, in lattice order
+    runs = []
+    for index in sorted(index for _, index in sorted(screened)[:_REFINE_STARTS]):
+        run = least_squares(
+            weighted_residuals,
+            np.log(starts[index]),
+            method="lm",
+            xtol=1e-12,
+            ftol=1e-12,
+            gtol=1e-12,
+        )
+        runs.append((index, run))
+    best = min((run for _, run in runs), key=lambda run: run.cost)
 
     best.log_params = np.clip(best.x, log_lo, log_hi)
     best.design = design(best.log_params)
     best.plateaus = plateaus(weights[:, None] * best.design)
+    best.starts_screened = len(screened)
+    best.starts_refined = len(runs)
     return best, runs
 
 
@@ -565,18 +584,19 @@ class BassCurveFit(BaseModel):
     the first-purchase rate (``kind="sales"``), the penetration closed
     form (``kind="penetration"``), or the full wave including known
     repurchase machinery (``kind="sales"`` with ``wave`` set).  Each of
-    these models is linear in the plateau, so Levenberg–Marquardt
-    searches log innovation and log imitation from every start of
-    ``starts``, inside the box of the two-wave fit, while every residual
-    evaluation solves the plateau by linear least squares bounded to
-    [0, 1].  The reported optimum is the best over all starts, ties
+    these models is linear in the plateau, so only log innovation and
+    log imitation are searched, inside the box of the two-wave fit, while
+    every residual evaluation solves the plateau by linear least squares
+    bounded to [0, 1].  Every start of ``starts`` is screened with one
+    residual evaluation; Levenberg–Marquardt refines the four of lowest
+    cost.  The reported optimum is the best of the refined runs, ties
     broken by the lowest start index.
 
     Attributes
     ----------
     innovation_, imitation_, plateau_, sse_ : float
     start_results_ : list of (sse, start_index, (innovation, imitation))
-        for every start that ended with finite residuals.
+        for every refined start, in start order.
     converged_ : bool
         Whether the winning Levenberg–Marquardt run met its tolerances.
     nfev_ : int
@@ -800,18 +820,21 @@ def fit_two_wave(
       maximum-likelihood weighting under multiplicative noise and puts
       both series on the same relative scale; the weighted penetration
       and sales residuals are stacked into one vector;
-    * Levenberg–Marquardt searches log innovation, log imitation and
-      log shape from every start of ``TWO_WAVE_STARTS``;
+    * every start of ``TWO_WAVE_STARTS`` is screened with one residual
+      evaluation, and Levenberg–Marquardt searches log innovation, log
+      imitation and log shape from the four starts of lowest cost;
     * inside every residual evaluation the spreading and evolutionary
       plateaus are the weighted linear least-squares solution, bounded
       to [0, 1].
 
-    The lowest weighted cost wins, ties going to the earliest start.
-    ``sse`` and ``residuals`` report each series on its natural scale.
-    ``provenance["converged"]`` and ``provenance["nfev"]`` describe the
-    winning Levenberg–Marquardt run, so a fit that stopped on its
-    evaluation limit says so, and ``price_converged`` does the same for
-    the price fit.
+    The lowest weighted cost of the refined runs wins, ties going to the
+    earliest start.  ``sse`` and ``residuals`` report each series on its
+    natural scale.  ``provenance["converged"]`` and ``provenance["nfev"]``
+    describe the winning Levenberg–Marquardt run, so a fit that stopped
+    on its evaluation limit says so, and ``price_converged`` does the
+    same for the price fit.  ``provenance["starts_screened"]`` counts the
+    starts with finite residuals at the screen and
+    ``provenance["starts_refined"]`` the runs refined from them.
 
     Raises
     ------
@@ -901,6 +924,8 @@ def fit_two_wave(
             "sales_digest": series_digest(sales),
             "converged": bool(best.success),
             "nfev": int(best.nfev),
+            "starts_screened": best.starts_screened,
+            "starts_refined": best.starts_refined,
             "price_converged": price_fit.converged_,
             "analyst_warnings": warnings,
         },
@@ -938,8 +963,9 @@ def round_trip(
     """Synthesize-with-noise and refit one good ``n_seeds`` times.
 
     Returns a dict with the per-parameter relative-error medians, the
-    tolerance checks and the raw error samples.  Deterministic for a
-    fixed master seed.
+    tolerance checks, the raw error samples and the count of fits whose
+    Levenberg–Marquardt run did not converge (``unconverged``).
+    Deterministic for a fixed master seed.
     """
     errors: dict[str, list[float]] = {name: [] for name in _ROUND_TRIP_FIELDS}
     truth = {
@@ -950,6 +976,7 @@ def round_trip(
         "imitation": good.imitation,
         "spreading_plateau": good.spreading_plateau,
     }
+    unconverged = 0
     for draw in range(n_seeds):
         seeds = [
             _sub_seed(master_seed, good_index, draw, channel) for channel in range(3)
@@ -958,6 +985,7 @@ def round_trip(
         penetration = synthesize("penetration", good, n_points, noise, seeds[1])
         sales = synthesize("sales", good, n_points, noise, seeds[2])
         result = fit_two_wave(price, penetration, sales, good)
+        unconverged += not result.provenance["converged"]
         for name in _ROUND_TRIP_FIELDS:
             errors[name].append(getattr(result, name) / truth[name] - 1.0)
     medians = {name: float(np.median(errors[name])) for name in _ROUND_TRIP_FIELDS}
@@ -970,6 +998,7 @@ def round_trip(
         "medians": medians,
         "passed": passed,
         "errors": errors,
+        "unconverged": unconverged,
         "n_seeds": n_seeds,
         "noise": noise,
     }

@@ -19,7 +19,9 @@ dist
     Run the distribution checks (price-noise stationarity, growth-rate
     accumulation, reproduction-coefficient windows) and write a report.
 replicate
-    Run the benchmark round-trip suite and print a pass/fail matrix.
+    Run the benchmark round-trip suite and print a pass/fail matrix;
+    write the matrix and a side file with each good's seconds and count
+    of unconverged fits.
 
 Configuration is an INI file with one section per parameter block (see
 README); command-line flags override file values.  Exit codes: 0
@@ -32,7 +34,9 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
+import functools
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -432,19 +436,20 @@ def _cmd_replicate(args, config) -> int:
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
 
-    reports = []
-    for index, name in enumerate(ROUND_TRIP_GOODS):
-        reports.append(
-            calibration.round_trip(
-                BENCHMARKS[name],
-                good_index=index,
-                n_seeds=n_seeds,
-                noise=noise,
-                master_seed=seed,
-            )
+    suites = [
+        functools.partial(
+            calibration.round_trip,
+            BENCHMARKS[name],
+            good_index=index,
+            n_seeds=n_seeds,
+            noise=noise,
+            master_seed=seed,
         )
-    reports.append(
-        calibration.vhs_round_trip(
+        for index, name in enumerate(ROUND_TRIP_GOODS)
+    ]
+    suites.append(
+        functools.partial(
+            calibration.vhs_round_trip,
             VCR_FORMAT_CONTEST["advantage"],
             VCR_FORMAT_CONTEST["intercept"],
             n_seeds=n_seeds,
@@ -452,6 +457,11 @@ def _cmd_replicate(args, config) -> int:
             master_seed=seed,
         )
     )
+    reports, seconds = [], []
+    for suite in suites:
+        start = time.perf_counter()
+        reports.append(suite())
+        seconds.append(time.perf_counter() - start)
 
     fields = list(calibration.ROUND_TRIP_TOLERANCES) + ["advantage"]
     lines = ["good," + ",".join(f"{f}_err,{f}_ok" for f in fields)]
@@ -468,6 +478,13 @@ def _cmd_replicate(args, config) -> int:
                 cells.extend(["", ""])
         lines.append(",".join(cells))
     (out / "replicate_matrix.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    # timings vary from run to run, so they stay out of the matrix; the
+    # share contest is a closed-form regression with nothing to converge
+    meta_lines = []
+    for report, elapsed in zip(reports, seconds):
+        meta_lines.append(f"seconds[{report['good']}]: {elapsed!r}")
+        meta_lines.append(f"unconverged[{report['good']}]: {report.get('unconverged', 0)}")
+    (out / "replicate_meta.txt").write_text("\n".join(meta_lines) + "\n", encoding="utf-8")
 
     print(f"round-trip suite: {n_seeds} seeds, {noise:.0%} noise")
     for report in reports:
@@ -475,7 +492,7 @@ def _cmd_replicate(args, config) -> int:
             f"{name}={'pass' if ok else 'FAIL'}" for name, ok in report["passed"].items()
         )
         print(f"  {report['good']:12s} {status}")
-    print(f"replicate: wrote replicate_matrix.csv to {out}")
+    print(f"replicate: wrote replicate_matrix.csv and replicate_meta.txt to {out}")
     if not all_ok:
         print("replicate: at least one round trip missed its tolerance", file=sys.stderr)
         return EXIT_FIT

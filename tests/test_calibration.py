@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from evomarket.benchmarks import BENCHMARKS, ROUND_TRIP_GOODS
+from evomarket import calibration
 from evomarket.calibration import (
     BassCurveFit,
     FisherPryFit,
     FitSpec,
     GompertzCurveFit,
+    TWO_WAVE_STARTS,
     PriceDeclineFit,
     _separable_lm,
     fit_two_wave,
@@ -304,13 +306,52 @@ class TestSeparableLm:
         def design(log_params):
             return np.full((3, 1), np.inf)
 
-        # scipy differences the infinite residuals before it rejects a start
-        with np.errstate(invalid="ignore"), pytest.raises(
-            FitError, match="no start gave finite residuals"
-        ):
+        with pytest.raises(FitError, match="no start gave finite residuals"):
             _separable_lm(
                 design, np.ones(3), np.ones(3), [(1.0,), (2.0,)], np.log([0.1]), np.log([10])
             )
+
+    def test_refines_only_the_best_feasible_starts_in_lattice_order(self, monkeypatch):
+        t = np.arange(20.0)
+        observed = np.exp(-0.5 * t)
+
+        def design(log_rate):
+            rate = np.exp(log_rate[0])
+            if 8.0 < rate < 50.0:  # an infeasible band of the box
+                return np.full((t.size, 1), np.inf)
+            return np.exp(-rate * t)[:, None]
+
+        rates = [10.0, 0.01, 0.6, 20.0, 3.0, 0.45, 30.0, 1.2]
+        refined_rates = []
+        original = calibration.least_squares
+
+        def counting_least_squares(fun, x0, **kwargs):
+            refined_rates.append(float(np.exp(x0[0])))
+            return original(fun, x0, **kwargs)
+
+        monkeypatch.setattr(calibration, "least_squares", counting_least_squares)
+        best, runs = _separable_lm(
+            design,
+            observed,
+            np.ones(t.size),
+            [(rate,) for rate in rates],
+            np.log([1e-3]),
+            np.log([1e2]),
+            fixed=np.array([1.0]),
+        )
+
+        costs = {
+            rate: float(((observed - np.exp(-rate * t)) ** 2).sum())
+            for rate in rates
+            if not 8.0 < rate < 50.0
+        }
+        best_feasible = sorted(costs, key=costs.get)[: calibration._REFINE_STARTS]
+        expected = [rate for rate in rates if rate in best_feasible]
+        assert refined_rates == pytest.approx(expected, rel=1e-12)
+        assert [index for index, _ in runs] == [rates.index(rate) for rate in expected]
+        assert best.starts_screened == len(costs)
+        assert best.starts_refined == len(refined_rates)
+        assert np.exp(best.log_params[0]) == pytest.approx(0.5, rel=1e-9)
 
 
 class TestFitTwoWave:
@@ -345,10 +386,14 @@ class TestFitTwoWave:
             "sales_digest",
             "converged",
             "nfev",
+            "starts_screened",
+            "starts_refined",
             "price_converged",
         }
         assert result.provenance["converged"] is True
         assert result.provenance["nfev"] > 0
+        assert result.provenance["starts_screened"] == len(TWO_WAVE_STARTS)
+        assert result.provenance["starts_refined"] == calibration._REFINE_STARTS
         assert result.provenance["price_converged"] is True
 
     def test_sse_is_natural_scale_per_series(self):
@@ -409,3 +454,4 @@ class TestFitTwoWave:
         assert report["n_seeds"] == 5
         assert abs(report["medians"]["decline_rate"]) < 0.10
         assert abs(report["medians"]["evolutionary_plateau"]) < 0.05
+        assert report["unconverged"] == 0

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from evomarket.benchmarks import BENCHMARKS
-from evomarket.calibration import synthesize
+from evomarket.benchmarks import BENCHMARKS, ROUND_TRIP_GOODS
+from evomarket.calibration import TWO_WAVE_STARTS, _REFINE_STARTS, synthesize
 from evomarket.cli import (
     EXIT_FIT,
     EXIT_FORMAT,
@@ -112,6 +112,8 @@ sales_series = {data_dir}/sales.csv
         meta = (out / "fit_meta.txt").read_text(encoding="utf-8")
         assert "converged: True" in meta
         assert "nfev: " in meta
+        assert f"starts_screened: {len(TWO_WAVE_STARTS)}" in meta
+        assert f"starts_refined: {_REFINE_STARTS}" in meta
 
     def test_malformed_series_is_format_error(self, tmp_path):
         data = tmp_path / "data"
@@ -270,3 +272,13 @@ class TestReplicate:
         assert (out_a / "replicate_matrix.csv").read_bytes() == (
             out_b / "replicate_matrix.csv"
         ).read_bytes()
+
+    def test_side_file_lists_every_good(self, tmp_path):
+        cfg = write_config(tmp_path, "[replicate]\nseeds = 2\n")
+        out = tmp_path / "out"
+        run("replicate", "--config", str(cfg), "--seed", "5", "--out", str(out))
+        meta = (out / "replicate_meta.txt").read_text(encoding="utf-8").splitlines()
+        for good in ROUND_TRIP_GOODS + ("vcr_formats",):
+            seconds = next(line for line in meta if line.startswith(f"seconds[{good}]: "))
+            assert float(seconds.split(": ")[1]) >= 0
+            assert f"unconverged[{good}]: 0" in meta

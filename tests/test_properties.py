@@ -5,19 +5,26 @@ six benchmark goods, so the tests cover the whole box the fixtures span
 rather than a few hand-picked points.
 """
 
+import dataclasses
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from evomarket.benchmarks import BENCHMARKS, wave_params
+from evomarket import calibration
+from evomarket.benchmarks import BENCHMARKS, GoodParams, wave_params
 from evomarket.calibration import (
     DEFAULT_STARTS,
+    TWO_WAVE_STARTS,
     BassCurveFit,
     GompertzCurveFit,
     PriceDeclineFit,
+    fit_two_wave,
     spreading_wave_model,
+    synthesize,
 )
 from evomarket.diffusion import (
     AdoptionCurve,
@@ -34,7 +41,11 @@ PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=25)
 
 
 def benchmark_range(field):
-    values = [getattr(good, field) for good in BENCHMARKS.values()]
+    """Floats between the smallest and largest value of ``field`` over the goods.
+
+    A blank (a value that was not established) counts as zero.
+    """
+    values = [getattr(good, field) or 0.0 for good in BENCHMARKS.values()]
     return st.floats(min(values), max(values))
 
 
@@ -50,14 +61,8 @@ gompertz_params = st.builds(
     shape=benchmark_range("shape"),
     rate=benchmark_range("decline_rate"),
 )
-# a good without a floor ratio has a floor of zero
-price_floors = st.floats(
-    0.0, max(good.floor_ratio or 0.0 for good in BENCHMARKS.values())
-)
-# a good without a multiple-purchase rate has a rate of zero
-spreading_multiples = st.floats(
-    0.0, max(good.spreading_multiple or 0.0 for good in BENCHMARKS.values())
-)
+price_floors = benchmark_range("floor_ratio")
+spreading_multiples = benchmark_range("spreading_multiple")
 goods = st.sampled_from(sorted(BENCHMARKS))
 seeds = st.integers(0, 2**32 - 1)
 
@@ -237,3 +242,99 @@ def test_wave_sales_is_the_closed_form_echo_sum(
         echo = np.where(lag >= 0, bass_rate(np.maximum(lag, 0.0), params), 0.0)
         expected = expected + fraction**k * echo
     assert np.max(np.abs(out - expected)) <= 1e-12 * np.max(expected)
+
+
+# the replacement lifetimes the benchmark table establishes
+established_lifetimes = [
+    value
+    for good in BENCHMARKS.values()
+    for value in (good.spreading_lifetime, good.evolutionary_lifetime)
+    if value is not None
+]
+
+
+@st.composite
+def two_wave_goods(draw):
+    """A good drawn from the benchmark box, repurchase machinery included."""
+    spreading_plateau = draw(benchmark_range("spreading_plateau"))
+    # penetration cannot exceed 1, so neither can the sum of the plateaus
+    evolutionary_plateau = draw(benchmark_range("evolutionary_plateau"))
+    evolutionary_plateau = min(evolutionary_plateau, 1.0 - spreading_plateau)
+    lifetimes = st.floats(min(established_lifetimes), max(established_lifetimes))
+    return GoodParams(
+        name="drawn",
+        intro_year=1950.0,
+        onset_delay=draw(benchmark_range("onset_delay")),
+        floor_ratio=draw(price_floors),
+        decline_rate=draw(benchmark_range("decline_rate")),
+        shape=draw(benchmark_range("shape")),
+        evolutionary_plateau=evolutionary_plateau,
+        spreading_plateau=spreading_plateau,
+        innovation=draw(benchmark_range("innovation")),
+        imitation=draw(benchmark_range("imitation")),
+        spreading_replacement=draw(benchmark_range("spreading_replacement")),
+        spreading_multiple=draw(spreading_multiples),
+        evolutionary_replacement=draw(benchmark_range("evolutionary_replacement")),
+        evolutionary_multiple=draw(benchmark_range("evolutionary_multiple")),
+        spreading_lifetime=draw(lifetimes),
+        evolutionary_lifetime=draw(lifetimes),
+        market_potential_millions=None,
+    )
+
+
+def first_purchases_only(good):
+    return dataclasses.replace(
+        good,
+        spreading_replacement=0.0,
+        spreading_multiple=0.0,
+        evolutionary_replacement=0.0,
+        evolutionary_multiple=0.0,
+    )
+
+
+def fit_draw(good, noise=0.0, seed=None):
+    seeds = np.random.SeedSequence(seed).spawn(3) if noise else [None] * 3
+    series = [
+        synthesize(kind, good, noise=noise, seed=channel_seed)
+        for kind, channel_seed in zip(("nominal_price", "penetration", "sales"), seeds)
+    ]
+    return fit_two_wave(*series, good)
+
+
+TWO_WAVE_FIELDS = (
+    "decline_rate",
+    "floor_ratio",
+    "shape",
+    "evolutionary_plateau",
+    "innovation",
+    "imitation",
+    "spreading_plateau",
+)
+
+
+def assert_same_fit(result, expected):
+    """Every fitted field within rel 1e-6; a zero floor ratio within 1e-9."""
+    for name in TWO_WAVE_FIELDS:
+        abs_tol = 1e-9 if name == "floor_ratio" else 0.0
+        assert getattr(result, name) == pytest.approx(
+            getattr(expected, name), rel=1e-6, abs=abs_tol
+        ), name
+
+
+@PROPERTY_SETTINGS
+@given(good=two_wave_goods())
+def test_two_wave_noiseless_recovery(good):
+    for truth in (good, first_purchases_only(good)):
+        result = fit_draw(truth)
+        assert result.provenance["converged"]
+        assert_same_fit(result, truth)
+
+
+@PROPERTY_SETTINGS
+@given(good=two_wave_goods(), seed=seeds)
+def test_screened_two_wave_fit_matches_the_full_lattice(good, seed):
+    screened = fit_draw(good, noise=0.02, seed=seed)
+    with mock.patch.object(calibration, "_REFINE_STARTS", len(TWO_WAVE_STARTS)):
+        full = fit_draw(good, noise=0.02, seed=seed)
+    assert full.provenance["starts_refined"] == screened.provenance["starts_screened"]
+    assert_same_fit(screened, full)
