@@ -13,10 +13,13 @@ so only the decline rate, the innovation rate, the imitation rate and
 the shape constant are searched nonlinearly (separable least squares,
 Golub & Pereyra 1973): Levenberg–Marquardt over their logs, with the
 linear coefficients solved inside every residual evaluation by bounded
-linear least squares.  The search screens a fixed start lattice with one
-residual evaluation per start, then refines only the four best starts
-(the stage-1 filter of multistart scatter search, Ugray et al. 2007).
-The price fit and the
+linear least squares.  Levenberg–Marquardt gets Kaufman's analytic
+variable-projection Jacobian, built from the derivatives of the model
+columns that lean raw-array kernels compute beside the columns, so no
+finite differences are taken.  The search screens a fixed start lattice
+with one residual evaluation per start, then refines only the four best
+starts (the stage-1 filter of multistart scatter search, Ugray et al.
+2007).  The price fit and the
 two-wave fit divide their residuals by the observations, matching
 multiplicative noise, so the penetration and sales series weigh in on
 the same scale; the one-wave estimators (:class:`BassCurveFit`,
@@ -255,6 +258,11 @@ class PriceDeclineFit(BaseModel):
         Whether the winning Levenberg–Marquardt run met its tolerances.
     nfev_ : int
         Residual evaluations of the winning run.
+    rate_identified_ : bool
+        False when ``exp(-rate * (t1 - t0))``, over the first two
+        observations after the onset, is below ``_WEIGHT_FLOOR``: the
+        price has collapsed by the second observation, and the fitted
+        rate is only a lower bound.
     """
 
     def __init__(
@@ -286,9 +294,14 @@ class PriceDeclineFit(BaseModel):
         start = t_prime.min()
         elapsed = t_prime - start
         ones = np.ones(t_prime.size)
+        zeros = np.zeros(t_prime.size)
 
         def design(log_rate):
-            return np.column_stack([np.exp(-np.exp(log_rate[0]) * elapsed), ones])
+            rate = np.exp(log_rate[0])
+            decay = np.exp(-rate * elapsed)
+            columns = np.column_stack([decay, ones])
+            derivatives = np.column_stack([-rate * elapsed * decay, zeros])[:, :, None]
+            return columns, derivatives
 
         best, _ = _separable_lm(
             design,
@@ -316,6 +329,12 @@ class PriceDeclineFit(BaseModel):
         self.n_obs_ = int(t_prime.size)
         self.converged_ = bool(best.success)
         self.nfev_ = int(best.nfev)
+        # once the model falls below the weight floor between the first two
+        # observations, the residuals hardly depend on the rate: it is only
+        # bounded from below
+        self.rate_identified_ = bool(
+            np.exp(-self.decline_rate_ * elapsed[1]) >= _WEIGHT_FLOOR
+        )
         return self
 
     def transform(self, series: TimeSeries) -> TimeSeries:
@@ -360,13 +379,27 @@ def _separable_lm(
 ):
     """Levenberg–Marquardt over log-parameters with linear plateaus solved inside.
 
-    The model is ``design(p) @ plateaus``: ``design`` maps log-parameters,
-    clipped to ``[log_lo, log_hi]``, to model columns at unit plateau.
-    Inside every residual evaluation the plateaus are the weighted linear
-    least-squares solution, bounded to ``[0, upper]`` (``upper`` is one
-    bound or one per column) through BVLS when the unbounded solution
-    leaves the box, or held at ``fixed`` when it is given.  Residuals
-    are ``weights * (observed - model)``.
+    The model is ``columns @ plateaus``.  ``design`` maps log-parameters,
+    clipped to ``[log_lo, log_hi]``, to ``(columns, derivatives)``: the
+    model columns at unit plateau, one row per observation, and
+    ``derivatives[i, j, k]``, the derivative of column ``j`` at
+    observation ``i`` with respect to log-parameter ``k``.  At every
+    point the plateaus are the weighted linear least-squares solution,
+    bounded to ``[0, upper]`` (``upper`` is one bound or one per column)
+    through BVLS when the unbounded solution leaves the box, or held at
+    ``fixed`` when it is given.  Residuals are
+    ``weights * (observed - model)``.
+
+    Levenberg–Marquardt gets Kaufman's variable-projection Jacobian
+    (Kaufman, BIT 15, 1975; Golub & Pereyra, Inverse Problems 19, 2003)
+    ``J = -P W (dA/dtheta . c)``: the weighted derivative of the model at
+    fixed plateaus ``c``, with ``P`` projecting out the weighted columns
+    whose plateau lies strictly inside its bounds (no projection when
+    ``fixed`` is given).  Coordinates outside ``[log_lo, log_hi]`` get
+    zero columns, since clipping freezes them.  ``J.T @ r`` is the exact
+    gradient of the cost, so the stationary points are those of the
+    cost itself.  The residuals and the Jacobian at one point share one
+    plateau solve.
 
     The search runs in two stages.  The screen evaluates the residuals
     once at every start (given on the natural scale) and drops the
@@ -386,6 +419,7 @@ def _separable_lm(
         When no start yields finite residuals.
     """
     weighted_observed = weights * observed
+    infeasible = np.full(observed.size, np.inf)
 
     def plateaus(weighted_design: np.ndarray) -> np.ndarray:
         if fixed is not None:
@@ -397,11 +431,39 @@ def _separable_lm(
             ).x
         return coef
 
+    last = None  # (log_params, columns, derivatives, plateaus, residuals)
+
+    def solve(log_params):
+        """Columns, derivatives, plateaus and residuals at one point.
+
+        The last point is kept, so the Jacobian reuses the plateau solve
+        of the residuals at the same point.
+        """
+        nonlocal last
+        if last is None or not np.array_equal(last[0], log_params):
+            columns, derivatives = design(np.clip(log_params, log_lo, log_hi))
+            weighted = weights[:, None] * columns
+            if np.all(np.isfinite(weighted)):
+                coef = plateaus(weighted)
+                resid = weighted_observed - weighted @ coef
+            else:
+                coef, resid = None, infeasible
+            last = (log_params.copy(), columns, derivatives, coef, resid)
+        return last
+
     def weighted_residuals(log_params) -> np.ndarray:
-        weighted_design = weights[:, None] * design(np.clip(log_params, log_lo, log_hi))
-        if not np.all(np.isfinite(weighted_design)):
-            return np.full(observed.size, np.inf)
-        return weighted_observed - weighted_design @ plateaus(weighted_design)
+        return solve(log_params)[4]
+
+    def jacobian(log_params) -> np.ndarray:
+        _, columns, derivatives, coef, _ = solve(log_params)
+        slope = weights[:, None] * (coef @ derivatives)
+        if fixed is None:
+            free = (coef > 0) & (coef < upper)
+            if np.any(free):
+                basis = weights[:, None] * columns[:, free]
+                slope -= basis @ np.linalg.lstsq(basis, slope, rcond=None)[0]
+        slope[:, (log_params < log_lo) | (log_params > log_hi)] = 0.0
+        return -slope
 
     # screen: one residual evaluation per start
     screened = []
@@ -418,6 +480,7 @@ def _separable_lm(
         run = least_squares(
             weighted_residuals,
             np.log(starts[index]),
+            jac=jacobian,
             method="lm",
             xtol=1e-12,
             ftol=1e-12,
@@ -427,11 +490,98 @@ def _separable_lm(
     best = min((run for _, run in runs), key=lambda run: run.cost)
 
     best.log_params = np.clip(best.x, log_lo, log_hi)
-    best.design = design(best.log_params)
-    best.plateaus = plateaus(weights[:, None] * best.design)
+    _, best.design, _, best.plateaus, _ = solve(best.x)
     best.starts_screened = len(screened)
     best.starts_refined = len(runs)
     return best, runs
+
+
+# ---------------------------------------------------------------------------
+# design kernels
+# ---------------------------------------------------------------------------
+#
+# Raw-array closed forms at unit plateau for the ``design`` callbacks of
+# ``_separable_lm``.  Each returns jets: one row per time, the value in
+# column 0 and its derivatives by the searched log-parameters after it.
+# They evaluate the expressions of the public closed forms in
+# ``diffusion`` and of ``spreading_wave_model`` / ``evolutionary_wave_model``
+# at unit plateau; the validation those run on every call is done once
+# per fit instead.
+
+
+def _bass_jets(t, innovation, imitation):
+    """Bass penetration and rate jets by log innovation and log imitation.
+
+    ``t`` must be non-negative.  Returns two ``(t.size, 3)`` arrays.
+    """
+    a, b = innovation, imitation
+    s = a + b
+    decay = np.exp(-s * t)
+    denom = a + b * decay
+    rise = 1.0 - decay
+    pen = np.empty((t.size, 3))
+    rate = np.empty((t.size, 3))
+    pen[:, 0] = rise / (1.0 + (b / a) * decay)
+    rate[:, 0] = a * s**2 * decay / denom**2
+    scale = a * decay / denom**2
+    pen[:, 1] = scale * (a * s * t + b * rise)
+    pen[:, 2] = scale * b * (s * t - rise)
+    rate[:, 1] = rate[:, 0] * (
+        1.0 + 2.0 * a / s - a * t - 2.0 * a * (1.0 - b * t * decay) / denom
+    )
+    rate[:, 2] = rate[:, 0] * (
+        2.0 * b / s - b * t - 2.0 * b * decay * (1.0 - b * t) / denom
+    )
+    return pen, rate
+
+
+def _gompertz_jets(t_prime, shape, rate):
+    """Gompertz penetration and rate jets by log shape, on the all-real clock.
+
+    Zero where ``exp(-2 rate t')`` overflows.  Returns two
+    ``(t_prime.size, 2)`` arrays.
+    """
+    pen = np.empty((t_prime.size, 2))
+    out = np.empty((t_prime.size, 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        decay = np.exp(-2.0 * rate * t_prime)
+        pen[:, 0] = np.exp(-shape * decay)
+        live = pen[:, 0] > 0
+        pen[:, 1] = np.where(live, -shape * decay * pen[:, 0], 0.0)
+        out[:, 0] = np.where(live, 2.0 * rate * shape * decay * pen[:, 0], 0.0)
+        out[:, 1] = np.where(live, out[:, 0] * (1.0 - shape * decay), 0.0)
+    return pen, out
+
+
+def _spreading_echo(t_sales, wave: WaveParams):
+    """Times of the spreading wave's replacement echo, and its weight at
+    each sales time.
+
+    The echo runs one lifetime behind the sales times and is zero where
+    less than a lifetime has passed, since the wave's clock starts at
+    the introduction.
+    """
+    lag = t_sales - (wave.lifetime or 0.0)
+    return np.maximum(lag, 0.0), np.where(lag >= 0, wave.replacement_fraction, 0.0)
+
+
+def _wave_jets(pen, rate, n_pen, multiple, echo_weight):
+    """Penetration-then-sales jets of one wave from its kernel jets.
+
+    ``pen`` and ``rate`` hold the kernel at ``n_pen`` penetration times,
+    then at the sales times, then at the echo times.
+    A sale is first purchases, plus ``multiple`` times the penetration,
+    plus the weighted echo.
+    """
+    n_sales = echo_weight.size
+    sales = slice(n_pen, n_pen + n_sales)
+    echo = slice(n_pen + n_sales, None)
+    return np.concatenate(
+        [
+            pen[:n_pen],
+            rate[sales] + multiple * pen[sales] + echo_weight[:, None] * rate[echo],
+        ]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -503,8 +653,8 @@ class GompertzCurveFit(BaseModel):
         rate = self.decline_rate
 
         def design(log_shape):
-            gomp = GompertzParams(plateau=1.0, shape=np.exp(log_shape[0]), rate=rate)
-            return gompertz_penetration(t, gomp)[:, None]
+            pen, _ = _gompertz_jets(t, np.exp(log_shape[0]), rate)
+            return pen[:, :1], pen[:, None, 1:]
 
         fixed = None
         if self.fixed_plateau is not None:
@@ -634,10 +784,24 @@ class BassCurveFit(BaseModel):
             raise ValueError("times and target must have equal length")
         if t.size < 4:
             raise FitError("spreading-wave fit needs at least 4 observations")
+        if np.any(t < 0):
+            raise ValueError("time since introduction must be non-negative")
+        wave = self.wave or WaveParams()
+        echo_times, echo_weight = _spreading_echo(t, wave)
+        times = np.concatenate([t, echo_times])
 
         def design(log_params):
             innovation, imitation = np.exp(log_params)
-            return self._model(t, BassParams(innovation, imitation, 1.0))[:, None]
+            if self.kind == "penetration":
+                jets, _ = _bass_jets(t, innovation, imitation)
+            else:
+                jets = _wave_jets(
+                    *_bass_jets(times, innovation, imitation),
+                    0,
+                    wave.multiple_rate,
+                    echo_weight,
+                )
+            return jets[:, :1], jets[:, None, 1:]
 
         log_lo, log_hi = _TWO_WAVE_LOG_LO[:2], _TWO_WAVE_LOG_HI[:2]
         best, runs = _separable_lm(
@@ -825,15 +989,22 @@ def fit_two_wave(
       imitation and log shape from the four starts of lowest cost;
     * inside every residual evaluation the spreading and evolutionary
       plateaus are the weighted linear least-squares solution, bounded
-      to [0, 1].
+      to [0, 1];
+    * the model columns and their derivatives come from raw-array
+      kernels on evaluation times (the lags, echo masks and onset
+      shifts) computed once per fit, and give Levenberg–Marquardt its
+      analytic Jacobian.
 
     The lowest weighted cost of the refined runs wins, ties going to the
     earliest start.  ``sse`` and ``residuals`` report each series on its
-    natural scale.  ``provenance["converged"]`` and ``provenance["nfev"]``
-    describe the winning Levenberg–Marquardt run, so a fit that stopped
-    on its evaluation limit says so, and ``price_converged`` does the
-    same for the price fit.  ``provenance["starts_screened"]`` counts the
-    starts with finite residuals at the screen and
+    natural scale.  ``provenance["converged"]``, ``provenance["nfev"]``
+    and ``provenance["njev"]`` (its Jacobian evaluations) describe the
+    winning Levenberg–Marquardt run, so a fit that stopped on its
+    evaluation limit says so, and ``price_converged`` does the same for
+    the price fit.  ``price_rate_identified`` is False when the price
+    collapsed below the weight floor by its second observation, so the
+    decline rate is only a lower bound.  ``provenance["starts_screened"]``
+    counts the starts with finite residuals at the screen and
     ``provenance["starts_refined"]`` the runs refined from them.
 
     Raises
@@ -866,24 +1037,35 @@ def fit_two_wave(
         ]
     )
 
-    def design(log_params) -> np.ndarray:
-        """Penetration-then-sales model columns of each wave at unit plateau."""
+    # the kernels' times, fixed for the fit: penetration, sales, then echo
+    spread_echo, spread_weight = _spreading_echo(t_sales, spread_wave)
+    spread_times = np.concatenate([t_pen, t_sales, spread_echo])
+    # the evolutionary echo runs on the all-real clock, never cut off
+    evo_sales = t_sales - known.onset_delay
+    evo_times = np.concatenate(
+        [t_pen - known.onset_delay, evo_sales, evo_sales - (evo_wave.lifetime or 0.0)]
+    )
+    evo_weight = np.full(t_sales.size, evo_wave.replacement_fraction)
+
+    def design(log_params):
+        """Penetration-then-sales columns of each wave at unit plateau, and derivatives."""
         innovation, imitation, shape = np.exp(log_params)
-        bass = BassParams(innovation, imitation, 1.0)
-        gomp = GompertzParams(plateau=1.0, shape=shape, rate=rate)
-        spreading = np.concatenate(
-            [
-                bass_penetration(t_pen, bass),
-                spreading_wave_model(t_sales, bass, spread_wave),
-            ]
+        spreading = _wave_jets(
+            *_bass_jets(spread_times, innovation, imitation),
+            t_pen.size,
+            spread_wave.multiple_rate,
+            spread_weight,
         )
-        evolutionary = np.concatenate(
-            [
-                gompertz_penetration(t_pen - known.onset_delay, gomp),
-                evolutionary_wave_model(t_sales - known.onset_delay, gomp, evo_wave),
-            ]
+        evolutionary = _wave_jets(
+            *_gompertz_jets(evo_times, shape, rate),
+            t_pen.size,
+            evo_wave.multiple_rate,
+            evo_weight,
         )
-        return np.column_stack([spreading, evolutionary])
+        derivatives = np.zeros((observed.size, 2, 3))
+        derivatives[:, 0, :2] = spreading[:, 1:]
+        derivatives[:, 1, 2] = evolutionary[:, 1]
+        return np.column_stack([spreading[:, 0], evolutionary[:, 0]]), derivatives
 
     best, _ = _separable_lm(
         design, observed, weights, TWO_WAVE_STARTS, _TWO_WAVE_LOG_LO, _TWO_WAVE_LOG_HI
@@ -924,9 +1106,11 @@ def fit_two_wave(
             "sales_digest": series_digest(sales),
             "converged": bool(best.success),
             "nfev": int(best.nfev),
+            "njev": int(best.njev),
             "starts_screened": best.starts_screened,
             "starts_refined": best.starts_refined,
             "price_converged": price_fit.converged_,
+            "price_rate_identified": price_fit.rate_identified_,
             "analyst_warnings": warnings,
         },
     )

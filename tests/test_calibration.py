@@ -304,7 +304,7 @@ class TestSynthesize:
 class TestSeparableLm:
     def test_no_finite_start_is_fit_error(self):
         def design(log_params):
-            return np.full((3, 1), np.inf)
+            return np.full((3, 1), np.inf), np.zeros((3, 1, 1))
 
         with pytest.raises(FitError, match="no start gave finite residuals"):
             _separable_lm(
@@ -318,15 +318,18 @@ class TestSeparableLm:
         def design(log_rate):
             rate = np.exp(log_rate[0])
             if 8.0 < rate < 50.0:  # an infeasible band of the box
-                return np.full((t.size, 1), np.inf)
-            return np.exp(-rate * t)[:, None]
+                return np.full((t.size, 1), np.inf), np.zeros((t.size, 1, 1))
+            decay = np.exp(-rate * t)
+            return decay[:, None], (-rate * t * decay)[:, None, None]
 
         rates = [10.0, 0.01, 0.6, 20.0, 3.0, 0.45, 30.0, 1.2]
         refined_rates = []
+        jacobians = []
         original = calibration.least_squares
 
         def counting_least_squares(fun, x0, **kwargs):
             refined_rates.append(float(np.exp(x0[0])))
+            jacobians.append(kwargs.get("jac"))
             return original(fun, x0, **kwargs)
 
         monkeypatch.setattr(calibration, "least_squares", counting_least_squares)
@@ -349,6 +352,7 @@ class TestSeparableLm:
         expected = [rate for rate in rates if rate in best_feasible]
         assert refined_rates == pytest.approx(expected, rel=1e-12)
         assert [index for index, _ in runs] == [rates.index(rate) for rate in expected]
+        assert all(callable(jac) for jac in jacobians)
         assert best.starts_screened == len(costs)
         assert best.starts_refined == len(refined_rates)
         assert np.exp(best.log_params[0]) == pytest.approx(0.5, rel=1e-9)
@@ -386,15 +390,19 @@ class TestFitTwoWave:
             "sales_digest",
             "converged",
             "nfev",
+            "njev",
             "starts_screened",
             "starts_refined",
             "price_converged",
+            "price_rate_identified",
         }
         assert result.provenance["converged"] is True
         assert result.provenance["nfev"] > 0
+        assert result.provenance["njev"] > 0
         assert result.provenance["starts_screened"] == len(TWO_WAVE_STARTS)
         assert result.provenance["starts_refined"] == calibration._REFINE_STARTS
         assert result.provenance["price_converged"] is True
+        assert result.provenance["price_rate_identified"] is True
 
     def test_sse_is_natural_scale_per_series(self):
         good = BENCHMARKS["bw_tv"]

@@ -112,6 +112,8 @@ sales_series = {data_dir}/sales.csv
         meta = (out / "fit_meta.txt").read_text(encoding="utf-8")
         assert "converged: True" in meta
         assert "nfev: " in meta
+        assert "njev: " in meta
+        assert "price_rate_identified: True" in meta
         assert f"starts_screened: {len(TWO_WAVE_STARTS)}" in meta
         assert f"starts_refined: {_REFINE_STARTS}" in meta
 
@@ -171,7 +173,8 @@ sales_series = {data_dir}/sales.csv
     def test_price_collapse_fits(self, tmp_path):
         # a price that collapses within a year implies a decline rate so
         # steep that exp(-2 rate t') overflows before the onset; the
-        # evolutionary rate is zero there, so the fit still runs
+        # evolutionary rate and its derivative are zero there, so the fit
+        # still runs, and the price fit reports its rate as unidentified
         data = tmp_path / "data"
         data.mkdir()
         good = BENCHMARKS["fax"]
@@ -186,6 +189,9 @@ sales_series = {data_dir}/sales.csv
         code = run("fit", "--config", str(cfg), "--out", str(tmp_path / "o"))
         assert code == EXIT_OK
         assert read_fit_table(tmp_path / "o" / "fit_table.csv")["decline_rate"] > 50.0
+        meta = (tmp_path / "o" / "fit_meta.txt").read_text(encoding="utf-8").splitlines()
+        assert "price_rate_identified: False" in meta
+        assert "converged: True" in meta
 
 
 class TestFitTable:

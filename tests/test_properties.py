@@ -1,10 +1,11 @@
-"""Property tests of the estimators and the replacement echoes over the benchmark box.
+"""Property tests of the estimators, their design derivatives and the replacement echoes.
 
 Each parameter is drawn between its smallest and largest value over the
 six benchmark goods, so the tests cover the whole box the fixtures span
 rather than a few hand-picked points.
 """
 
+import contextlib
 import dataclasses
 from unittest import mock
 
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.optimize import lsq_linear
 
 from evomarket import calibration
 from evomarket.benchmarks import BENCHMARKS, GoodParams, wave_params
@@ -338,3 +340,150 @@ def test_screened_two_wave_fit_matches_the_full_lattice(good, seed):
         full = fit_draw(good, noise=0.02, seed=seed)
     assert full.provenance["starts_refined"] == screened.provenance["starts_screened"]
     assert_same_fit(screened, full)
+
+
+def recorded_calls(fit, *names):
+    """Run ``fit()`` and return the arguments of every call it made to the
+    named functions of ``calibration``, by name."""
+    calls = {name: [] for name in names}
+    with contextlib.ExitStack() as stack:
+        for name in names:
+            original = getattr(calibration, name)
+
+            def recording(*args, _name=name, _original=original, **kwargs):
+                calls[_name].append((args, kwargs))
+                return _original(*args, **kwargs)
+
+            stack.enter_context(mock.patch.object(calibration, name, recording))
+        fit()
+    return calls
+
+
+def designs(fit):
+    """The ``design`` callback of every separable solve ``fit()`` runs."""
+    return [args[0] for args, _ in recorded_calls(fit, "_separable_lm")["_separable_lm"]]
+
+
+DERIVATIVE_STEP = 1e-6
+
+
+def assert_derivatives_match_central_differences(design, log_params):
+    """Each derivative column within 1e-6 of its largest entry, or exactly zero."""
+    log_params = np.log(log_params)
+    columns, derivatives = design(log_params)
+    assert derivatives.shape == columns.shape + log_params.shape
+    for k in range(log_params.size):
+        shift = np.zeros(log_params.size)
+        shift[k] = DERIVATIVE_STEP
+        central = (design(log_params + shift)[0] - design(log_params - shift)[0]) / (
+            2.0 * DERIVATIVE_STEP
+        )
+        analytic = derivatives[:, :, k]
+        scale = np.abs(analytic).max(axis=0)
+        assert np.all(np.abs(central - analytic) <= 1e-6 * scale), k
+
+
+@PROPERTY_SETTINGS
+@given(rate=benchmark_range("decline_rate"), floor=price_floors)
+def test_price_design_derivatives(rate, floor):
+    (design,) = designs(lambda: PriceDeclineFit().fit(price_path(rate, floor)))
+    assert_derivatives_match_central_differences(design, [rate])
+
+
+@PROPERTY_SETTINGS
+@given(params=gompertz_params, fixed=st.booleans())
+def test_gompertz_design_derivatives(params, fixed):
+    target = gompertz_penetration(T_EVOLVE, params)
+    fit = GompertzCurveFit(
+        decline_rate=params.rate, fixed_plateau=params.plateau if fixed else None
+    )
+    (design,) = designs(lambda: fit.fit(T_EVOLVE, target))
+    assert_derivatives_match_central_differences(design, [params.shape])
+
+
+@PROPERTY_SETTINGS
+@given(params=bass_params, good=goods, kind=st.sampled_from(["penetration", "sales"]))
+def test_bass_design_derivatives(params, good, kind):
+    wave = wave_params(BENCHMARKS[good])[0]
+    target = spreading_wave_model(T_SPREAD, params, wave)
+    fit = BassCurveFit(kind=kind, wave=wave)
+    (design,) = designs(lambda: fit.fit(T_SPREAD, target))
+    assert_derivatives_match_central_differences(
+        design, [params.innovation, params.imitation]
+    )
+
+
+@PROPERTY_SETTINGS
+# the decline sets in between half a year and the table's largest onset
+@given(good=two_wave_goods(), onset=st.floats(0.5, 4.0))
+def test_two_wave_design_derivatives(good, onset):
+    good = dataclasses.replace(good, onset_delay=onset)
+    for truth in (good, first_purchases_only(good)):
+        price_design, design = designs(lambda: fit_draw(truth))
+        assert_derivatives_match_central_differences(price_design, [truth.decline_rate])
+        assert_derivatives_match_central_differences(
+            design, [truth.innovation, truth.imitation, truth.shape]
+        )
+
+
+def assert_gradient_is_exact(fun, jac, log_params):
+    """``J.T @ r`` against central differences of the cost."""
+    resid = fun(log_params)
+    gradient = jac(log_params).T @ resid
+    central = np.empty(log_params.size)
+    for k in range(log_params.size):
+        shift = np.zeros(log_params.size)
+        shift[k] = DERIVATIVE_STEP
+        up, down = fun(log_params + shift), fun(log_params - shift)
+        central[k] = (up @ up - down @ down) / (4.0 * DERIVATIVE_STEP)
+    assert gradient == pytest.approx(central, rel=1e-6, abs=1e-6 * np.abs(central).max())
+
+
+@PROPERTY_SETTINGS
+@given(good=two_wave_goods(), seed=seeds)
+def test_two_wave_jacobian_gives_the_cost_gradient(good, seed):
+    calls = recorded_calls(lambda: fit_draw(good, noise=0.02, seed=seed), "least_squares")
+    for (fun, start), kwargs in calls["least_squares"]:
+        assert_gradient_is_exact(fun, kwargs["jac"], start)
+    # below the box's lower edge the clipped innovation no longer moves the
+    # residuals of the last two-wave run
+    (fun, start), kwargs = calls["least_squares"][-1]
+    outside = start.copy()
+    outside[0] = calibration._TWO_WAVE_LOG_LO[0] - 1.0
+    assert_gradient_is_exact(fun, kwargs["jac"], outside)
+
+
+@PROPERTY_SETTINGS
+@given(
+    shape=benchmark_range("shape"),
+    rate=benchmark_range("decline_rate"),
+    bound=st.sampled_from([0.5, 0.9]),
+    seed=seeds,
+)
+def test_jacobian_gives_the_cost_gradient_with_a_plateau_held_at_its_bound(
+    shape, rate, bound, seed
+):
+    """Penetration near 1 with 2% noise: the plateau bound holds at some start."""
+    rng = np.random.default_rng(seed)
+    clean = gompertz_penetration(T_EVOLVE, GompertzParams(0.995, shape, rate))
+    noisy = clean * (1.0 + 0.02 * rng.standard_normal(clean.size))
+    calls = recorded_calls(
+        lambda: GompertzCurveFit(decline_rate=rate, plateau_bound=bound).fit(
+            T_EVOLVE, noisy
+        ),
+        "_separable_lm",
+        "least_squares",
+    )
+    (design, observed, weights, *_), _ = calls["_separable_lm"][0]
+    held = []
+    for (fun, start), kwargs in calls["least_squares"]:
+        columns, _ = design(start)
+        plateau = lsq_linear(
+            weights[:, None] * columns,
+            weights * observed,
+            bounds=(0.0, bound),
+            method="bvls",
+        ).x
+        held.append(plateau[0] == bound)
+        assert_gradient_is_exact(fun, kwargs["jac"], start)
+    assert any(held)
