@@ -37,7 +37,7 @@ def rk4_integrate(rhs, state0, t0: float, horizon: float, step: float):
     states[0] = state
     for i in range(n_steps):
         state = rk4_step(rhs, times[i], state, step)
-        if not np.all(np.isfinite(state)):
+        if not np.isfinite(state).all():
             raise NumericError(f"integration diverged at t={times[i + 1]:g}")
         states[i + 1] = state
     return times, states

@@ -1001,11 +1001,14 @@ def fit_two_wave(
     and ``provenance["njev"]`` (its Jacobian evaluations) describe the
     winning Levenberg–Marquardt run, so a fit that stopped on its
     evaluation limit says so, and ``price_converged`` does the same for
-    the price fit.  ``price_rate_identified`` is False when the price
-    collapsed below the weight floor by its second observation, so the
-    decline rate is only a lower bound.  ``provenance["starts_screened"]``
-    counts the starts with finite residuals at the screen and
-    ``provenance["starts_refined"]`` the runs refined from them.
+    the price fit.  ``provenance["at_bound"]`` names those of innovation,
+    imitation and shape whose log value ended within 1e-9 of the search
+    box's edge, where the fit cannot move them.  ``price_rate_identified``
+    is False when the price collapsed below the weight floor by its
+    second observation, so the decline rate is only a lower bound.
+    ``provenance["starts_screened"]`` counts the starts with finite
+    residuals at the screen and ``provenance["starts_refined"]`` the runs
+    refined from them.
 
     Raises
     ------
@@ -1071,6 +1074,13 @@ def fit_two_wave(
         design, observed, weights, TWO_WAVE_STARTS, _TWO_WAVE_LOG_LO, _TWO_WAVE_LOG_HI
     )
     innovation, imitation, shape = map(float, np.exp(best.log_params))
+    # clipping freezes a parameter on the box's edge, so report any that ends there
+    on_edge = (best.log_params - _TWO_WAVE_LOG_LO <= 1e-9) | (
+        _TWO_WAVE_LOG_HI - best.log_params <= 1e-9
+    )
+    at_bound = tuple(
+        name for name, edge in zip(("innovation", "imitation", "shape"), on_edge) if edge
+    )
     spreading_plateau, evolutionary_plateau = map(float, best.plateaus)
     resid = observed - best.design @ np.array([spreading_plateau, evolutionary_plateau])
     pen_resid, sales_resid = resid[: t_pen.size], resid[t_pen.size :]
@@ -1107,6 +1117,7 @@ def fit_two_wave(
             "converged": bool(best.success),
             "nfev": int(best.nfev),
             "njev": int(best.njev),
+            "at_bound": at_bound,
             "starts_screened": best.starts_screened,
             "starts_refined": best.starts_refined,
             "price_converged": price_fit.converged_,

@@ -193,8 +193,9 @@ def bass_ode(params: BassParams, horizon: float, step: float = 1e-3) -> Adoption
     a, b = params.innovation, params.imitation
 
     def rhs(_t, state):
-        n = state[0]
-        return np.array([(a + b * n / plateau) * (plateau - n)])
+        # a Python float, which broadcasts against the one-element state
+        n = float(state[0])
+        return (a + b * n / plateau) * (plateau - n)
 
     times, states = rk4_integrate(rhs, [0.0], 0.0, horizon, step)
     penetration = states[:, 0]

@@ -122,11 +122,11 @@ class Population:
         cls, sales, stocks, prices, preferences, reproductions, clock_ratio, tau
     ) -> "Population":
         pop = cls.__new__(cls)
-        pop._sales = np.asarray(sales, dtype=float).copy()
-        pop._stocks = np.asarray(stocks, dtype=float).copy()
-        pop._prices = np.asarray(prices, dtype=float).copy()
-        pop._preferences = np.asarray(preferences, dtype=float).copy()
-        pop._reproductions = np.asarray(reproductions, dtype=float).copy()
+        pop._sales = np.array(sales, dtype=float)
+        pop._stocks = np.array(stocks, dtype=float)
+        pop._prices = np.array(prices, dtype=float)
+        pop._preferences = np.array(preferences, dtype=float)
+        pop._reproductions = np.array(reproductions, dtype=float)
         pop.clock_ratio = float(clock_ratio)
         pop.tau = float(tau)
         return pop
@@ -234,7 +234,7 @@ def replicator_step(
         return (f - float(f @ m)) * m
 
     new_shares = rk4_step(rhs, pop.tau, shares, dtau)
-    if np.any(new_shares < 0):
+    if (new_shares < 0).any():
         raise StepSizeError("replicator step produced a negative share; reduce dtau")
     new_shares = new_shares / new_shares.sum()
     return Population.from_arrays(
@@ -304,16 +304,17 @@ def micro_step(
     q = demand.creation_rate
 
     def rhs(_tau, s):
-        x, psi = s[:n], s[n]
-        y = eta * x * psi
-        weight = (eta * x).sum()
-        mu = (eta * x * prices).sum() / weight if weight > 0 else 0.0
-        d_x = gamma * y
-        d_psi = q * market_volume(max(mu, 0.0), market) - y.sum()
-        return np.concatenate([d_x, [d_psi]])
+        ex = eta * s[:n]
+        y = ex * s[n]
+        weight = ex.sum()
+        mu = (ex * prices).sum() / weight if weight > 0 else 0.0
+        derivative = np.empty(n + 1)
+        np.multiply(gamma, y, out=derivative[:n])
+        derivative[n] = q * market_volume(max(mu, 0.0), market) - y.sum()
+        return derivative
 
     new_state = rk4_step(rhs, pop.tau, state, dtau)
-    if np.any(new_state < 0):
+    if (new_state < 0).any():
         raise StepSizeError("micro step produced a negative density; reduce dtau")
     new_stocks, new_psi = new_state[:n], float(new_state[n])
     new_sales = eta * new_stocks * new_psi

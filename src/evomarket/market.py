@@ -12,6 +12,7 @@ All functions are pure and accept scalars or numpy arrays.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,15 +121,32 @@ def market_volume(mu, market: MarketStructure):
     contribution falls off as a Gaussian of scale ``width`` while the
     upper class stays in the market, so values lie in
     ``(upper_share, 1]`` and decrease monotonically.
+
+    A ``float`` (``np.float64`` included) takes a scalar path through
+    ``math``, since ``evodyn.micro_step`` calls this once per RK4 stage;
+    any other input is evaluated as an array.  On either path a scalar
+    input gives a Python float and a NaN price gives NaN.
     """
-    mu_arr = np.asarray(mu, dtype=float)
-    if np.any(mu_arr < 0):
+    if isinstance(mu, float):
+        if mu < 0:
+            raise ValueError("real price must be non-negative")
+        excess = max(float(mu) - market.minimum_price, 0.0)  # max keeps a NaN first argument
+        return market.upper_share + market.lower_share * math.exp(
+            -(excess * excess) / (2.0 * market.width**2)
+        )
+    out = np.array(mu, dtype=float)
+    if (out < 0).any():
         raise ValueError("real price must be non-negative")
-    excess = np.maximum(mu_arr - market.minimum_price, 0.0)
-    out = market.upper_share + market.lower_share * np.exp(
-        -(excess**2) / (2.0 * market.width**2)
-    )
-    return float(out) if np.isscalar(mu) else out
+    out -= market.minimum_price
+    np.maximum(out, 0.0, out=out)
+    np.square(out, out=out)
+    np.negative(out, out=out)
+    out /= 2.0 * market.width**2
+    np.exp(out, out=out)
+    out *= market.lower_share
+    out += market.upper_share
+    # a 0-d array input gives a numpy scalar, as the ufuncs themselves would
+    return float(out) if np.isscalar(mu) else out[()]
 
 
 def market_volume_gradient(mu, market: MarketStructure):

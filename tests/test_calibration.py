@@ -391,6 +391,7 @@ class TestFitTwoWave:
             "converged",
             "nfev",
             "njev",
+            "at_bound",
             "starts_screened",
             "starts_refined",
             "price_converged",
@@ -399,6 +400,7 @@ class TestFitTwoWave:
         assert result.provenance["converged"] is True
         assert result.provenance["nfev"] > 0
         assert result.provenance["njev"] > 0
+        assert result.provenance["at_bound"] == ()
         assert result.provenance["starts_screened"] == len(TWO_WAVE_STARTS)
         assert result.provenance["starts_refined"] == calibration._REFINE_STARTS
         assert result.provenance["price_converged"] is True

@@ -192,6 +192,7 @@ sales_series = {data_dir}/sales.csv
         meta = (tmp_path / "o" / "fit_meta.txt").read_text(encoding="utf-8").splitlines()
         assert "price_rate_identified: False" in meta
         assert "converged: True" in meta
+        assert "at_bound: ('shape',)" in meta
 
 
 class TestFitTable:

@@ -229,6 +229,14 @@ class TestMicroStep:
         with pytest.raises(StepSizeError):
             micro_step(pop, state, market, 5.0)
 
+    def test_pool_below_first_purchase_part_rejected(self, market):
+        # no creation: the pool decays from 0.6 to about 0.36, still
+        # non-negative but below its first-purchase part of 0.5
+        pop = Population([Product(1.0, 1.0, 0.05, 1.0, 0.0)])
+        state = DemandState(0.5, 0.1, 0.0, 1.0)
+        with pytest.raises(StepSizeError, match="first-purchase"):
+            micro_step(pop, state, market, 0.5)
+
 
 class TestFisherPryShare:
     def test_symmetric_start(self):
@@ -318,3 +326,93 @@ class TestMeanPriceDrift:
         variance = float(weights @ (pop.prices - mu) ** 2)
         expected = market_volume_gradient(mu, market) * variance
         assert mean_price_drift(pop, 1.0, market) == pytest.approx(expected, rel=1e-12)
+
+
+def plain_micro_rk4(stocks, pool, preferences, reproductions, prices, creation_rate, market, dtau):
+    """One classical RK4 step of the purchase cycle, on the array market volume."""
+    n = stocks.size
+
+    def rhs(s):
+        x, psi = s[:n], s[n]
+        y = preferences * x * psi
+        weight = (preferences * x).sum()
+        mu = (preferences * x * prices).sum() / weight if weight > 0 else 0.0
+        volume = market_volume(np.array([max(mu, 0.0)]), market)[0]
+        return np.concatenate([reproductions * y, [creation_rate * volume - y.sum()]])
+
+    s = np.append(stocks, pool)
+    k1 = rhs(s)
+    k2 = rhs(s + 0.5 * dtau * k1)
+    k3 = rhs(s + 0.5 * dtau * k2)
+    k4 = rhs(s + dtau * k3)
+    s = s + (dtau / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return s[:n], s[n]
+
+
+def plain_replicator_rk4(sales, fitnesses, dtau):
+    """One classical RK4 step of the replicator, renormalized to the total sales."""
+    total = sales.sum()
+
+    def rhs(m):
+        return (fitnesses - fitnesses @ m) * m
+
+    m = sales / total
+    k1 = rhs(m)
+    k2 = rhs(m + 0.5 * dtau * k1)
+    k3 = rhs(m + 0.5 * dtau * k2)
+    k4 = rhs(m + dtau * k3)
+    m = m + (dtau / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return m / m.sum() * total
+
+
+def step_both_ways(micro, macro, market, creation_rate, dtau, steps):
+    """Largest relative gap between the library steps and the plain RK4 above."""
+    demand = stationary_demand(micro, creation_rate, market)
+    prefactor = demand.prefactor
+    stocks, pool = micro.stocks, demand.potential
+    sales = macro.sales
+    fitnesses = (
+        macro.preferences
+        * macro.reproductions
+        * prefactor
+        * market_volume(macro.prices, market)
+    )
+    worst = 0.0
+    for _ in range(steps):
+        micro, demand = micro_step(micro, demand, market, dtau)
+        macro = replicator_step(macro, prefactor, market, dtau)
+        stocks, pool = plain_micro_rk4(
+            stocks, pool, micro.preferences, micro.reproductions, micro.prices,
+            creation_rate, market, dtau,
+        )
+        sales = plain_replicator_rk4(sales, fitnesses, dtau)
+        got = np.concatenate([micro.stocks, [demand.potential], macro.sales])
+        want = np.concatenate([stocks, [pool], sales])
+        worst = max(worst, float(np.max(np.abs(got - want) / np.abs(want))))
+    return worst
+
+
+class TestStepsMatchPlainRk4:
+    def test_bit_identical_at_the_minimum_price(self):
+        # the criterion-6 populations: every price at the minimum price
+        market = MarketStructure(upper_share=0.02, minimum_price=0.05, width=0.5)
+        gammas = (0.02, 0.0, -0.02)
+        micro = Population([Product(0.0, 1.0, 0.05, 1.0, g) for g in gammas])
+        macro = Population([Product(1.0 / 3.0, 1.0, 0.05, 1.0, g) for g in gammas])
+        assert step_both_ways(micro, macro, market, 3.0, 0.01, 1000) == 0.0
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_random_prices_agree(self, market, n):
+        rng = np.random.default_rng(900 + n)
+        products = [
+            Product(
+                sales=rng.uniform(0.1, 1.0),
+                stock=rng.uniform(0.5, 1.5),
+                price=rng.uniform(0.0, 1.5),
+                preference=rng.uniform(0.5, 2.0),
+                reproduction=rng.uniform(-0.05, 0.05),
+            )
+            for _ in range(n)
+        ]
+        pop = Population(products)
+        assert step_both_ways(pop, pop, market, 3.0, 0.01, 300) < 1e-13

@@ -11,6 +11,15 @@ from evomarket.market import (
     real_price,
 )
 
+# every form of one price that market_volume accepts
+PRICE_KINDS = {
+    "float": float,
+    "float64": np.float64,
+    "int": int,
+    "0-d array": np.array,
+    "list": lambda v: [v],
+}
+
 
 class TestIncomePdf:
     def test_value_at_origin_equals_rate(self):
@@ -111,6 +120,27 @@ class TestMarketVolume:
         assert np.all(np.diff(v) <= 1e-15)
         assert np.all(v <= 1.0 + 1e-15)
         assert np.all(v >= market.upper_share - 1e-15)
+
+    @pytest.mark.parametrize("kind", PRICE_KINDS)
+    def test_scalar_and_array_paths_agree(self, market, kind):
+        convert = PRICE_KINDS[kind]
+        prices = (0.0, 1.0, 2.0) if kind == "int" else np.linspace(0.0, 2.0, 41)
+        for mu in prices:
+            got = market_volume(convert(mu), market)
+            want = market_volume(np.array([mu]), market)[0]
+            assert np.ravel(got)[0] == pytest.approx(want, rel=1e-15, abs=0.0)
+            assert np.shape(got) == np.shape(convert(mu))
+            if kind in ("float", "float64", "int"):
+                assert type(got) is float
+
+    @pytest.mark.parametrize("kind", PRICE_KINDS)
+    def test_negative_price_rejected_on_every_path(self, market, kind):
+        with pytest.raises(ValueError):
+            market_volume(PRICE_KINDS[kind](-1.0), market)
+
+    @pytest.mark.parametrize("kind", [k for k in PRICE_KINDS if k != "int"])
+    def test_nan_price_gives_nan(self, market, kind):
+        assert np.isnan(market_volume(PRICE_KINDS[kind](np.nan), market)).all()
 
     def test_share_normalization(self):
         m = MarketStructure(upper_share=0.2, minimum_price=0.0, width=1.0)

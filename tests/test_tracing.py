@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from evomarket import calibration, cli, diffusion, evodyn, series, stochastic
+from evomarket.market import MarketStructure
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -46,3 +47,26 @@ def test_install_then_uninstall_restores_every_patched_attribute(tracing):
     for owner, old, new in zip(OWNERS, before, after):
         assert old.keys() == new.keys(), owner
         assert all(new[name] is value for name, value in old.items()), owner
+
+
+def test_evodyn_steps_reach_the_wrapped_step_layers(tracing):
+    # the steps must call market_volume and rk4_step through evodyn's
+    # namespace, or market.volume_calls and integrate.rk4_steps read 0
+    market = MarketStructure(upper_share=0.02, minimum_price=0.05, width=0.5)
+    pop = evodyn.Population(
+        [evodyn.Product(0.5, 1.0, 0.3, 1.0, g) for g in (0.02, -0.02)]
+    )
+    demand = evodyn.stationary_demand(pop, 3.0, market)
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer)
+        with tracer.op("evolve"):
+            evodyn.micro_step(pop, demand, market, 0.01)
+            evodyn.replicator_step(pop, demand.prefactor, market, 0.01)
+    finally:
+        tracer.uninstall()
+    metrics = tracing.layer_metrics(tracer, {"evolve": 1})
+    assert metrics["evodyn.steps"]["value"] == 2
+    assert metrics["integrate.rk4_steps"]["value"] == 2  # one per step
+    # one per micro stage, and one for the replicator's fitnesses
+    assert metrics["market.volume_calls"]["value"] == 4 + 1
