@@ -121,12 +121,18 @@ class Population:
     def from_arrays(
         cls, sales, stocks, prices, preferences, reproductions, clock_ratio, tau
     ) -> "Population":
+        """A population holding the given float arrays themselves, not copies.
+
+        A population never writes to its arrays and hands out only
+        copies, so a step passes the arrays it leaves unchanged straight
+        on; callers must not write to the arrays afterwards.
+        """
         pop = cls.__new__(cls)
-        pop._sales = np.array(sales, dtype=float)
-        pop._stocks = np.array(stocks, dtype=float)
-        pop._prices = np.array(prices, dtype=float)
-        pop._preferences = np.array(preferences, dtype=float)
-        pop._reproductions = np.array(reproductions, dtype=float)
+        pop._sales = sales
+        pop._stocks = stocks
+        pop._prices = prices
+        pop._preferences = preferences
+        pop._reproductions = reproductions
         pop.clock_ratio = float(clock_ratio)
         pop.tau = float(tau)
         return pop

@@ -78,6 +78,37 @@ class TestSimulate:
         assert cfg.read_bytes() == before
 
 
+def assert_same_csv_files(out_a, out_b, names):
+    assert sorted(path.name for path in out_a.glob("*.csv")) == sorted(names)
+    for name in names:
+        assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+
+
+class TestByteIdenticalSeries:
+    def test_simulate_twice(self, tmp_path):
+        cfg = write_config(
+            tmp_path,
+            "[good]\nbenchmark = fax\n[simulate]\nhorizon = 25\nstep = 0.05\nechoes = 2\n",
+        )
+        outs = [tmp_path / "a", tmp_path / "b"]
+        for out in outs:
+            assert run("simulate", "--config", str(cfg), "--out", str(out)) == EXIT_OK
+        assert_same_csv_files(*outs, ["penetration.csv", "sales.csv", "price.csv"])
+
+    def test_synth_twice_with_one_noise_seed(self, tmp_path):
+        cfg = write_config(
+            tmp_path,
+            "[good]\nbenchmark = vcr\n[synth]\nnoise = 0.02\n"
+            "kinds = nominal_price,penetration,sales,share\n",
+        )
+        outs = [tmp_path / "a", tmp_path / "b"]
+        for out in outs:
+            code = run("synth", "--config", str(cfg), "--seed", "11", "--out", str(out))
+            assert code == EXIT_OK
+        kinds = ("nominal_price", "penetration", "sales", "share")
+        assert_same_csv_files(*outs, [f"{kind}.csv" for kind in kinds])
+
+
 class TestSynthAndFit:
     def fit_config(self, tmp_path, data_dir, benchmark="colour_tv"):
         return write_config(

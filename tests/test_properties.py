@@ -1,4 +1,5 @@
-"""Property tests of the estimators, their design derivatives and the replacement echoes.
+"""Property tests of the estimators, their design derivatives, the replacement
+echoes and the series CSV format.
 
 Each parameter is drawn between its smallest and largest value over the
 six benchmark goods, so the tests cover the whole box the fixtures span
@@ -37,7 +38,8 @@ from evomarket.diffusion import (
     gompertz_penetration,
 )
 from evomarket.lifecycle import WaveParams, replacement_sales, wave_sales
-from evomarket.series import TimeSeries
+from evomarket.errors import FormatError
+from evomarket.series import TimeSeries, read_series_csv, write_series_csv
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=25)
 
@@ -487,3 +489,86 @@ def test_jacobian_gives_the_cost_gradient_with_a_plateau_held_at_its_bound(
         held.append(plateau[0] == bound)
         assert_gradient_is_exact(fun, kwargs["jac"], start)
     assert any(held)
+
+
+# ---------------------------------------------------------------------------
+# series CSV files
+# ---------------------------------------------------------------------------
+
+# every finite double: subnormals, negative values and the range ends
+finite_doubles = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def time_series(draw):
+    years = sorted(draw(st.lists(finite_doubles, min_size=1, max_size=40, unique=True)))
+    values = draw(st.lists(finite_doubles, min_size=len(years), max_size=len(years)))
+    kind = draw(st.sampled_from([None, "sales", "nominal_price"]))
+    return TimeSeries(np.array(years), np.array(values), kind)
+
+
+def per_row_text(series):
+    """The series file, written one row at a time."""
+    header = "year,value" if series.kind is None else "year,value,kind"
+    tail = "" if series.kind is None else f",{series.kind}"
+    rows = [f"{y!r},{v!r}{tail}" for y, v in zip(series.years.tolist(), series.values.tolist())]
+    return "\n".join([header, *rows]) + "\n"
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(series=time_series())
+@example(
+    series=TimeSeries(
+        np.array([-1e308, -2.2250738585072014e-308, 5e-324, 1e308]),
+        np.array([1e308, -5e-324, -0.0, -1e308]),
+        "sales",
+    )
+)
+def test_series_file_is_the_per_row_text_and_round_trips(series, tmp_path_factory):
+    path = tmp_path_factory.getbasetemp() / "property_series.csv"
+    write_series_csv(series, path)
+    assert path.read_bytes() == per_row_text(series).encode("utf-8")
+    clone = read_series_csv(path)
+    assert np.array_equal(clone.years, series.years)
+    assert np.array_equal(clone.values, series.values)
+    assert clone.kind == series.kind
+
+
+def break_row(cells, previous_year, fault):
+    if fault == "short":
+        return cells[:-1]
+    if fault == "long":
+        return [*cells, "1.0"]
+    if fault == "text":
+        return [cells[0], "abc", *cells[2:]]
+    if fault == "repeat":
+        return [previous_year, *cells[1:]]
+    return [*cells[:2], "share"]  # a second kind
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(
+    series=time_series(),
+    kind=st.sampled_from([None, "sales"]),
+    row=st.integers(0, 39),
+    fault=st.sampled_from(["short", "long", "text", "repeat", "kind"]),
+    noise=st.lists(st.tuples(st.integers(0, 41), st.sampled_from(["", "  ", "# note", " #x,y"]))),
+)
+def test_a_broken_row_is_named_by_its_line(series, kind, row, fault, noise, tmp_path_factory):
+    """Comments and blank lines anywhere: the error still names the broken line."""
+    series = TimeSeries(series.years, series.values, kind)
+    row = min(row, len(series) - 1)
+    # a repeated year or a second kind shows only from the second row on
+    if fault in ("repeat", "kind") and row == 0 or fault == "kind" and kind is None:
+        fault = "short"
+    lines = per_row_text(series).splitlines()
+    cells = lines[row + 1].split(",")
+    lines[row + 1] = ",".join(break_row(cells, lines[row].split(",")[0], fault))
+    broken = row + 1  # index of the broken line
+    for position, extra in sorted(noise, reverse=True):
+        lines.insert(position, extra)
+        broken += position <= broken
+    path = tmp_path_factory.getbasetemp() / "property_broken.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(FormatError, match=f":{broken + 1}: "):
+        read_series_csv(path)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -92,6 +94,73 @@ class TestReadSeriesCsv:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FormatError):
             read_series_csv(tmp_path / "absent.csv")
+
+    def test_short_row_after_comment_names_line(self, tmp_path):
+        path = self.write(
+            tmp_path, "year,value,kind\n1950,0.5,sales\n# note\n1951,0.6\n"
+        )
+        with pytest.raises(FormatError, match=re.escape(":4: expected 3 cells, got 2")):
+            read_series_csv(path)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("year,value\n1950,0.5,1951\n0.6\n", ":2: expected 2 cells, got 3"),
+            # the cells of both rows, run together, fill every column with
+            # numbers and one kind
+            ("year,value,kind\n1950,0.5\n7,1951,0.6,\n", ":2: expected 3 cells, got 2"),
+        ],
+    )
+    def test_rows_whose_cell_counts_balance_name_the_first(self, tmp_path, text, message):
+        path = self.write(tmp_path, text)
+        with pytest.raises(FormatError, match=re.escape(message)):
+            read_series_csv(path)
+
+    def test_header_without_rows(self, tmp_path):
+        path = self.write(tmp_path, "year,value\n")
+        with pytest.raises(FormatError, match="no data rows"):
+            read_series_csv(path)
+
+    def test_only_comments_and_blank_lines(self, tmp_path):
+        path = self.write(tmp_path, "# first\n\n   \n  # second\n")
+        with pytest.raises(FormatError, match="missing header line"):
+            read_series_csv(path)
+
+    def test_duplicate_year_after_comment_and_blank_line_names_line(self, tmp_path):
+        path = self.write(tmp_path, "year,value\n1950,0.5\n# note\n\n1950,0.6\n")
+        with pytest.raises(FormatError, match=":5"):
+            read_series_csv(path)
+
+    def test_padded_cells(self, tmp_path):
+        path = self.write(
+            tmp_path, " year , value , kind \n 1950 , 0.5 , sales \n1951,  0.75 ,sales\n"
+        )
+        ts = read_series_csv(path)
+        assert ts.kind == "sales"
+        assert list(ts.years) == [1950.0, 1951.0]
+        assert list(ts.values) == [0.5, 0.75]
+
+    def test_cells_padded_with_any_whitespace_strip_removes(self, tmp_path):
+        # float() keeps \x1f where str.strip drops it
+        path = self.write(tmp_path, "year,value,kind\n\x1f1950\xa0,\u30000.5\x1f,\tsales\x1f\n")
+        ts = read_series_csv(path)
+        assert (list(ts.years), list(ts.values), ts.kind) == ([1950.0], [0.5], "sales")
+
+    def test_crlf_line_endings(self, tmp_path):
+        path = tmp_path / "series.csv"
+        path.write_bytes(b"year,value\r\n1950,0.5\r\n1951,0.75\r\n")
+        ts = read_series_csv(path)
+        assert list(ts.years) == [1950.0, 1951.0]
+        assert list(ts.values) == [0.5, 0.75]
+
+    def test_number_syntax_is_python_float(self, tmp_path):
+        path = self.write(tmp_path, "year,value\n1_950,0.5\n")
+        assert read_series_csv(path).years[0] == 1950.0
+
+    def test_inline_comment_is_a_non_numeric_cell(self, tmp_path):
+        path = self.write(tmp_path, "year,value\n1950,0.5 # x\n")
+        with pytest.raises(FormatError, match=":2: non-numeric cell"):
+            read_series_csv(path)
 
 
 class TestWriteReadRoundTrip:

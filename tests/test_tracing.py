@@ -70,3 +70,32 @@ def test_evodyn_steps_reach_the_wrapped_step_layers(tracing):
     assert metrics["integrate.rk4_steps"]["value"] == 2  # one per step
     # one per micro stage, and one for the replicator's fitnesses
     assert metrics["market.volume_calls"]["value"] == 4 + 1
+
+
+def test_simulate_files_reach_the_wrapped_series_layers(tracing, tmp_path):
+    # simulate must write through cli's write_series_csv and the reads go
+    # through series.read_series_csv, or the series metrics read 0
+    config = tmp_path / "run.ini"
+    config.write_text(
+        "[good]\nbenchmark = bw_tv\n[simulate]\nhorizon = 20\nstep = 0.1\n", encoding="utf-8"
+    )
+    grid = 201
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer)
+        with tracer.op("simulate"):
+            assert cli.main(["simulate", "--config", str(config), "--out", str(tmp_path)]) == 0
+            lengths = [
+                len(series.read_series_csv(tmp_path / f"{name}.csv"))
+                for name in ("penetration", "sales", "price")
+            ]
+    finally:
+        tracer.uninstall()
+    assert lengths == [grid] * 3
+    for name in ("series.write", "series.read"):
+        assert sum(span[0] == name for span in tracer.spans) == 3
+        total = tracer.totals[("simulate", name)]
+        assert total["calls"] == 3
+        assert total["rows"] == 3 * grid
+    metrics = tracing.layer_metrics(tracer, {"simulate": 1})
+    assert metrics["series.rows"]["value"] == 6 * grid
