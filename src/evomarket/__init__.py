@@ -11,11 +11,9 @@ and the calibration procedure that fits it all to empirical series.
 
 from .benchmarks import BENCHMARKS, GoodParams, ROUND_TRIP_GOODS, VCR_FORMAT_CONTEST
 from .calibration import (
-    BassCurveFit,
     FisherPryFit,
     FitResult,
     FitSpec,
-    GompertzCurveFit,
     PriceDeclineFit,
     fit_two_wave,
     price_function,

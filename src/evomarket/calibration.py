@@ -19,13 +19,10 @@ columns that lean raw-array kernels compute beside the columns, so no
 finite differences are taken.  The search screens a fixed start lattice
 with one residual evaluation per start, then refines only the four best
 starts (the stage-1 filter of multistart scatter search, Ugray et al.
-2007).  The price fit and the
-two-wave fit divide their residuals by the observations, matching
-multiplicative noise, so the penetration and sales series weigh in on
-the same scale; the one-wave estimators (:class:`BassCurveFit`,
-:class:`GompertzCurveFit`) keep natural-scale residuals.  Only the
-logistic substitution fit (:class:`FisherPryFit`) is a closed-form
-regression.
+2007).  The price fit and the two-wave fit divide their residuals by
+the observations, matching multiplicative noise, so the penetration and
+sales series weigh in on the same scale.  Only the logistic substitution
+fit (:class:`FisherPryFit`) is a closed-form regression.
 
 The onset delay between introduction and the start of the price decline
 is analyst-supplied, never fitted.  Everything here is deterministic:
@@ -40,7 +37,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 from scipy.optimize import least_squares, lsq_linear
@@ -66,8 +62,6 @@ __all__ = [
     "FitSpec",
     "FitResult",
     "PriceDeclineFit",
-    "GompertzCurveFit",
-    "BassCurveFit",
     "FisherPryFit",
     "price_function",
     "spreading_wave_model",
@@ -87,12 +81,6 @@ PRICE_STARTS: tuple[tuple[float], ...] = ((0.1,),)
 # ends on the lower edge shows no decline.
 _PRICE_LOG_LO = np.log([1e-10])
 _PRICE_LOG_HI = np.log([1e3])
-
-# Start lattice of the spreading-wave fit over (innovation, imitation):
-# 16 starts, screened in this order.
-DEFAULT_STARTS: tuple[tuple[float, float], ...] = tuple(
-    (a0, b0) for a0 in (0.002, 0.01, 0.05, 0.2) for b0 in (0.5, 1.5, 3.0, 6.0)
-)
 
 # Start lattice of the joint two-wave fit over (innovation, imitation,
 # shape): 18 starts, screened in this order.
@@ -229,7 +217,7 @@ class PriceDeclineFit(BaseModel):
 
     The scaled price model ``amplitude * exp(-rate * t') + floor`` is
     linear in the amplitude and the floor, so this is a one-rate case of
-    the separable least-squares solve of the wave fits:
+    the separable least-squares solve of the two-wave fit:
     Levenberg–Marquardt searches the log decline rate from
     ``PRICE_STARTS``, while every residual evaluation solves the
     amplitude (bounded to [0, inf)) and the floor (bounded to [0, 1)) by
@@ -303,7 +291,7 @@ class PriceDeclineFit(BaseModel):
             derivatives = np.column_stack([-rate * elapsed * decay, zeros])[:, :, None]
             return columns, derivatives
 
-        best, _ = _separable_lm(
+        best = _separable_lm(
             design,
             scaled,
             _relative_weights(scaled, "price"),
@@ -374,9 +362,7 @@ def _relative_weights(values: np.ndarray, name: str) -> np.ndarray:
     return weights
 
 
-def _separable_lm(
-    design, observed, weights, starts, log_lo, log_hi, upper=1.0, fixed=None
-):
+def _separable_lm(design, observed, weights, starts, log_lo, log_hi, upper=1.0):
     """Levenberg–Marquardt over log-parameters with linear plateaus solved inside.
 
     The model is ``columns @ plateaus``.  ``design`` maps log-parameters,
@@ -386,20 +372,18 @@ def _separable_lm(
     observation ``i`` with respect to log-parameter ``k``.  At every
     point the plateaus are the weighted linear least-squares solution,
     bounded to ``[0, upper]`` (``upper`` is one bound or one per column)
-    through BVLS when the unbounded solution leaves the box, or held at
-    ``fixed`` when it is given.  Residuals are
-    ``weights * (observed - model)``.
+    through BVLS when the unbounded solution leaves the box.  Residuals
+    are ``weights * (observed - model)``.
 
     Levenberg–Marquardt gets Kaufman's variable-projection Jacobian
     (Kaufman, BIT 15, 1975; Golub & Pereyra, Inverse Problems 19, 2003)
     ``J = -P W (dA/dtheta . c)``: the weighted derivative of the model at
     fixed plateaus ``c``, with ``P`` projecting out the weighted columns
-    whose plateau lies strictly inside its bounds (no projection when
-    ``fixed`` is given).  Coordinates outside ``[log_lo, log_hi]`` get
-    zero columns, since clipping freezes them.  ``J.T @ r`` is the exact
-    gradient of the cost, so the stationary points are those of the
-    cost itself.  The residuals and the Jacobian at one point share one
-    plateau solve.
+    whose plateau lies strictly inside its bounds.  Coordinates outside
+    ``[log_lo, log_hi]`` get zero columns, since clipping freezes them.
+    ``J.T @ r`` is the exact gradient of the cost, so the stationary
+    points are those of the cost itself.  The residuals and the Jacobian
+    at one point share one plateau solve.
 
     The search runs in two stages.  The screen evaluates the residuals
     once at every start (given on the natural scale) and drops the
@@ -407,11 +391,10 @@ def _separable_lm(
     cost, ties going to the earlier start, and runs Levenberg–Marquardt
     only from the ``_REFINE_STARTS`` best of them, in lattice order.
 
-    Returns ``(best, runs)``.  ``runs`` pairs the index of every refined
-    start with its run.  ``best`` is the run of lowest cost, ties going
-    to the earliest start, with ``log_params`` (clipped), ``design`` (the
-    unweighted columns there), ``plateaus``, ``starts_screened`` (the
-    starts with finite residuals) and ``starts_refined`` added.
+    Returns the refined run of lowest cost, ties going to the earliest
+    start, with ``log_params`` (clipped), ``design`` (the unweighted
+    columns there), ``plateaus``, ``starts_screened`` (the starts with
+    finite residuals) and ``starts_refined`` added.
 
     Raises
     ------
@@ -422,8 +405,6 @@ def _separable_lm(
     infeasible = np.full(observed.size, np.inf)
 
     def plateaus(weighted_design: np.ndarray) -> np.ndarray:
-        if fixed is not None:
-            return fixed
         coef = np.linalg.lstsq(weighted_design, weighted_observed, rcond=None)[0]
         if np.any((coef < 0) | (coef > upper)):
             coef = lsq_linear(
@@ -457,11 +438,10 @@ def _separable_lm(
     def jacobian(log_params) -> np.ndarray:
         _, columns, derivatives, coef, _ = solve(log_params)
         slope = weights[:, None] * (coef @ derivatives)
-        if fixed is None:
-            free = (coef > 0) & (coef < upper)
-            if np.any(free):
-                basis = weights[:, None] * columns[:, free]
-                slope -= basis @ np.linalg.lstsq(basis, slope, rcond=None)[0]
+        free = (coef > 0) & (coef < upper)
+        if np.any(free):
+            basis = weights[:, None] * columns[:, free]
+            slope -= basis @ np.linalg.lstsq(basis, slope, rcond=None)[0]
         slope[:, (log_params < log_lo) | (log_params > log_hi)] = 0.0
         return -slope
 
@@ -475,9 +455,8 @@ def _separable_lm(
         raise FitError("no start gave finite residuals")
 
     # refine: Levenberg–Marquardt from the best screened starts, in lattice order
-    runs = []
-    for index in sorted(index for _, index in sorted(screened)[:_REFINE_STARTS]):
-        run = least_squares(
+    runs = [
+        least_squares(
             weighted_residuals,
             np.log(starts[index]),
             jac=jacobian,
@@ -486,14 +465,15 @@ def _separable_lm(
             ftol=1e-12,
             gtol=1e-12,
         )
-        runs.append((index, run))
-    best = min((run for _, run in runs), key=lambda run: run.cost)
+        for index in sorted(index for _, index in sorted(screened)[:_REFINE_STARTS])
+    ]
+    best = min(runs, key=lambda run: run.cost)
 
     best.log_params = np.clip(best.x, log_lo, log_hi)
     _, best.design, _, best.plateaus, _ = solve(best.x)
     best.starts_screened = len(screened)
     best.starts_refined = len(runs)
-    return best, runs
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -585,110 +565,7 @@ def _wave_jets(pen, rate, n_pen, multiple, echo_weight):
 
 
 # ---------------------------------------------------------------------------
-# evolutionary (price-driven) wave
-# ---------------------------------------------------------------------------
-
-
-class GompertzCurveFit(BaseModel):
-    """Fit the price-driven penetration curve at a fixed decline rate.
-
-    Separable least squares on the natural-scale residuals: the plateau
-    enters the curve linearly, so Levenberg–Marquardt searches only the
-    log shape constant, from the shape values of ``TWO_WAVE_STARTS``,
-    while every residual evaluation solves the plateau by linear least
-    squares bounded to ``[0, plateau_bound]``.
-
-    Parameters
-    ----------
-    decline_rate : float
-        Held fixed during the fit.
-    fixed_plateau : float or None
-        When set, the plateau is not fitted (sum-to-one convention or a
-        household-normalized maximum); only the shape is estimated.
-    plateau_bound : float
-        Upper bound of the fitted plateau (a household-normalized maximum
-        penetration may be passed here).
-
-    Attributes
-    ----------
-    shape_, plateau_, sse_ : float
-    plateau_mode_ : str
-        ``"fitted"`` or ``"fixed"``.
-    converged_ : bool
-        Whether the winning Levenberg–Marquardt run met its tolerances.
-    nfev_ : int
-        Residual evaluations of the winning run.
-    """
-
-    def __init__(
-        self,
-        decline_rate: float,
-        intro_year: float = 0.0,
-        onset_delay: float = 0.0,
-        fixed_plateau: float | None = None,
-        plateau_bound: float = 1.0,
-    ):
-        self.decline_rate = decline_rate
-        self.intro_year = intro_year
-        self.onset_delay = onset_delay
-        self.fixed_plateau = fixed_plateau
-        self.plateau_bound = plateau_bound
-
-    def _coerce(self, X, y):
-        if isinstance(X, TimeSeries):
-            t = X.years - (self.intro_year + self.onset_delay)
-            values = X.values
-        else:
-            t = as_float_array(X, "times")
-            values = as_float_array(y, "target")
-        if t.size != values.size:
-            raise ValueError("times and target must have equal length")
-        return t, values
-
-    def fit(self, X, y=None):
-        check_positive(self.decline_rate, "decline_rate")
-        t, target = self._coerce(X, y)
-        if not np.any(target > 0):
-            raise FitError("penetration target has no positive observations")
-        rate = self.decline_rate
-
-        def design(log_shape):
-            pen, _ = _gompertz_jets(t, np.exp(log_shape[0]), rate)
-            return pen[:, :1], pen[:, None, 1:]
-
-        fixed = None
-        if self.fixed_plateau is not None:
-            fixed = np.array([float(self.fixed_plateau)])
-        best, _ = _separable_lm(
-            design,
-            target,
-            np.ones(target.size),
-            [(shape,) for shape in sorted({s for *_, s in TWO_WAVE_STARTS})],
-            _TWO_WAVE_LOG_LO[2:],
-            _TWO_WAVE_LOG_HI[2:],
-            upper=self.plateau_bound,
-            fixed=fixed,
-        )
-
-        self.shape_ = float(np.exp(best.log_params[0]))
-        self.plateau_ = float(best.plateaus[0])
-        self.sse_ = float(2.0 * best.cost)
-        self.plateau_mode_ = "fitted" if fixed is None else "fixed"
-        self.residuals_ = target - self.predict(t)
-        self.converged_ = bool(best.success)
-        self.nfev_ = int(best.nfev)
-        return self
-
-    def predict(self, t_prime):
-        check_fitted(self, "shape_")
-        params = GompertzParams(
-            plateau=self.plateau_, shape=self.shape_, rate=self.decline_rate
-        )
-        return gompertz_penetration(t_prime, params)
-
-
-# ---------------------------------------------------------------------------
-# spreading wave
+# wave sales models
 # ---------------------------------------------------------------------------
 
 
@@ -725,108 +602,6 @@ def evolutionary_wave_model(
                 t_arr - wave.lifetime, params
             )
     return float(out) if np.isscalar(t_prime) else out
-
-
-class BassCurveFit(BaseModel):
-    """Fit the spreading wave by separable least squares.
-
-    The objective is the natural-scale residual sum of squares against
-    the first-purchase rate (``kind="sales"``), the penetration closed
-    form (``kind="penetration"``), or the full wave including known
-    repurchase machinery (``kind="sales"`` with ``wave`` set).  Each of
-    these models is linear in the plateau, so only log innovation and
-    log imitation are searched, inside the box of the two-wave fit, while
-    every residual evaluation solves the plateau by linear least squares
-    bounded to [0, 1].  Every start of ``starts`` is screened with one
-    residual evaluation; Levenberg–Marquardt refines the four of lowest
-    cost.  The reported optimum is the best of the refined runs, ties
-    broken by the lowest start index.
-
-    Attributes
-    ----------
-    innovation_, imitation_, plateau_, sse_ : float
-    start_results_ : list of (sse, start_index, (innovation, imitation))
-        for every refined start, in start order.
-    converged_ : bool
-        Whether the winning Levenberg–Marquardt run met its tolerances.
-    nfev_ : int
-        Residual evaluations of the winning run.
-    """
-
-    def __init__(
-        self,
-        kind: str = "sales",
-        intro_year: float = 0.0,
-        wave: WaveParams | None = None,
-        starts: Sequence[tuple[float, float]] = DEFAULT_STARTS,
-    ):
-        if kind not in ("sales", "penetration"):
-            raise ValueError("kind must be 'sales' or 'penetration'")
-        self.kind = kind
-        self.intro_year = intro_year
-        self.wave = wave
-        self.starts = starts
-
-    def _model(self, t, params: BassParams):
-        if self.kind == "penetration":
-            return bass_penetration(t, params)
-        return spreading_wave_model(t, params, self.wave)
-
-    def fit(self, X, y=None):
-        """Fit on a TimeSeries or on explicit ``(times, target)`` arrays."""
-        if isinstance(X, TimeSeries):
-            t = X.years - self.intro_year
-            target = X.values
-        else:
-            t = as_float_array(X, "times")
-            target = as_float_array(y, "target")
-        if t.size != target.size:
-            raise ValueError("times and target must have equal length")
-        if t.size < 4:
-            raise FitError("spreading-wave fit needs at least 4 observations")
-        if np.any(t < 0):
-            raise ValueError("time since introduction must be non-negative")
-        wave = self.wave or WaveParams()
-        echo_times, echo_weight = _spreading_echo(t, wave)
-        times = np.concatenate([t, echo_times])
-
-        def design(log_params):
-            innovation, imitation = np.exp(log_params)
-            if self.kind == "penetration":
-                jets, _ = _bass_jets(t, innovation, imitation)
-            else:
-                jets = _wave_jets(
-                    *_bass_jets(times, innovation, imitation),
-                    0,
-                    wave.multiple_rate,
-                    echo_weight,
-                )
-            return jets[:, :1], jets[:, None, 1:]
-
-        log_lo, log_hi = _TWO_WAVE_LOG_LO[:2], _TWO_WAVE_LOG_HI[:2]
-        best, runs = _separable_lm(
-            design, target, np.ones(target.size), self.starts, log_lo, log_hi
-        )
-
-        self.innovation_, self.imitation_ = map(float, np.exp(best.log_params))
-        self.plateau_ = float(best.plateaus[0])
-        self.sse_ = float(2.0 * best.cost)
-        self.start_results_ = [
-            (float(2.0 * run.cost), index, tuple(np.exp(np.clip(run.x, log_lo, log_hi))))
-            for index, run in runs
-        ]
-        self.residuals_ = target - self._model(t, self.params_())
-        self.converged_ = bool(best.success)
-        self.nfev_ = int(best.nfev)
-        return self
-
-    def params_(self) -> BassParams:
-        check_fitted(self, "innovation_")
-        return BassParams(self.innovation_, self.imitation_, self.plateau_)
-
-    def predict(self, t):
-        check_fitted(self, "innovation_")
-        return self._model(np.asarray(t, dtype=float), self.params_())
 
 
 # ---------------------------------------------------------------------------
@@ -1070,7 +845,7 @@ def fit_two_wave(
         derivatives[:, 1, 2] = evolutionary[:, 1]
         return np.column_stack([spreading[:, 0], evolutionary[:, 0]]), derivatives
 
-    best, _ = _separable_lm(
+    best = _separable_lm(
         design, observed, weights, TWO_WAVE_STARTS, _TWO_WAVE_LOG_LO, _TWO_WAVE_LOG_HI
     )
     innovation, imitation, shape = map(float, np.exp(best.log_params))

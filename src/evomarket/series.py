@@ -77,7 +77,9 @@ def read_series_csv(path) -> TimeSeries:
     - blank lines and whole-line ``#`` comments are skipped; a ``#``
       after a cell is part of the cell, which then fails to parse;
     - cells may be padded with spaces, and any line ending works;
-    - number syntax is Python's ``float`` (``1_950``, ``1e3``, ``inf``);
+    - number syntax is Python's ``float`` (``1_950``, ``1e3``), but a
+      cell must be finite: ``nan``, ``inf`` and an overflowing ``1e999``
+      are rejected;
     - years must increase strictly, and the kind column, when present,
       must be constant over the file.
 
@@ -89,7 +91,7 @@ def read_series_csv(path) -> TimeSeries:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise FormatError(f"{path}: cannot read series file ({exc})") from exc
 
     rows = [line for line in map(str.strip, text.splitlines()) if line and line[0] != "#"]
@@ -115,8 +117,8 @@ def read_series_csv(path) -> TimeSeries:
     except ValueError:
         raise _first_bad_line(path, text) from None
     kinds = set(map(str.strip, cells[2::stride])) if width == 3 else {None}
-    # compared pairwise, not through np.diff: inf - inf is nan, which passes
-    if len(kinds) != 1 or (years[1:] <= years[:-1]).any():
+    finite = np.isfinite(years).all() and np.isfinite(values).all()
+    if not finite or len(kinds) != 1 or (years[1:] <= years[:-1]).any():
         raise _first_bad_line(path, text)
     try:
         return TimeSeries(years, values, kinds.pop())
@@ -146,9 +148,11 @@ def _first_bad_line(path: Path, text: str) -> FormatError:
             return FormatError(f"{path}:{lineno}: expected {width} cells, got {len(cells)}")
         try:
             year = float(cells[0])
-            float(cells[1])
+            value = float(cells[1])
         except ValueError as exc:
             return FormatError(f"{path}:{lineno}: non-numeric cell ({exc})")
+        if not np.isfinite([year, value]).all():
+            return FormatError(f"{path}:{lineno}: non-finite cell")
         if previous is not None and year <= previous:
             return FormatError(
                 f"{path}:{lineno}: year {cells[0]} does not increase over the previous row"

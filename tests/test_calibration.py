@@ -4,10 +4,8 @@ import pytest
 from evomarket.benchmarks import BENCHMARKS, ROUND_TRIP_GOODS
 from evomarket import calibration
 from evomarket.calibration import (
-    BassCurveFit,
     FisherPryFit,
     FitSpec,
-    GompertzCurveFit,
     TWO_WAVE_STARTS,
     PriceDeclineFit,
     _separable_lm,
@@ -21,7 +19,6 @@ from evomarket.diffusion import (
     BassParams,
     GompertzParams,
     bass_penetration,
-    bass_rate,
     gompertz_penetration,
 )
 from evomarket.errors import FitError, NotFittedError
@@ -155,94 +152,6 @@ class TestPriceDeclineFit:
             fit.set_params(bogus=1)
 
 
-def gompertz_series(rate, shape, plateau, n=30, onset=0.0):
-    t = np.arange(n, dtype=float) - onset
-    return t, plateau * np.exp(-shape * np.exp(-2.0 * rate * t))
-
-
-class TestGompertzCurveFit:
-    def test_noiseless_recovery(self):
-        t, values = gompertz_series(0.103, 27.0, 0.97)
-        fit = GompertzCurveFit(decline_rate=0.103).fit(t, values)
-        assert fit.shape_ == pytest.approx(27.0, rel=0.01)
-        assert fit.plateau_ == pytest.approx(0.97, abs=0.005)
-        assert fit.plateau_mode_ == "fitted"
-        assert fit.converged_ is True
-        assert fit.nfev_ > 0
-
-    def test_fixed_plateau_mode(self):
-        t, values = gompertz_series(0.103, 27.0, 0.97)
-        fit = GompertzCurveFit(decline_rate=0.103, fixed_plateau=0.97).fit(t, values)
-        assert fit.plateau_mode_ == "fixed"
-        assert fit.plateau_ == 0.97
-        assert fit.shape_ == pytest.approx(27.0, rel=0.01)
-
-    def test_shape_rate_coupling(self):
-        # refit with a doubled rate: the refitted inflection year obeys
-        # log(shape)/(2 rate) with the new pair
-        t, values = gompertz_series(0.103, 27.0, 0.97, n=40)
-        doubled = 2.0 * 0.103
-        fit = GompertzCurveFit(decline_rate=doubled).fit(t, values)
-        curve = fit.predict(t)
-        inflection_idx = np.argmax(np.diff(curve))
-        predicted = np.log(fit.shape_) / (2.0 * doubled)
-        assert abs(t[inflection_idx] - predicted) <= 1.0
-        assert fit.shape_ != pytest.approx(27.0, rel=0.05)
-
-    def test_infeasible_data_raises(self):
-        t = np.arange(4.0)
-        with pytest.raises(FitError):
-            GompertzCurveFit(decline_rate=0.1).fit(t, np.zeros(4))
-
-
-class TestBassCurveFit:
-    def test_noiseless_sales_recovery(self):
-        params = BassParams(0.02, 2.5, 0.18)
-        t = np.arange(30.0)
-        fit = BassCurveFit(kind="sales").fit(t, bass_rate(t, params))
-        assert fit.innovation_ == pytest.approx(0.02, rel=1e-6)
-        assert fit.imitation_ == pytest.approx(2.5, rel=1e-6)
-        assert fit.plateau_ == pytest.approx(0.18, rel=1e-6)
-
-    def test_noiseless_penetration_recovery(self):
-        params = BassParams(0.01, 1.0, 0.03)
-        t = np.arange(25.0)
-        fit = BassCurveFit(kind="penetration").fit(t, bass_penetration(t, params))
-        assert fit.innovation_ == pytest.approx(0.01, rel=1e-6)
-        assert fit.imitation_ == pytest.approx(1.0, rel=1e-6)
-        assert fit.plateau_ == pytest.approx(0.03, rel=1e-6)
-        assert fit.converged_ is True
-        assert fit.nfev_ > 0
-
-    def test_pure_innovation_degenerate_case(self):
-        params = BassParams(0.25, 0.0, 0.5)
-        t = np.arange(20.0)
-        target = params.plateau * params.innovation * np.exp(-params.innovation * t)
-        fit = BassCurveFit(kind="sales").fit(t, target)
-        assert fit.imitation_ < 1e-3
-
-    def test_start_order_permutation_invariant(self):
-        params = BassParams(0.02, 2.5, 0.18)
-        t = np.arange(30.0)
-        target = bass_rate(t, params)
-        forward = BassCurveFit(kind="sales").fit(t, target)
-        reversed_starts = tuple(reversed(BassCurveFit().starts))
-        backward = BassCurveFit(kind="sales", starts=reversed_starts).fit(t, target)
-        assert forward.innovation_ == pytest.approx(backward.innovation_, rel=1e-6)
-        assert forward.imitation_ == pytest.approx(backward.imitation_, rel=1e-6)
-        assert forward.plateau_ == pytest.approx(backward.plateau_, rel=1e-6)
-
-    def test_returned_sse_is_global_over_starts(self):
-        params = BassParams(0.02, 2.5, 0.18)
-        t = np.arange(30.0)
-        fit = BassCurveFit(kind="sales").fit(t, bass_rate(t, params))
-        assert fit.sse_ == min(r[0] for r in fit.start_results_)
-
-    def test_too_few_points(self):
-        with pytest.raises(FitError):
-            BassCurveFit().fit(np.arange(3.0), np.zeros(3))
-
-
 class TestFisherPryFit:
     def test_exact_recovery(self):
         t = np.arange(12.0)
@@ -325,34 +234,38 @@ class TestSeparableLm:
         rates = [10.0, 0.01, 0.6, 20.0, 3.0, 0.45, 30.0, 1.2]
         refined_rates = []
         jacobians = []
+        runs = []
         original = calibration.least_squares
 
         def counting_least_squares(fun, x0, **kwargs):
             refined_rates.append(float(np.exp(x0[0])))
             jacobians.append(kwargs.get("jac"))
-            return original(fun, x0, **kwargs)
+            runs.append(original(fun, x0, **kwargs))
+            return runs[-1]
 
         monkeypatch.setattr(calibration, "least_squares", counting_least_squares)
-        best, runs = _separable_lm(
+        best = _separable_lm(
             design,
             observed,
             np.ones(t.size),
             [(rate,) for rate in rates],
             np.log([1e-3]),
             np.log([1e2]),
-            fixed=np.array([1.0]),
         )
 
-        costs = {
-            rate: float(((observed - np.exp(-rate * t)) ** 2).sum())
-            for rate in rates
-            if not 8.0 < rate < 50.0
-        }
+        def screen_cost(rate):
+            # the plateau is the least-squares fit of the one column, within [0, 1]
+            decay = np.exp(-rate * t)
+            plateau = np.clip(decay @ observed / (decay @ decay), 0.0, 1.0)
+            return float(((observed - plateau * decay) ** 2).sum())
+
+        costs = {rate: screen_cost(rate) for rate in rates if not 8.0 < rate < 50.0}
         best_feasible = sorted(costs, key=costs.get)[: calibration._REFINE_STARTS]
         expected = [rate for rate in rates if rate in best_feasible]
+        assert len(expected) < len(costs)
         assert refined_rates == pytest.approx(expected, rel=1e-12)
-        assert [index for index, _ in runs] == [rates.index(rate) for rate in expected]
         assert all(callable(jac) for jac in jacobians)
+        assert best.cost == min(run.cost for run in runs)
         assert best.starts_screened == len(costs)
         assert best.starts_refined == len(refined_rates)
         assert np.exp(best.log_params[0]) == pytest.approx(0.5, rel=1e-9)
@@ -456,6 +369,16 @@ class TestFitTwoWave:
                 synthesize("nominal_price", good),
                 synthesize("penetration", good),
                 TimeSeries(sales.years + year_offset, scale * sales.values, "sales"),
+                good,
+            )
+
+    def test_too_few_penetration_and_sales_values_is_fit_error(self):
+        good = BENCHMARKS["colour_tv"]
+        with pytest.raises(FitError, match="at least 5 penetration and sales values"):
+            fit_two_wave(
+                synthesize("nominal_price", good),
+                synthesize("penetration", good, n_points=2),
+                synthesize("sales", good, n_points=2),
                 good,
             )
 

@@ -158,6 +158,22 @@ sales_series = {data_dir}/sales.csv
         cfg = self.fit_config(tmp_path, data)
         assert run("fit", "--config", str(cfg), "--out", str(tmp_path / "o")) == EXIT_FORMAT
 
+    @pytest.mark.parametrize(
+        "text",
+        [b"year,value\n1950,0.5\n1951,nan\n", b"year,value\n1950,0.5\n# caf\xe9\n"],
+        ids=["non_finite", "not_utf8"],
+    )
+    def test_unreadable_price_file_is_format_error(self, tmp_path, capsys, text):
+        data = tmp_path / "data"
+        data.mkdir()
+        good = BENCHMARKS["colour_tv"]
+        (data / "nominal_price.csv").write_bytes(text)
+        write_series_csv(synthesize("penetration", good), data / "penetration.csv")
+        write_series_csv(synthesize("sales", good), data / "sales.csv")
+        cfg = self.fit_config(tmp_path, data)
+        assert run("fit", "--config", str(cfg), "--out", str(tmp_path / "o")) == EXIT_FORMAT
+        assert "nominal_price.csv" in capsys.readouterr().err
+
     def test_wrong_kind_is_format_error(self, tmp_path):
         data = tmp_path / "data"
         data.mkdir()

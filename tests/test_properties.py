@@ -18,15 +18,12 @@ from hypothesis.extra.numpy import arrays
 from scipy.optimize import lsq_linear
 
 from evomarket import calibration
-from evomarket.benchmarks import BENCHMARKS, GoodParams, wave_params
+from evomarket.benchmarks import BENCHMARKS, GoodParams
 from evomarket.calibration import (
-    DEFAULT_STARTS,
     TWO_WAVE_STARTS,
-    BassCurveFit,
-    GompertzCurveFit,
     PriceDeclineFit,
+    _separable_lm,
     fit_two_wave,
-    spreading_wave_model,
     synthesize,
 )
 from evomarket.diffusion import (
@@ -59,85 +56,41 @@ bass_params = st.builds(
     benchmark_range("imitation"),
     benchmark_range("spreading_plateau"),
 )
-gompertz_params = st.builds(
-    GompertzParams,
-    plateau=benchmark_range("evolutionary_plateau"),
-    shape=benchmark_range("shape"),
-    rate=benchmark_range("decline_rate"),
-)
 price_floors = benchmark_range("floor_ratio")
 spreading_multiples = benchmark_range("spreading_multiple")
-goods = st.sampled_from(sorted(BENCHMARKS))
 seeds = st.integers(0, 2**32 - 1)
 
-T_SPREAD = np.arange(30.0)
 T_PRICE = np.arange(30.0)
 # the decline clock of a good observed for 40 years, with the price
 # decline setting in after up to 4 years
 T_EVOLVE = np.arange(40.0) - 4.0
 
 
-def assert_bass_recovered(fit, params):
-    assert fit.innovation_ == pytest.approx(params.innovation, rel=1e-6)
-    assert fit.imitation_ == pytest.approx(params.imitation, rel=1e-6)
-    assert fit.plateau_ == pytest.approx(params.plateau, rel=1e-6)
+# the shape values of the two-wave start lattice
+GOMPERTZ_STARTS = [(shape,) for shape in sorted({s for *_, s in TWO_WAVE_STARTS})]
 
 
-@PROPERTY_SETTINGS
-@given(params=bass_params)
-def test_bass_noiseless_penetration_recovery(params):
-    target = bass_penetration(T_SPREAD, params)
-    fit = BassCurveFit(kind="penetration").fit(T_SPREAD, target)
-    assert_bass_recovered(fit, params)
+def gompertz_design(rate):
+    """One Gompertz penetration column on ``T_EVOLVE`` and its log-shape derivative."""
+
+    def design(log_shape):
+        pen, _ = calibration._gompertz_jets(T_EVOLVE, np.exp(log_shape[0]), rate)
+        return pen[:, :1], pen[:, None, 1:]
+
+    return design
 
 
-@PROPERTY_SETTINGS
-@given(params=bass_params, good=goods)
-def test_bass_noiseless_sales_recovery_with_repurchase(params, good):
-    wave = wave_params(BENCHMARKS[good])[0]
-    target = spreading_wave_model(T_SPREAD, params, wave)
-    fit = BassCurveFit(kind="sales", wave=wave).fit(T_SPREAD, target)
-    assert_bass_recovered(fit, params)
-
-
-@PROPERTY_SETTINGS
-@given(params=gompertz_params)
-def test_gompertz_noiseless_recovery(params):
-    target = gompertz_penetration(T_EVOLVE, params)
-    fit = GompertzCurveFit(decline_rate=params.rate).fit(T_EVOLVE, target)
-    assert fit.shape_ == pytest.approx(params.shape, rel=1e-6)
-    assert fit.plateau_ == pytest.approx(params.plateau, rel=1e-6)
-
-
-@PROPERTY_SETTINGS
-@given(params=gompertz_params)
-def test_gompertz_noiseless_recovery_fixed_plateau(params):
-    target = gompertz_penetration(T_EVOLVE, params)
-    fit = GompertzCurveFit(
-        decline_rate=params.rate, fixed_plateau=params.plateau
-    ).fit(T_EVOLVE, target)
-    assert fit.plateau_ == params.plateau
-    assert fit.shape_ == pytest.approx(params.shape, rel=1e-6)
-
-
-@PROPERTY_SETTINGS
-@given(
-    params=bass_params,
-    seed=seeds,
-    order=st.permutations(range(len(DEFAULT_STARTS))),
-)
-def test_bass_fit_does_not_depend_on_start_order(params, seed, order):
-    rng = np.random.default_rng(seed)
-    target = bass_penetration(T_SPREAD, params)
-    target = target * (1.0 + 0.02 * rng.standard_normal(T_SPREAD.size))
-    forward = BassCurveFit(kind="penetration").fit(T_SPREAD, target)
-    permuted = BassCurveFit(
-        kind="penetration", starts=[DEFAULT_STARTS[i] for i in order]
-    ).fit(T_SPREAD, target)
-    assert permuted.sse_ == pytest.approx(forward.sse_, rel=1e-9)
-    assert permuted.innovation_ == pytest.approx(forward.innovation_, rel=1e-6)
-    assert permuted.imitation_ == pytest.approx(forward.imitation_, rel=1e-6)
-    assert permuted.plateau_ == pytest.approx(forward.plateau_, rel=1e-6)
+def gompertz_lm(rate, observed, bound):
+    """The separable solve of one Gompertz wave, its plateau within [0, bound]."""
+    return _separable_lm(
+        gompertz_design(rate),
+        observed,
+        np.ones(observed.size),
+        GOMPERTZ_STARTS,
+        calibration._TWO_WAVE_LOG_LO[2:],
+        calibration._TWO_WAVE_LOG_HI[2:],
+        upper=bound,
+    )
 
 
 @settings(derandomize=True, deadline=None, max_examples=50)
@@ -152,8 +105,8 @@ def test_gompertz_plateau_stays_in_bounds_near_saturation(shape, rate, bound, se
     rng = np.random.default_rng(seed)
     clean = gompertz_penetration(T_EVOLVE, GompertzParams(0.995, shape, rate))
     noisy = np.clip(clean * (1.0 + 0.02 * rng.standard_normal(clean.size)), 0.0, 1.0)
-    fit = GompertzCurveFit(decline_rate=rate, plateau_bound=bound).fit(T_EVOLVE, noisy)
-    assert 0.0 <= fit.plateau_ <= bound
+    best = gompertz_lm(rate, noisy, bound)
+    assert 0.0 <= best.plateaus[0] <= bound
 
 
 def price_path(rate, floor, scale=1.0, noise=1.0):
@@ -335,6 +288,20 @@ def test_two_wave_noiseless_recovery(good):
 
 
 @PROPERTY_SETTINGS
+@given(
+    good=two_wave_goods(),
+    seed=seeds,
+    order=st.permutations(range(len(TWO_WAVE_STARTS))),
+)
+def test_two_wave_fit_does_not_depend_on_start_order(good, seed, order):
+    forward = fit_draw(good, noise=0.02, seed=seed)
+    starts = [TWO_WAVE_STARTS[i] for i in order]
+    with mock.patch.object(calibration, "TWO_WAVE_STARTS", starts):
+        permuted = fit_draw(good, noise=0.02, seed=seed)
+    assert_same_fit(permuted, forward)
+
+
+@PROPERTY_SETTINGS
 @given(good=two_wave_goods(), seed=seeds)
 def test_screened_two_wave_fit_matches_the_full_lattice(good, seed):
     screened = fit_draw(good, noise=0.02, seed=seed)
@@ -393,29 +360,6 @@ def test_price_design_derivatives(rate, floor):
 
 
 @PROPERTY_SETTINGS
-@given(params=gompertz_params, fixed=st.booleans())
-def test_gompertz_design_derivatives(params, fixed):
-    target = gompertz_penetration(T_EVOLVE, params)
-    fit = GompertzCurveFit(
-        decline_rate=params.rate, fixed_plateau=params.plateau if fixed else None
-    )
-    (design,) = designs(lambda: fit.fit(T_EVOLVE, target))
-    assert_derivatives_match_central_differences(design, [params.shape])
-
-
-@PROPERTY_SETTINGS
-@given(params=bass_params, good=goods, kind=st.sampled_from(["penetration", "sales"]))
-def test_bass_design_derivatives(params, good, kind):
-    wave = wave_params(BENCHMARKS[good])[0]
-    target = spreading_wave_model(T_SPREAD, params, wave)
-    fit = BassCurveFit(kind=kind, wave=wave)
-    (design,) = designs(lambda: fit.fit(T_SPREAD, target))
-    assert_derivatives_match_central_differences(
-        design, [params.innovation, params.imitation]
-    )
-
-
-@PROPERTY_SETTINGS
 # the decline sets in between half a year and the table's largest onset
 @given(good=two_wave_goods(), onset=st.floats(0.5, 4.0))
 def test_two_wave_design_derivatives(good, onset):
@@ -469,23 +413,12 @@ def test_jacobian_gives_the_cost_gradient_with_a_plateau_held_at_its_bound(
     rng = np.random.default_rng(seed)
     clean = gompertz_penetration(T_EVOLVE, GompertzParams(0.995, shape, rate))
     noisy = clean * (1.0 + 0.02 * rng.standard_normal(clean.size))
-    calls = recorded_calls(
-        lambda: GompertzCurveFit(decline_rate=rate, plateau_bound=bound).fit(
-            T_EVOLVE, noisy
-        ),
-        "_separable_lm",
-        "least_squares",
-    )
-    (design, observed, weights, *_), _ = calls["_separable_lm"][0]
+    calls = recorded_calls(lambda: gompertz_lm(rate, noisy, bound), "least_squares")
+    design = gompertz_design(rate)
     held = []
     for (fun, start), kwargs in calls["least_squares"]:
         columns, _ = design(start)
-        plateau = lsq_linear(
-            weights[:, None] * columns,
-            weights * observed,
-            bounds=(0.0, bound),
-            method="bvls",
-        ).x
+        plateau = lsq_linear(columns, noisy, bounds=(0.0, bound), method="bvls").x
         held.append(plateau[0] == bound)
         assert_gradient_is_exact(fun, kwargs["jac"], start)
     assert any(held)
@@ -543,6 +476,8 @@ def break_row(cells, previous_year, fault):
         return [cells[0], "abc", *cells[2:]]
     if fault == "repeat":
         return [previous_year, *cells[1:]]
+    if fault == "nonfinite":
+        return [cells[0], "nan", *cells[2:]]
     return [*cells[:2], "share"]  # a second kind
 
 
@@ -551,7 +486,7 @@ def break_row(cells, previous_year, fault):
     series=time_series(),
     kind=st.sampled_from([None, "sales"]),
     row=st.integers(0, 39),
-    fault=st.sampled_from(["short", "long", "text", "repeat", "kind"]),
+    fault=st.sampled_from(["short", "long", "text", "repeat", "kind", "nonfinite"]),
     noise=st.lists(st.tuples(st.integers(0, 41), st.sampled_from(["", "  ", "# note", " #x,y"]))),
 )
 def test_a_broken_row_is_named_by_its_line(series, kind, row, fault, noise, tmp_path_factory):

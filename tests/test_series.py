@@ -162,6 +162,18 @@ class TestReadSeriesCsv:
         with pytest.raises(FormatError, match=":2: non-numeric cell"):
             read_series_csv(path)
 
+    @pytest.mark.parametrize("row", ["1951,nan", "inf,0.6", "1951,-1e999"])
+    def test_non_finite_cell_names_line(self, tmp_path, row):
+        path = self.write(tmp_path, f"year,value\n1950,0.5\n{row}\n")
+        with pytest.raises(FormatError, match=re.escape("series.csv:3: non-finite cell")):
+            read_series_csv(path)
+
+    def test_file_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "series.csv"
+        path.write_bytes("year,value\n1950,0.5\n# caf\u00e9\n".encode("latin-1"))
+        with pytest.raises(FormatError, match="series.csv: cannot read series file"):
+            read_series_csv(path)
+
 
 class TestWriteReadRoundTrip:
     def test_exact_round_trip(self, tmp_path, rng):
