@@ -270,6 +270,52 @@ class TestSeparableLm:
         assert best.starts_refined == len(refined_rates)
         assert np.exp(best.log_params[0]) == pytest.approx(0.5, rel=1e-9)
 
+    # a wave of unknown frequency: the cost has a local minimum near every
+    # start, so the refined runs end at different costs
+    WAVE_T = np.linspace(0.0, 20.0, 81)
+    WAVE_STARTS = [(w,) for w in (2.3, 1.1, 2.9, 0.15, 4.0, 0.52, 1.7, 0.8)]
+
+    @classmethod
+    def fit_wave(cls, starts):
+        t = cls.WAVE_T
+
+        def design(log_frequency):
+            frequency = np.exp(log_frequency[0])
+            column = (1.0 + np.sin(frequency * t)) / 2.0
+            derivative = frequency * t * np.cos(frequency * t) / 2.0
+            return column[:, None], derivative[:, None, None]
+
+        observed = 0.8 * (1.0 + np.sin(0.5 * t)) / 2.0
+        return _separable_lm(
+            design, observed, np.ones(t.size), starts, np.log([0.05]), np.log([5.0])
+        )
+
+    def test_returned_cost_is_global_over_starts(self, monkeypatch):
+        runs = []
+        original = calibration.least_squares
+
+        def recording_least_squares(fun, x0, **kwargs):
+            runs.append(original(fun, x0, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(calibration, "least_squares", recording_least_squares)
+        best = self.fit_wave(self.WAVE_STARTS)
+        costs = [run.cost for run in runs]
+        assert len(costs) == calibration._REFINE_STARTS
+        # only the last refined run reaches the global minimum
+        assert min(costs[:-1]) > 1.0
+        assert best.cost == min(costs) == costs[-1]
+        assert np.exp(best.log_params[0]) == pytest.approx(0.5, rel=1e-9)
+        assert best.plateaus[0] == pytest.approx(0.8, rel=1e-9)
+
+    def test_start_order_permutation_invariant(self):
+        forward = self.fit_wave(self.WAVE_STARTS)
+        for order in ([7, 6, 5, 4, 3, 2, 1, 0], [5, 0, 3, 7, 1, 6, 2, 4]):
+            permuted = self.fit_wave([self.WAVE_STARTS[i] for i in order])
+            np.testing.assert_allclose(permuted.log_params, forward.log_params, rtol=1e-9)
+            np.testing.assert_allclose(permuted.plateaus, forward.plateaus, rtol=1e-9)
+            assert permuted.cost == pytest.approx(forward.cost, abs=1e-20)
+
 
 class TestFitTwoWave:
     @pytest.mark.parametrize("name", ROUND_TRIP_GOODS)
