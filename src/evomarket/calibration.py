@@ -7,20 +7,23 @@ The fit protocol mirrors how the model is identified in practice:
 2. With the decline rate held fixed, fit both waves jointly to the
    penetration and unit-sales series.
 
-Every nonlinear fit here uses one method.  The amplitude and floor of
-the price, and the plateaus of both waves, enter their models linearly,
-so only the decline rate, the innovation rate, the imitation rate and
-the shape constant are searched nonlinearly (separable least squares,
-Golub & Pereyra 1973): Levenberg–Marquardt over their logs, with the
-linear coefficients solved inside every residual evaluation by bounded
-linear least squares.  Levenberg–Marquardt gets Kaufman's analytic
+Every nonlinear fit here uses one method.  The amplitude and floor of the
+price, and the plateaus of both waves, enter their models linearly, so
+only the decline rate, the innovation rate, the imitation rate and the
+shape constant are searched nonlinearly (separable least squares, Golub
+& Pereyra 1973): Levenberg–Marquardt over their logs, with the linear
+coefficients solved inside every residual evaluation by bounded linear
+least squares.  Levenberg–Marquardt is MINPACK's ``lmder`` (Moré 1978)
+called through ``scipy.optimize.leastsq``, with the steps scaled by the
+Jacobian's column norms and an explicit limit of ``100 * n`` residual
+evaluations for ``n`` searched parameters.  It gets Kaufman's analytic
 variable-projection Jacobian, built from the derivatives of the model
 columns that lean raw-array kernels compute beside the columns, so no
 finite differences are taken.  The search screens a fixed start lattice
 with one residual evaluation per start, then refines only the four best
 starts (the stage-1 filter of multistart scatter search, Ugray et al.
-2007).  The price fit and the two-wave fit divide their residuals by
-the observations, matching multiplicative noise, so the penetration and
+2007).  The price fit and the two-wave fit divide their residuals by the
+observations, matching multiplicative noise, so the penetration and
 sales series weigh in on the same scale.  Only the logistic substitution
 fit (:class:`FisherPryFit`) is a closed-form regression.
 
@@ -39,7 +42,7 @@ import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import least_squares, lsq_linear
+from scipy.optimize import OptimizeResult, leastsq, lsq_linear
 
 from ._validation import as_float_array, check_fitted, check_positive
 from .base import BaseModel
@@ -375,15 +378,19 @@ def _separable_lm(design, observed, weights, starts, log_lo, log_hi, upper=1.0):
     through BVLS when the unbounded solution leaves the box.  Residuals
     are ``weights * (observed - model)``.
 
-    Levenberg–Marquardt gets Kaufman's variable-projection Jacobian
-    (Kaufman, BIT 15, 1975; Golub & Pereyra, Inverse Problems 19, 2003)
-    ``J = -P W (dA/dtheta . c)``: the weighted derivative of the model at
-    fixed plateaus ``c``, with ``P`` projecting out the weighted columns
-    whose plateau lies strictly inside its bounds.  Coordinates outside
-    ``[log_lo, log_hi]`` get zero columns, since clipping freezes them.
-    ``J.T @ r`` is the exact gradient of the cost, so the stationary
-    points are those of the cost itself.  The residuals and the Jacobian
-    at one point share one plateau solve.
+    Each Levenberg–Marquardt run is MINPACK's ``lmder`` called through
+    ``scipy.optimize.leastsq`` by :func:`least_squares`, with
+    Jacobian-norm scaling and an explicit limit of ``100 * n`` residual
+    evaluations for ``n`` log-parameters.  It gets Kaufman's
+    variable-projection Jacobian (Kaufman, BIT 15, 1975; Golub &
+    Pereyra, Inverse Problems 19, 2003) ``J = -P W (dA/dtheta . c)``:
+    the weighted derivative of the model at fixed plateaus ``c``, with
+    ``P`` projecting out the weighted columns whose plateau lies
+    strictly inside its bounds.  Coordinates outside ``[log_lo, log_hi]``
+    get zero columns, since clipping freezes them.  ``J.T @ r`` is the
+    exact gradient of the cost, so the stationary points are those of
+    the cost itself.  The residuals and the Jacobian at one point share
+    one plateau solve.
 
     The search runs in two stages.  The screen evaluates the residuals
     once at every start (given on the natural scale) and drops the
@@ -394,7 +401,8 @@ def _separable_lm(design, observed, weights, starts, log_lo, log_hi, upper=1.0):
     Returns the refined run of lowest cost, ties going to the earliest
     start, with ``log_params`` (clipped), ``design`` (the unweighted
     columns there), ``plateaus``, ``starts_screened`` (the starts with
-    finite residuals) and ``starts_refined`` added.
+    finite residuals), ``starts_refined`` and ``nfev_refined`` (the
+    residual evaluations of all refined runs) added.
 
     Raises
     ------
@@ -456,15 +464,7 @@ def _separable_lm(design, observed, weights, starts, log_lo, log_hi, upper=1.0):
 
     # refine: Levenberg–Marquardt from the best screened starts, in lattice order
     runs = [
-        least_squares(
-            weighted_residuals,
-            np.log(starts[index]),
-            jac=jacobian,
-            method="lm",
-            xtol=1e-12,
-            ftol=1e-12,
-            gtol=1e-12,
-        )
+        least_squares(weighted_residuals, np.log(starts[index]), jac=jacobian)
         for index in sorted(index for _, index in sorted(screened)[:_REFINE_STARTS])
     ]
     best = min(runs, key=lambda run: run.cost)
@@ -473,7 +473,47 @@ def _separable_lm(design, observed, weights, starts, log_lo, log_hi, upper=1.0):
     _, best.design, _, best.plateaus, _ = solve(best.x)
     best.starts_screened = len(screened)
     best.starts_refined = len(runs)
+    best.nfev_refined = sum(run.nfev for run in runs)
     return best
+
+
+def least_squares(fun, x0, jac):
+    """One Levenberg–Marquardt run: MINPACK's ``lmder`` (Moré 1978) through
+    ``scipy.optimize.leastsq``.
+
+    ``lmder`` scales each step by the column norms of the Jacobian
+    (``diag=None``) with step bound ``factor=100``, stops at relative
+    tolerances of 1e-12 on the cost, the step and the gradient, and
+    gives up after ``100 * x0.size`` residual evaluations.  The limit is
+    passed explicitly, since ``leastsq``'s own default with a Jacobian is
+    ``100 * (x0.size + 1)``.
+
+    Returns the end point ``x``, its residuals ``fun`` and ``cost``
+    (half their squared norm), the residual and Jacobian evaluations
+    ``nfev`` and ``njev``, MINPACK's return code ``status`` and
+    ``success``: whether a tolerance was met (codes 1 to 4) rather than
+    the evaluation limit (5) or a tolerance too small to reach (6 to 8).
+    """
+    x, _, info, _, status = leastsq(
+        fun,
+        x0,
+        Dfun=jac,
+        full_output=True,
+        xtol=1e-12,
+        ftol=1e-12,
+        gtol=1e-12,
+        maxfev=100 * x0.size,
+    )
+    resid = info["fvec"]
+    return OptimizeResult(
+        x=x,
+        cost=0.5 * np.dot(resid, resid),
+        fun=resid,
+        nfev=info["nfev"],
+        njev=info["njev"],
+        status=status,
+        success=status in (1, 2, 3, 4),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -776,14 +816,15 @@ def fit_two_wave(
     and ``provenance["njev"]`` (its Jacobian evaluations) describe the
     winning Levenberg–Marquardt run, so a fit that stopped on its
     evaluation limit says so, and ``price_converged`` does the same for
-    the price fit.  ``provenance["at_bound"]`` names those of innovation,
-    imitation and shape whose log value ended within 1e-9 of the search
-    box's edge, where the fit cannot move them.  ``price_rate_identified``
-    is False when the price collapsed below the weight floor by its
-    second observation, so the decline rate is only a lower bound.
-    ``provenance["starts_screened"]`` counts the starts with finite
-    residuals at the screen and ``provenance["starts_refined"]`` the runs
-    refined from them.
+    the price fit.  ``provenance["nfev_refined"]`` counts the residual
+    evaluations of all refined runs together.  ``provenance["at_bound"]``
+    names those of innovation, imitation and shape whose log value ended
+    within 1e-9 of the search box's edge, where the fit cannot move
+    them.  ``price_rate_identified`` is False when the price collapsed
+    below the weight floor by its second observation, so the decline
+    rate is only a lower bound.  ``provenance["starts_screened"]`` counts
+    the starts with finite residuals at the screen and
+    ``provenance["starts_refined"]`` the runs refined from them.
 
     Raises
     ------
@@ -892,6 +933,7 @@ def fit_two_wave(
             "converged": bool(best.success),
             "nfev": int(best.nfev),
             "njev": int(best.njev),
+            "nfev_refined": int(best.nfev_refined),
             "at_bound": at_bound,
             "starts_screened": best.starts_screened,
             "starts_refined": best.starts_refined,
@@ -933,8 +975,10 @@ def round_trip(
     """Synthesize-with-noise and refit one good ``n_seeds`` times.
 
     Returns a dict with the per-parameter relative-error medians, the
-    tolerance checks, the raw error samples and the count of fits whose
-    Levenberg–Marquardt run did not converge (``unconverged``).
+    tolerance checks, the raw error samples, the count of fits whose
+    Levenberg–Marquardt run did not converge (``unconverged``) and the
+    residual evaluations of every refined run of every fit
+    (``nfev_refined``).
     Deterministic for a fixed master seed.
     """
     errors: dict[str, list[float]] = {name: [] for name in _ROUND_TRIP_FIELDS}
@@ -946,7 +990,7 @@ def round_trip(
         "imitation": good.imitation,
         "spreading_plateau": good.spreading_plateau,
     }
-    unconverged = 0
+    unconverged = nfev_refined = 0
     for draw in range(n_seeds):
         seeds = [
             _sub_seed(master_seed, good_index, draw, channel) for channel in range(3)
@@ -956,6 +1000,7 @@ def round_trip(
         sales = synthesize("sales", good, n_points, noise, seeds[2])
         result = fit_two_wave(price, penetration, sales, good)
         unconverged += not result.provenance["converged"]
+        nfev_refined += result.provenance["nfev_refined"]
         for name in _ROUND_TRIP_FIELDS:
             errors[name].append(getattr(result, name) / truth[name] - 1.0)
     medians = {name: float(np.median(errors[name])) for name in _ROUND_TRIP_FIELDS}
@@ -969,6 +1014,7 @@ def round_trip(
         "passed": passed,
         "errors": errors,
         "unconverged": unconverged,
+        "nfev_refined": nfev_refined,
         "n_seeds": n_seeds,
         "noise": noise,
     }

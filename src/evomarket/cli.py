@@ -20,8 +20,9 @@ dist
     accumulation, reproduction-coefficient windows) and write a report.
 replicate
     Run the benchmark round-trip suite and print a pass/fail matrix;
-    write the matrix and a side file with each good's seconds and count
-    of unconverged fits.
+    write the matrix and a side file with each good's seconds, count
+    of unconverged fits and residual evaluations of all refined
+    Levenberg–Marquardt runs.
 
 Configuration is an INI file with one section per parameter block (see
 README); command-line flags override file values.  Exit codes: 0
@@ -480,10 +481,13 @@ def _cmd_replicate(args, config) -> int:
     (out / "replicate_matrix.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     # timings vary from run to run, so they stay out of the matrix; the
     # share contest is a closed-form regression with nothing to converge
+    # and no Levenberg–Marquardt run
     meta_lines = []
     for report, elapsed in zip(reports, seconds):
-        meta_lines.append(f"seconds[{report['good']}]: {elapsed!r}")
-        meta_lines.append(f"unconverged[{report['good']}]: {report.get('unconverged', 0)}")
+        good = report["good"]
+        meta_lines.append(f"seconds[{good}]: {elapsed!r}")
+        meta_lines.append(f"unconverged[{good}]: {report.get('unconverged', 0)}")
+        meta_lines.append(f"nfev_refined[{good}]: {report.get('nfev_refined', 0)}")
     (out / "replicate_meta.txt").write_text("\n".join(meta_lines) + "\n", encoding="utf-8")
 
     print(f"round-trip suite: {n_seeds} seeds, {noise:.0%} noise")

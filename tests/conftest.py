@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from evomarket import calibration
 from evomarket.market import MarketStructure
 
 
@@ -12,3 +13,14 @@ def market():
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def lm_stops_at_three_evaluations(monkeypatch):
+    """Every Levenberg–Marquardt run stops on MINPACK's evaluation limit, set to 3."""
+    original = calibration.leastsq
+
+    def limited(*args, **kwargs):
+        return original(*args, **{**kwargs, "maxfev": 3})
+
+    monkeypatch.setattr(calibration, "leastsq", limited)

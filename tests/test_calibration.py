@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.optimize
 
 from evomarket.benchmarks import BENCHMARKS, ROUND_TRIP_GOODS
 from evomarket import calibration
@@ -33,6 +34,31 @@ def price_series(rate, floor_ratio, n=30, intro_year=0.0, onset=0.0, noise=0.0, 
         rng = np.random.default_rng(seed)
         values = values * (1.0 + noise * rng.standard_normal(n))
     return TimeSeries(intro_year + onset + t, values, "nominal_price")
+
+
+def noisy_draw(name, noise=0.02):
+    """Price, penetration and sales of one benchmark good, each with its own seed."""
+    good = BENCHMARKS[name]
+    series = [
+        synthesize(kind, good, noise=noise, seed=channel)
+        for channel, kind in enumerate(("nominal_price", "penetration", "sales"))
+    ]
+    return (*series, good)
+
+
+def recorded_lm_runs(monkeypatch, fit):
+    """Run ``fit()``; return its result and ``(fun, x0, jac, result)`` of
+    every Levenberg–Marquardt run it made, in order."""
+    runs = []
+    original = calibration.least_squares
+
+    def recording_least_squares(fun, x0, **kwargs):
+        runs.append((fun, x0.copy(), kwargs["jac"], original(fun, x0, **kwargs)))
+        return runs[-1][3]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(calibration, "least_squares", recording_least_squares)
+        return fit(), runs
 
 
 class TestPriceFunction:
@@ -317,6 +343,87 @@ class TestSeparableLm:
             assert permuted.cost == pytest.approx(forward.cost, abs=1e-20)
 
 
+class TestLeastSquares:
+    """``calibration.least_squares`` takes the iterates of scipy's
+    ``least_squares(method="lm")``: both run MINPACK's ``lmder``."""
+
+    @staticmethod
+    def assert_same_run(fun, x0, jac):
+        run = calibration.least_squares(fun, x0, jac=jac)
+        oracle = scipy.optimize.least_squares(
+            fun,
+            x0,
+            jac=jac,
+            method="lm",
+            x_scale="jac",
+            xtol=1e-12,
+            ftol=1e-12,
+            gtol=1e-12,
+        )
+        assert np.array_equal(run.x, oracle.x)
+        assert run.cost == oracle.cost
+        assert run.nfev == oracle.nfev
+        assert run.njev == oracle.njev
+        assert run.success == oracle.success
+
+    def test_matches_scipy_from_the_price_fit_start(self, monkeypatch):
+        price = noisy_draw("fax")[0]
+        _, runs = recorded_lm_runs(monkeypatch, lambda: PriceDeclineFit().fit(price))
+        assert len(runs) == 1
+        fun, x0, jac, _ = runs[0]
+        self.assert_same_run(fun, x0, jac)
+
+    def test_matches_scipy_from_every_refined_two_wave_start(self, monkeypatch):
+        _, runs = recorded_lm_runs(monkeypatch, lambda: fit_two_wave(*noisy_draw("bw_tv")))
+        two_wave = [run for run in runs if run[1].size == 3]
+        assert len(two_wave) == calibration._REFINE_STARTS
+        for fun, x0, jac, _ in two_wave:
+            self.assert_same_run(fun, x0, jac)
+
+    def test_matches_scipy_on_the_sinusoid(self, monkeypatch):
+        _, runs = recorded_lm_runs(
+            monkeypatch, lambda: TestSeparableLm.fit_wave(TestSeparableLm.WAVE_STARTS)
+        )
+        assert len(runs) == calibration._REFINE_STARTS
+        for fun, x0, jac, _ in runs:
+            self.assert_same_run(fun, x0, jac)
+
+    @pytest.mark.parametrize("status", range(9))
+    def test_only_minpack_codes_1_to_4_are_success(self, monkeypatch, status):
+        def stopped(fun, x0, Dfun, **kwargs):
+            return x0, None, {"fvec": fun(x0), "nfev": 1, "njev": 1}, "", status
+
+        monkeypatch.setattr(calibration, "leastsq", stopped)
+        run = calibration.least_squares(
+            lambda x: x - 1.0, np.zeros(2), jac=lambda x: np.eye(2)
+        )
+        assert run.status == status
+        assert run.success is (status in (1, 2, 3, 4))
+
+    def test_evaluation_limit_is_100_per_parameter(self, monkeypatch):
+        limits = []
+        original = calibration.leastsq
+
+        def recording(*args, **kwargs):
+            limits.append(kwargs["maxfev"])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(calibration, "leastsq", recording)
+        fit_two_wave(*noisy_draw("vcr"))
+        assert limits == [100] + [300] * calibration._REFINE_STARTS
+
+    @pytest.mark.usefixtures("lm_stops_at_three_evaluations")
+    def test_run_stopped_by_the_evaluation_limit_is_not_converged(self, monkeypatch):
+        result, runs = recorded_lm_runs(
+            monkeypatch, lambda: fit_two_wave(*noisy_draw("vcr"))
+        )
+        for *_, run in runs:
+            assert run.status == 5
+            assert run.success is False
+        assert result.provenance["converged"] is False
+        assert result.provenance["price_converged"] is False
+
+
 class TestFitTwoWave:
     @pytest.mark.parametrize("name", ROUND_TRIP_GOODS)
     def test_noiseless_full_recovery(self, name):
@@ -364,6 +471,15 @@ class TestFitTwoWave:
         assert result.provenance["starts_refined"] == calibration._REFINE_STARTS
         assert result.provenance["price_converged"] is True
         assert result.provenance["price_rate_identified"] is True
+
+    def test_nfev_refined_counts_every_refined_run(self, monkeypatch):
+        result, runs = recorded_lm_runs(
+            monkeypatch, lambda: fit_two_wave(*noisy_draw("bw_tv"))
+        )
+        two_wave = [run.nfev for *_, run in runs if run.x.size == 3]
+        assert len(two_wave) == result.provenance["starts_refined"]
+        assert result.provenance["nfev_refined"] == sum(two_wave)
+        assert result.provenance["nfev"] in two_wave
 
     def test_sse_is_natural_scale_per_series(self):
         good = BENCHMARKS["bw_tv"]
@@ -434,3 +550,16 @@ class TestFitTwoWave:
         assert abs(report["medians"]["decline_rate"]) < 0.10
         assert abs(report["medians"]["evolutionary_plateau"]) < 0.05
         assert report["unconverged"] == 0
+
+    def test_round_trip_sums_nfev_refined_over_its_fits(self, monkeypatch):
+        fits = []
+        original = calibration.fit_two_wave
+
+        def recording_fit(*args, **kwargs):
+            fits.append(original(*args, **kwargs))
+            return fits[-1]
+
+        monkeypatch.setattr(calibration, "fit_two_wave", recording_fit)
+        report = round_trip(BENCHMARKS["fax"], n_seeds=3)
+        assert len(fits) == 3
+        assert report["nfev_refined"] == sum(f.provenance["nfev_refined"] for f in fits)

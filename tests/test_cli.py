@@ -147,6 +147,22 @@ sales_series = {data_dir}/sales.csv
         assert "price_rate_identified: True" in meta
         assert f"starts_screened: {len(TWO_WAVE_STARTS)}" in meta
         assert f"starts_refined: {_REFINE_STARTS}" in meta
+        assert "nfev_refined: " in meta
+        assert "nfev_refined" not in (out / "fit_table.csv").read_text(encoding="utf-8")
+
+    @pytest.mark.usefixtures("lm_stops_at_three_evaluations")
+    def test_fit_stopped_by_the_evaluation_limit_reads_unconverged(self, tmp_path):
+        data = tmp_path / "data"
+        synth_cfg = write_config(
+            tmp_path, "[good]\nbenchmark = colour_tv\n[synth]\nnoise = 0\n"
+        )
+        assert run("synth", "--config", str(synth_cfg), "--out", str(data)) == EXIT_OK
+        fit_cfg = self.fit_config(tmp_path, data)
+        out = tmp_path / "fitted"
+        assert run("fit", "--config", str(fit_cfg), "--out", str(out)) == EXIT_OK
+        meta = (out / "fit_meta.txt").read_text(encoding="utf-8").splitlines()
+        assert "converged: False" in meta
+        assert "price_converged: False" in meta
 
     def test_malformed_series_is_format_error(self, tmp_path):
         data = tmp_path / "data"
@@ -336,3 +352,6 @@ class TestReplicate:
             seconds = next(line for line in meta if line.startswith(f"seconds[{good}]: "))
             assert float(seconds.split(": ")[1]) >= 0
             assert f"unconverged[{good}]: 0" in meta
+            nfev = next(line for line in meta if line.startswith(f"nfev_refined[{good}]: "))
+            # the share contest is a closed-form regression
+            assert (int(nfev.split(": ")[1]) > 0) == (good != "vcr_formats")
