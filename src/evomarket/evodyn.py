@@ -7,6 +7,8 @@ law-of-mass-action between buyers and available stock, and the slow
 residual dynamics of the sales shares is a replicator equation driven
 by each model's fitness: preference times reproduction coefficient
 times demand prefactor times affordable market volume at its price.
+The micro-dynamics is stepped with fourth-order Runge–Kutta; the
+replicator, whose fitnesses are fixed within a step, is stepped exactly.
 
 Two clocks appear throughout: ``tau`` is the fast clock, related to
 years by ``tau = clock_ratio * t`` with a small ``clock_ratio``.
@@ -220,31 +222,21 @@ def replicator_step(
     """Advance the sales shares one replicator step on the fast clock.
 
     Shares evolve as ``dm_i/dtau = (f_i - <f>) m_i`` with fitnesses held
-    fixed during the step (prices do not move here), integrated with a
-    fourth-order scheme and renormalized so the share sum and the total
-    sales are conserved exactly.
-
-    Raises
-    ------
-    StepSizeError
-        If the step would drive a share negative.
+    fixed during the step (prices do not move here), so the step is
+    exact: ``m_i e^{f_i dtau} / sum_j m_j e^{f_j dtau}``, scaled back to
+    the total sales.  Any step size keeps every share in [0, 1].
     """
     check_positive(dtau, "dtau")
     total = pop.total_sales
     if total <= 0:
         raise ValueError("replicator dynamics need positive total sales")
-    f = population_fitness(pop, prefactor, market)
-    shares = pop._sales / total
-
-    def rhs(_tau, m):
-        return (f - float(f @ m)) * m
-
-    new_shares = rk4_step(rhs, pop.tau, shares, dtau)
-    if (new_shares < 0).any():
-        raise StepSizeError("replicator step produced a negative share; reduce dtau")
-    new_shares = new_shares / new_shares.sum()
+    # Exponents are taken relative to the fittest product with sales, so
+    # none overflows and the fittest weighs 1; a zero-sales product stays
+    # at zero whatever its fitness.
+    f = np.where(pop._sales > 0, population_fitness(pop, prefactor, market), -np.inf)
+    grown = pop._sales * np.exp((f - f.max()) * dtau)
     return Population.from_arrays(
-        new_shares * total,
+        grown / grown.sum() * total,
         pop._stocks,
         pop._prices,
         pop._preferences,

@@ -62,12 +62,6 @@ class PriceNoiseParams:
         check_positive(self.restoring, "restoring")
         check_positive(self.noise, "noise")
 
-    def force(self, deviation):
-        return -self.restoring * np.sign(deviation)
-
-    def potential(self, deviation):
-        return self.restoring * np.abs(deviation)
-
     @property
     def stationary_variance(self) -> float:
         return 0.5 * self.noise**2 / self.restoring**2
@@ -368,9 +362,7 @@ def reproduction_param_sim(
     steps: int,
     seed: int,
     start: float = 0.0,
-    short_window: float | None = None,
     n_short_windows: int = 100,
-    burn_in: float | None = None,
 ) -> ReproductionSimResult:
     """Simulate the reproduction coefficient as relaxation plus jumps.
 
@@ -381,9 +373,11 @@ def reproduction_param_sim(
         g <- g * (1 - compensation*dt) + noise_amp*sqrt(dt)*xi
              + jump_size * Poisson(dt / amortization)
 
-    The result reports means over short windows (long against the
-    relaxation time, short against the amortization time: statistically
-    zero) and over the whole post-burn-in path (positive, approaching
+    The first five relaxation times (``5 / compensation``) are burn-in.
+    The result reports means over up to ``n_short_windows`` short
+    windows of ten relaxation times each (long against the relaxation
+    time, short against the amortization time: statistically zero) and
+    over the whole post-burn-in path (positive, approaching
     ``jump_size / (amortization * compensation)``).  The process is
     AR(1) with ``phi = 1 - compensation*dt`` and innovation variance
     ``sigma^2 = noise_amp^2 dt + jump_size^2 dt / amortization``, so the
@@ -400,10 +394,6 @@ def reproduction_param_sim(
         raise ValueError("steps must be at least 1")
     if dt * params.compensation >= 0.5:
         raise StepSizeError("dt * compensation must stay below 0.5")
-    if short_window is None:
-        short_window = 10.0 / params.compensation
-    if burn_in is None:
-        burn_in = 5.0 / params.compensation
 
     rng = np.random.default_rng(seed)
     noise = params.noise_amp * np.sqrt(dt) * rng.standard_normal(steps)
@@ -418,8 +408,8 @@ def reproduction_param_sim(
         path[1:] += start * decay ** np.arange(1, steps + 1)
     times = dt * np.arange(steps + 1)
 
-    burn_idx = min(int(round(burn_in / dt)), steps)
-    window_len = max(int(round(short_window / dt)), 1)
+    burn_idx = min(int(round(5.0 / params.compensation / dt)), steps)
+    window_len = max(int(round(10.0 / params.compensation / dt)), 1)
     tail = path[burn_idx + 1 :]
     n_windows = min(n_short_windows, tail.size // window_len)
     if n_windows < 1:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -130,10 +132,23 @@ class TestReplicatorStep:
             worst = max(worst, abs(pop.shares[0] - exact))
         assert worst < 1e-8
 
-    def test_oversized_step_rejected(self, market):
-        pop = two_products(5.0, -5.0)
-        with pytest.raises(StepSizeError):
-            replicator_step(pop, 1.0, market, 10.0)
+    def test_large_steps_stay_finite_without_warnings(self, market):
+        # far beyond any explicit scheme's stability bound; the second
+        # population's fittest product has no sales and must stay at zero
+        opposed = two_products(5.0, -5.0)
+        absorbing = Population(
+            [Product(0.0, 1.0, 0.05, 1.0, 0.9), Product(1.0, 1.0, 0.05, 1.0, 0.1)]
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stepped = [
+                replicator_step(opposed, 1.0, market, 10.0),
+                replicator_step(absorbing, 1.0, market, 1e4),
+            ]
+        for pop in stepped:
+            assert np.isfinite(pop.shares).all()
+            assert pop.shares.sum() == pytest.approx(1.0, abs=1e-15)
+        assert stepped[1].sales[0] == 0.0
 
     def test_zero_sales_product_is_absorbing(self, market):
         pop = Population(
@@ -349,24 +364,23 @@ def plain_micro_rk4(stocks, pool, preferences, reproductions, prices, creation_r
     return s[:n], s[n]
 
 
-def plain_replicator_rk4(sales, fitnesses, dtau):
-    """One classical RK4 step of the replicator, renormalized to the total sales."""
-    total = sales.sum()
+def plain_replicator(sales, fitnesses, tau):
+    """Sales a time ``tau`` after ``sales`` on the exact replicator solution, same total."""
+    grown = sales * np.exp(fitnesses * tau)
+    return grown / grown.sum() * sales.sum()
 
-    def rhs(m):
-        return (fitnesses - fitnesses @ m) * m
 
-    m = sales / total
-    k1 = rhs(m)
-    k2 = rhs(m + 0.5 * dtau * k1)
-    k3 = rhs(m + 0.5 * dtau * k2)
-    k4 = rhs(m + dtau * k3)
-    m = m + (dtau / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return m / m.sum() * total
+def relative_gap(got, want):
+    return float(np.max(np.abs(got - want) / np.abs(want)))
 
 
 def step_both_ways(micro, macro, market, creation_rate, dtau, steps):
-    """Largest relative gap between the library steps and the plain RK4 above."""
+    """Largest relative gaps of the library steps from the plain oracles above.
+
+    The micro gap compares each library step with one plain RK4 step
+    from the same oracle state; the replicator gap compares ``k`` library
+    steps with one evaluation of the exact solution at ``tau = k * dtau``.
+    """
     demand = stationary_demand(micro, creation_rate, market)
     prefactor = demand.prefactor
     stocks, pool = micro.stocks, demand.potential
@@ -377,29 +391,36 @@ def step_both_ways(micro, macro, market, creation_rate, dtau, steps):
         * prefactor
         * market_volume(macro.prices, market)
     )
-    worst = 0.0
-    for _ in range(steps):
+    micro_gap = replicator_gap = 0.0
+    for k in range(1, steps + 1):
         micro, demand = micro_step(micro, demand, market, dtau)
         macro = replicator_step(macro, prefactor, market, dtau)
         stocks, pool = plain_micro_rk4(
             stocks, pool, micro.preferences, micro.reproductions, micro.prices,
             creation_rate, market, dtau,
         )
-        sales = plain_replicator_rk4(sales, fitnesses, dtau)
-        got = np.concatenate([micro.stocks, [demand.potential], macro.sales])
-        want = np.concatenate([stocks, [pool], sales])
-        worst = max(worst, float(np.max(np.abs(got - want) / np.abs(want))))
-    return worst
+        micro_gap = max(
+            micro_gap,
+            relative_gap(np.append(micro.stocks, demand.potential), np.append(stocks, pool)),
+        )
+        replicator_gap = max(
+            replicator_gap, relative_gap(macro.sales, plain_replicator(sales, fitnesses, k * dtau))
+        )
+    return micro_gap, replicator_gap
 
 
 class TestStepsMatchPlainRk4:
+    """The micro step against plain RK4, the replicator against its exact solution."""
+
     def test_bit_identical_at_the_minimum_price(self):
         # the criterion-6 populations: every price at the minimum price
         market = MarketStructure(upper_share=0.02, minimum_price=0.05, width=0.5)
         gammas = (0.02, 0.0, -0.02)
         micro = Population([Product(0.0, 1.0, 0.05, 1.0, g) for g in gammas])
         macro = Population([Product(1.0 / 3.0, 1.0, 0.05, 1.0, g) for g in gammas])
-        assert step_both_ways(micro, macro, market, 3.0, 0.01, 1000) == 0.0
+        micro_gap, replicator_gap = step_both_ways(micro, macro, market, 3.0, 0.01, 1000)
+        assert micro_gap == 0.0
+        assert replicator_gap < 1e-13
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_random_prices_agree(self, market, n):
@@ -415,4 +436,6 @@ class TestStepsMatchPlainRk4:
             for _ in range(n)
         ]
         pop = Population(products)
-        assert step_both_ways(pop, pop, market, 3.0, 0.01, 300) < 1e-13
+        micro_gap, replicator_gap = step_both_ways(pop, pop, market, 3.0, 0.01, 300)
+        assert micro_gap < 1e-13
+        assert replicator_gap < 1e-13

@@ -278,13 +278,68 @@ def assert_same_fit(result, expected):
         ), name
 
 
-@PROPERTY_SETTINGS
-@given(good=two_wave_goods())
-def test_two_wave_noiseless_recovery(good):
+def first_purchase_draw(**fields):
+    """A box draw with no repurchase, no onset delay, no price floor and
+    lifetimes of 10; the remaining fields are given."""
+    return GoodParams(
+        name="drawn",
+        intro_year=1950.0,
+        onset_delay=0.0,
+        floor_ratio=0.0,
+        spreading_replacement=0.0,
+        spreading_multiple=0.0,
+        evolutionary_replacement=0.0,
+        evolutionary_multiple=0.0,
+        spreading_lifetime=10.0,
+        evolutionary_lifetime=10.0,
+        market_potential_millions=None,
+        **fields,
+    )
+
+
+def assert_noiseless_recovery(good):
     for truth in (good, first_purchases_only(good)):
         result = fit_draw(truth)
         assert result.provenance["converged"]
         assert_same_fit(result, truth)
+
+
+@PROPERTY_SETTINGS
+@given(good=two_wave_goods())
+# a draw that racing the screened starts (5-evaluation heats, only the
+# cheapest finished) ends in another basin with converged True
+@example(
+    good=first_purchase_draw(
+        innovation=0.001953125,
+        imitation=0.8125,
+        shape=9.0,
+        decline_rate=0.25,
+        evolutionary_plateau=0.78125,
+        spreading_plateau=0.037109375,
+    )
+)
+def test_two_wave_noiseless_recovery(good):
+    assert_noiseless_recovery(good)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="the 4-start screen misses this draw, which the full 18-start lattice "
+    "recovers (CHANGES.md, FOUND: _separable_lm's 4-start screen misses a "
+    "noiseless two-wave draw)",
+)
+def test_two_wave_noiseless_recovery_of_a_draw_the_screen_misses():
+    assert_noiseless_recovery(
+        first_purchase_draw(
+            innovation=0.001953125,
+            imitation=1.0,
+            shape=9.0,
+            decline_rate=0.3125,
+            evolutionary_plateau=0.875,
+            spreading_plateau=0.03125,
+        )
+    )
 
 
 @PROPERTY_SETTINGS
