@@ -7,6 +7,11 @@ The fit protocol mirrors how the model is identified in practice:
 2. With the decline rate held fixed, fit both waves jointly to the
    penetration and unit-sales series.
 
+The two-wave model is defined once, in ``_two_wave_model``: the fit
+searches its parameters, and :func:`synthesize` samples the synthetic
+penetration and sales fixtures from it at a good's own parameters, so
+the round trips test the fit against the very model it states.
+
 Every nonlinear fit here uses one method.  The amplitude and floor of the
 price, and the plateaus of both waves, enter their models linearly, so
 only the decline rate, the innovation rate, the imitation rate and the
@@ -47,17 +52,11 @@ from scipy.optimize import OptimizeResult, leastsq, lsq_linear
 from ._validation import as_float_array, check_fitted, check_positive
 from .base import BaseModel
 from .benchmarks import GoodParams, wave_params
-from .diffusion import (
-    BassParams,
-    GompertzParams,
-    bass_penetration,
-    bass_rate,
-    gompertz_penetration,
-    gompertz_rate,
-)
+from .diffusion import BassParams, GompertzParams
+# not called here, but kept: the benchmark's tracer wraps these module attributes
+from .diffusion import bass_penetration, bass_rate, gompertz_penetration, gompertz_rate
 from .errors import FitError
 from .evodyn import fisher_pry_share
-from .lifecycle import WaveParams
 from .market import IncomeModel
 from .series import TimeSeries
 
@@ -67,8 +66,6 @@ __all__ = [
     "PriceDeclineFit",
     "FisherPryFit",
     "price_function",
-    "spreading_wave_model",
-    "evolutionary_wave_model",
     "synthesize",
     "synthesize_share",
     "fit_two_wave",
@@ -244,7 +241,6 @@ class PriceDeclineFit(BaseModel):
         Natural-scale residual sum of squares.
     residuals_ : numpy.ndarray
         Natural-scale residuals.
-    n_obs_ : int
     converged_ : bool
         Whether the winning Levenberg–Marquardt run met its tolerances.
     nfev_ : int
@@ -317,7 +313,6 @@ class PriceDeclineFit(BaseModel):
         self.intercept_ = float(np.log(amplitude) + self.decline_rate_ * start)
         self.residuals_ = scaled - best.design @ best.plateaus
         self.sse_ = float((self.residuals_**2).sum())
-        self.n_obs_ = int(t_prime.size)
         self.converged_ = bool(best.success)
         self.nfev_ = int(best.nfev)
         # once the model falls below the weight floor between the first two
@@ -327,11 +322,6 @@ class PriceDeclineFit(BaseModel):
             np.exp(-self.decline_rate_ * elapsed[1]) >= _WEIGHT_FLOOR
         )
         return self
-
-    def transform(self, series: TimeSeries) -> TimeSeries:
-        """Scaled price path using the fitted floor ratio."""
-        check_fitted(self, "floor_ratio_")
-        return price_function(series, self._spec(), self.floor_ratio_)
 
     def predict(self, t_prime):
         """Modeled scaled price (floor included) on the decline clock."""
@@ -520,13 +510,13 @@ def least_squares(fun, x0, jac):
 # design kernels
 # ---------------------------------------------------------------------------
 #
-# Raw-array closed forms at unit plateau for the ``design`` callbacks of
-# ``_separable_lm``.  Each returns jets: one row per time, the value in
-# column 0 and its derivatives by the searched log-parameters after it.
-# They evaluate the expressions of the public closed forms in
-# ``diffusion`` and of ``spreading_wave_model`` / ``evolutionary_wave_model``
-# at unit plateau; the validation those run on every call is done once
-# per fit instead.
+# Raw-array closed forms at unit plateau, and the one two-wave model that
+# ``fit_two_wave`` fits and ``synthesize`` samples from them.  Each kernel
+# returns jets: one row per time, the value in column 0 and its
+# derivatives by the searched log-parameters after it.  They evaluate the
+# expressions of the public closed forms in ``diffusion`` at unit
+# plateau; the parameter checks those run on every call are done once
+# per fit or per synthesized series instead.
 
 
 def _bass_jets(t, innovation, imitation):
@@ -573,75 +563,64 @@ def _gompertz_jets(t_prime, shape, rate):
     return pen, out
 
 
-def _spreading_echo(t_sales, wave: WaveParams):
-    """Times of the spreading wave's replacement echo, and its weight at
-    each sales time.
+def _two_wave_model(known: GoodParams, t_pen, t_sales, rate):
+    """The two-wave model of one good: penetration rows, then sales rows.
 
-    The echo runs one lifetime behind the sales times and is zero where
-    less than a lifetime has passed, since the wave's clock starts at
-    the introduction.
+    ``t_pen`` and ``t_sales`` are years since the introduction, ``rate``
+    is the price decline rate, and the repurchase machinery comes from
+    ``known``.  The kernel times, the echo weights and the onset shift
+    are computed once, here.  A sale is first purchases, plus the wave's
+    multiple rate times its penetration, plus one replacement echo: the
+    first-purchase rate one lifetime earlier, weighted by the
+    replacement fraction.  The spreading echo is zero where less than a
+    lifetime has passed, since the wave's clock starts at the
+    introduction; the evolutionary echo runs on the all-real clock and
+    is never cut off.
+
+    Returns ``model(innovation, imitation, shape) -> (columns,
+    derivatives)``: the spreading and evolutionary columns at unit
+    plateau, and ``derivatives[i, j, k]``, the derivative of column
+    ``j`` at row ``i`` by the log of parameter ``k``.  The model assumes
+    valid parameters and does not check them.
     """
-    lag = t_sales - (wave.lifetime or 0.0)
-    return np.maximum(lag, 0.0), np.where(lag >= 0, wave.replacement_fraction, 0.0)
-
-
-def _wave_jets(pen, rate, n_pen, multiple, echo_weight):
-    """Penetration-then-sales jets of one wave from its kernel jets.
-
-    ``pen`` and ``rate`` hold the kernel at ``n_pen`` penetration times,
-    then at the sales times, then at the echo times.
-    A sale is first purchases, plus ``multiple`` times the penetration,
-    plus the weighted echo.
-    """
-    n_sales = echo_weight.size
+    spread_wave, evo_wave, _ = wave_params(known)
+    n_pen, n_sales = t_pen.size, t_sales.size
+    # the kernels' times: penetration, sales, then echo
+    lag = t_sales - (spread_wave.lifetime or 0.0)
+    spread_times = np.concatenate([t_pen, t_sales, np.maximum(lag, 0.0)])
+    spread_weight = np.where(lag >= 0, spread_wave.replacement_fraction, 0.0)
+    evo_sales = t_sales - known.onset_delay
+    evo_times = np.concatenate(
+        [t_pen - known.onset_delay, evo_sales, evo_sales - (evo_wave.lifetime or 0.0)]
+    )
+    evo_weight = np.full(n_sales, evo_wave.replacement_fraction)
     sales = slice(n_pen, n_pen + n_sales)
     echo = slice(n_pen + n_sales, None)
-    return np.concatenate(
-        [
-            pen[:n_pen],
-            rate[sales] + multiple * pen[sales] + echo_weight[:, None] * rate[echo],
-        ]
-    )
 
+    def wave(pen, out, multiple, echo_weight):
+        """Penetration-then-sales jets of one wave from its kernel jets."""
+        return np.concatenate(
+            [
+                pen[:n_pen],
+                out[sales] + multiple * pen[sales] + echo_weight[:, None] * out[echo],
+            ]
+        )
 
-# ---------------------------------------------------------------------------
-# wave sales models
-# ---------------------------------------------------------------------------
+    def model(innovation, imitation, shape):
+        spreading = wave(
+            *_bass_jets(spread_times, innovation, imitation),
+            spread_wave.multiple_rate,
+            spread_weight,
+        )
+        evolutionary = wave(
+            *_gompertz_jets(evo_times, shape, rate), evo_wave.multiple_rate, evo_weight
+        )
+        derivatives = np.zeros((n_pen + n_sales, 2, 3))
+        derivatives[:, 0, :2] = spreading[:, 1:]
+        derivatives[:, 1, 2] = evolutionary[:, 1]
+        return np.column_stack([spreading[:, 0], evolutionary[:, 0]]), derivatives
 
-
-def spreading_wave_model(t, params: BassParams, wave: WaveParams | None = None):
-    """Closed-form unit sales of the spreading wave.
-
-    First-purchase rate plus, when wave parameters are given, multiple
-    purchase proportional to the penetration and one replacement echo
-    delayed by the (sharp) lifetime.
-    """
-    t_arr = np.asarray(t, dtype=float)
-    out = bass_rate(t_arr, params)
-    if wave is not None:
-        if wave.multiple_rate > 0:
-            out = out + wave.multiple_rate * bass_penetration(t_arr, params)
-        if wave.replacement_fraction > 0:
-            lag = t_arr - wave.lifetime
-            echo = np.where(lag >= 0, bass_rate(np.maximum(lag, 0.0), params), 0.0)
-            out = out + wave.replacement_fraction * echo
-    return float(out) if np.isscalar(t) else out
-
-
-def evolutionary_wave_model(
-    t_prime, params: GompertzParams, wave: WaveParams | None = None
-):
-    """Closed-form unit sales of the price-driven wave (all-real clock)."""
-    t_arr = np.asarray(t_prime, dtype=float)
-    out = gompertz_rate(t_arr, params)
-    if wave is not None:
-        if wave.multiple_rate > 0:
-            out = out + wave.multiple_rate * gompertz_penetration(t_arr, params)
-        if wave.replacement_fraction > 0:
-            out = out + wave.replacement_fraction * gompertz_rate(
-                t_arr - wave.lifetime, params
-            )
-    return float(out) if np.isscalar(t_prime) else out
+    return model
 
 
 # ---------------------------------------------------------------------------
@@ -697,17 +676,6 @@ class FisherPryFit(BaseModel):
 # ---------------------------------------------------------------------------
 
 
-def _good_models(good: GoodParams):
-    bass = BassParams(good.innovation, good.imitation, good.spreading_plateau)
-    gomp = GompertzParams(
-        plateau=good.evolutionary_plateau,
-        shape=good.shape,
-        rate=good.decline_rate,
-    )
-    spread_wave, evo_wave, _ = wave_params(good)
-    return bass, gomp, spread_wave, evo_wave
-
-
 def synthesize(
     kind: str,
     good: GoodParams,
@@ -719,29 +687,28 @@ def synthesize(
     """Sample a model curve annually, optionally with multiplicative noise.
 
     ``kind="nominal_price"`` samples the decline path from its onset;
-    penetration and sales are sampled from the introduction year and
-    combine both waves (with the evolutionary wave delayed by the
-    onset).  Deterministic per seed.
+    penetration and sales are sampled from the introduction year from
+    the model that ``fit_two_wave`` fits, at the good's parameters: both
+    waves, the evolutionary one delayed by the onset.  Deterministic per
+    seed.
     """
     if n_points < 2:
         raise ValueError("n_points must be at least 2")
-    bass, gomp, spread_wave, evo_wave = _good_models(good)
+    # the parameter checks of the closed forms, which the model skips
+    BassParams(good.innovation, good.imitation, good.spreading_plateau)
+    GompertzParams(good.evolutionary_plateau, good.shape, good.decline_rate)
     t = np.arange(n_points, dtype=float)
     if kind == "nominal_price":
         years = good.intro_year + good.onset_delay + t
         values = intro_price * (
             np.exp(-good.decline_rate * t) + (good.floor_ratio or 0.0)
         )
-    elif kind == "penetration":
+    elif kind in ("penetration", "sales"):
         years = good.intro_year + t
-        values = bass_penetration(t, bass) + gompertz_penetration(
-            t - good.onset_delay, gomp
-        )
-    elif kind == "sales":
-        years = good.intro_year + t
-        values = spreading_wave_model(t, bass, spread_wave) + evolutionary_wave_model(
-            t - good.onset_delay, gomp, evo_wave
-        )
+        times = (t, np.empty(0)) if kind == "penetration" else (np.empty(0), t)
+        model = _two_wave_model(good, *times, good.decline_rate)
+        columns, _ = model(good.innovation, good.imitation, good.shape)
+        values = columns @ np.array([good.spreading_plateau, good.evolutionary_plateau])
     else:
         raise ValueError(f"cannot synthesize series kind {kind!r}")
     if noise > 0:
@@ -762,12 +729,20 @@ def synthesize_share(
     seed: int | None = None,
     origin_year: float = 0.0,
 ) -> TimeSeries:
-    """Sample the logistic substitution share, clipped to the open interval."""
+    """Sample the logistic substitution share, optionally with noise on its logit.
+
+    The noise is added to the log share ratio, ``logit + noise * z``, so
+    it is lognormal on the odds ``share / (1 - share)`` and the logit
+    regression of :class:`FisherPryFit` stays unbiased however close the
+    share comes to 0 or 1.  The clip to ``[1e-6, 1 - 1e-6]`` only guards
+    against floating-point saturation.  Deterministic per seed.
+    """
     years = as_float_array(years, "years")
-    values = fisher_pry_share(years - origin_year, advantage, intercept)
+    offsets = intercept
     if noise > 0:
         rng = np.random.default_rng(seed)
-        values = values * (1.0 + noise * rng.standard_normal(values.size))
+        offsets = intercept + noise * rng.standard_normal(years.size)
+    values = fisher_pry_share(years - origin_year, advantage, offsets)
     values = np.clip(values, 1e-6, 1.0 - 1e-6)
     return TimeSeries(years, values, "share")
 
@@ -790,9 +765,11 @@ def fit_two_wave(
     Repurchase machinery (multiple rates, replacement fractions and
     lifetimes) is taken from ``known`` as analyst estimates and enters
     each wave's sales model; the six diffusion parameters and the price
-    pair are fitted.  The decline rate comes from the price fit and is
-    held fixed.  Both waves are then fitted in one separable
-    least-squares solve over the penetration and sales series together:
+    pair are fitted.  The model is the one :func:`synthesize` samples
+    from, built once per fit by ``_two_wave_model``.  The decline rate
+    comes from the price fit and is held fixed.  Both waves are then
+    fitted in one separable least-squares solve over the penetration and
+    sales series together:
 
     * each residual is divided by its observation (floored at
       ``_WEIGHT_FLOOR`` times the series maximum), which is the
@@ -806,9 +783,9 @@ def fit_two_wave(
       plateaus are the weighted linear least-squares solution, bounded
       to [0, 1];
     * the model columns and their derivatives come from raw-array
-      kernels on evaluation times (the lags, echo masks and onset
-      shifts) computed once per fit, and give Levenberg–Marquardt its
-      analytic Jacobian.
+      kernels on evaluation times (the lags, echo weights and onset
+      shift) that the model computes once per fit, and give
+      Levenberg–Marquardt its analytic Jacobian.
 
     The lowest weighted cost of the refined runs wins, ties going to the
     earliest start.  ``sse`` and ``residuals`` report each series on its
@@ -856,38 +833,14 @@ def fit_two_wave(
         ]
     )
 
-    # the kernels' times, fixed for the fit: penetration, sales, then echo
-    spread_echo, spread_weight = _spreading_echo(t_sales, spread_wave)
-    spread_times = np.concatenate([t_pen, t_sales, spread_echo])
-    # the evolutionary echo runs on the all-real clock, never cut off
-    evo_sales = t_sales - known.onset_delay
-    evo_times = np.concatenate(
-        [t_pen - known.onset_delay, evo_sales, evo_sales - (evo_wave.lifetime or 0.0)]
-    )
-    evo_weight = np.full(t_sales.size, evo_wave.replacement_fraction)
-
-    def design(log_params):
-        """Penetration-then-sales columns of each wave at unit plateau, and derivatives."""
-        innovation, imitation, shape = np.exp(log_params)
-        spreading = _wave_jets(
-            *_bass_jets(spread_times, innovation, imitation),
-            t_pen.size,
-            spread_wave.multiple_rate,
-            spread_weight,
-        )
-        evolutionary = _wave_jets(
-            *_gompertz_jets(evo_times, shape, rate),
-            t_pen.size,
-            evo_wave.multiple_rate,
-            evo_weight,
-        )
-        derivatives = np.zeros((observed.size, 2, 3))
-        derivatives[:, 0, :2] = spreading[:, 1:]
-        derivatives[:, 1, 2] = evolutionary[:, 1]
-        return np.column_stack([spreading[:, 0], evolutionary[:, 0]]), derivatives
-
+    model = _two_wave_model(known, t_pen, t_sales, rate)
     best = _separable_lm(
-        design, observed, weights, TWO_WAVE_STARTS, _TWO_WAVE_LOG_LO, _TWO_WAVE_LOG_HI
+        lambda log_params: model(*np.exp(log_params)),
+        observed,
+        weights,
+        TWO_WAVE_STARTS,
+        _TWO_WAVE_LOG_LO,
+        _TWO_WAVE_LOG_HI,
     )
     innovation, imitation, shape = map(float, np.exp(best.log_params))
     # clipping freezes a parameter on the box's edge, so report any that ends there

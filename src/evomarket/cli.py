@@ -303,7 +303,7 @@ def _cmd_fit(args, config) -> int:
     (out / "fit_meta.txt").write_text("\n".join(meta_lines) + "\n", encoding="utf-8")
     if args.plot:
         t_prime = penetration.years - good.intro_year - good.onset_delay
-        model = calibration.GompertzParams(
+        model = GompertzParams(
             plateau=result.evolutionary_plateau,
             shape=result.shape,
             rate=result.decline_rate,

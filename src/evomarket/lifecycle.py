@@ -19,7 +19,6 @@ import numpy as np
 
 from ._validation import as_float_array, check_positive
 from .diffusion import AdoptionCurve
-from .errors import FormatError
 
 __all__ = [
     "WaveParams",
@@ -116,8 +115,6 @@ def multiple_sales(penetration, rate: float) -> np.ndarray:
 
 def wave_sales(curve: AdoptionCurve, wave: WaveParams, echoes: int = 1) -> np.ndarray:
     """Unit sales of one diffusion wave: first + multiple + replacement."""
-    if curve.penetration.size != curve.rate.size:
-        raise FormatError("curve penetration and rate grids do not match")
     step = curve.step
     out = curve.rate + multiple_sales(
         np.clip(curve.penetration, 0.0, 1.0), wave.multiple_rate

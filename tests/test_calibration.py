@@ -1,3 +1,6 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -160,9 +163,9 @@ class TestPriceDeclineFit:
         assert shifted.floor_ratio_ == pytest.approx(aligned.floor_ratio_, abs=1e-9)
         assert shifted.predict(1965.0) == pytest.approx(aligned.predict(5.0), rel=1e-9)
 
-    def test_transform_uses_fitted_floor(self):
+    def test_price_function_at_the_fitted_floor_is_the_decline(self):
         fit = PriceDeclineFit().fit(price_series(0.2, 0.33))
-        out = fit.transform(price_series(0.2, 0.33))
+        out = price_function(price_series(0.2, 0.33), FitSpec(), fit.floor_ratio_)
         assert np.allclose(out.values, np.exp(-0.2 * out.years), atol=1e-6)
 
     def test_unfitted_predict_raises(self):
@@ -234,6 +237,31 @@ class TestSynthesize:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             synthesize("volume", BENCHMARKS["fax"])
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("innovation", 0.0),
+            ("imitation", -0.1),
+            ("spreading_plateau", 1.5),
+            ("evolutionary_plateau", 0.0),
+            ("shape", 0.0),
+            ("decline_rate", -0.1),
+        ],
+    )
+    def test_good_the_closed_forms_reject_is_rejected(self, field, value):
+        good = dataclasses.replace(BENCHMARKS["bw_tv"], **{field: value})
+        for kind in ("nominal_price", "penetration", "sales"):
+            with pytest.raises(ValueError):
+                synthesize(kind, good)
+
+    def test_zero_imitation_synthesizes_without_warnings(self):
+        good = dataclasses.replace(BENCHMARKS["bw_tv"], imitation=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for kind in ("penetration", "sales"):
+                values = synthesize(kind, good).values
+                assert np.all(np.isfinite(values)) and values.max() > 0, kind
 
 
 class TestSeparableLm:

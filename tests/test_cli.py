@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from evomarket.benchmarks import BENCHMARKS, ROUND_TRIP_GOODS
-from evomarket.calibration import TWO_WAVE_STARTS, _REFINE_STARTS, synthesize
+from evomarket.benchmarks import BENCHMARKS, ROUND_TRIP_GOODS, VCR_FORMAT_CONTEST
+from evomarket.calibration import FisherPryFit, TWO_WAVE_STARTS, _REFINE_STARTS, synthesize
 from evomarket.cli import (
     EXIT_FIT,
     EXIT_FORMAT,
@@ -149,6 +149,33 @@ sales_series = {data_dir}/sales.csv
         assert f"starts_refined: {_REFINE_STARTS}" in meta
         assert "nfev_refined: " in meta
         assert "nfev_refined" not in (out / "fit_table.csv").read_text(encoding="utf-8")
+
+    def test_fit_plot_flag_writes_svg(self, tmp_path):
+        data = tmp_path / "data"
+        synth_cfg = write_config(
+            tmp_path, "[good]\nbenchmark = colour_tv\n[synth]\nnoise = 0\n"
+        )
+        assert run("synth", "--config", str(synth_cfg), "--out", str(data)) == EXIT_OK
+        fit_cfg = self.fit_config(tmp_path, data)
+        out = tmp_path / "fitted"
+        assert run("fit", "--config", str(fit_cfg), "--out", str(out), "--plot") == EXIT_OK
+        svg = (out / "fit.svg").read_text(encoding="utf-8")
+        assert svg.startswith("<svg") and "polyline" in svg
+
+    def test_synth_share_near_saturation_is_not_clipped(self, tmp_path):
+        # vcr's share passes 0.998 within 30 years; noise on the share
+        # itself, not on its logit, clipped 7 of these values to 1 - 1e-6
+        # and biased the fitted advantage to 0.435
+        cfg = write_config(
+            tmp_path,
+            "[good]\nbenchmark = vcr\n[synth]\nkinds = share\npoints = 30\nnoise = 0.02\n",
+        )
+        out = tmp_path / "out"
+        assert run("synth", "--config", str(cfg), "--seed", "0", "--out", str(out)) == EXIT_OK
+        share = read_series_csv(out / "share.csv")
+        assert np.all(share.values < 1.0 - 1e-6)
+        fit = FisherPryFit(origin_year=BENCHMARKS["vcr"].intro_year).fit(share)
+        assert fit.advantage_ == pytest.approx(VCR_FORMAT_CONTEST["advantage"], rel=0.01)
 
     @pytest.mark.usefixtures("lm_stops_at_three_evaluations")
     def test_fit_stopped_by_the_evaluation_limit_reads_unconverged(self, tmp_path):
@@ -305,6 +332,14 @@ class TestDist:
         report = (out / "dist_report.txt").read_text(encoding="utf-8")
         assert "ks distance" in report
         assert "long-window mean" in report
+
+    def test_plot_flag_writes_svg(self, tmp_path):
+        cfg = write_config(tmp_path, "[dist]\npaths = 300\nkeep = 40\n")
+        out = tmp_path / "out"
+        code = run("dist", "--config", str(cfg), "--seed", "3", "--out", str(out), "--plot")
+        assert code == EXIT_OK
+        svg = (out / "dist.svg").read_text(encoding="utf-8")
+        assert svg.startswith("<svg") and "polyline" in svg
 
     def test_reports_long_window_standard_error(self, tmp_path):
         cfg = write_config(tmp_path, "[dist]\npaths = 300\nkeep = 40\n")

@@ -18,7 +18,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.optimize import lsq_linear
 
 from evomarket import calibration
-from evomarket.benchmarks import BENCHMARKS, GoodParams
+from evomarket.benchmarks import BENCHMARKS, GoodParams, wave_params
 from evomarket.calibration import (
     TWO_WAVE_STARTS,
     PriceDeclineFit,
@@ -33,6 +33,7 @@ from evomarket.diffusion import (
     bass_penetration,
     bass_rate,
     gompertz_penetration,
+    gompertz_rate,
 )
 from evomarket.lifecycle import WaveParams, replacement_sales, wave_sales
 from evomarket.errors import FormatError
@@ -237,6 +238,54 @@ def two_wave_goods(draw):
         evolutionary_lifetime=draw(lifetimes),
         market_potential_millions=None,
     )
+
+
+def one_echo_sum(kind, good, t):
+    """Penetration or sales of both waves from ``diffusion``'s public closed forms.
+
+    A sale is first purchases, plus multiple purchase in proportion to
+    the penetration, plus one replacement echo a lifetime behind.
+    """
+    spreading, evolutionary, _ = wave_params(good)
+    bass = BassParams(good.innovation, good.imitation, good.spreading_plateau)
+    gompertz = GompertzParams(good.evolutionary_plateau, good.shape, good.decline_rate)
+    t_evo = t - good.onset_delay
+    if kind == "penetration":
+        return bass_penetration(t, bass) + gompertz_penetration(t_evo, gompertz)
+    # the spreading echo is zero less than one lifetime after the introduction
+    spreading_echo = np.zeros_like(t)
+    if spreading.replacement_fraction > 0:
+        aged = t >= spreading.lifetime
+        spreading_echo[aged] = bass_rate(t[aged] - spreading.lifetime, bass)
+    # the evolutionary echo runs on the all-real clock and is never cut off
+    evolutionary_echo = gompertz_rate(t_evo - (evolutionary.lifetime or 0.0), gompertz)
+    return (
+        bass_rate(t, bass)
+        + spreading.multiple_rate * bass_penetration(t, bass)
+        + spreading.replacement_fraction * spreading_echo
+        + gompertz_rate(t_evo, gompertz)
+        + evolutionary.multiple_rate * gompertz_penetration(t_evo, gompertz)
+        + evolutionary.replacement_fraction * evolutionary_echo
+    )
+
+
+def assert_synthesized_is_the_one_echo_sum(good, n_points=40):
+    t = np.arange(float(n_points))
+    for kind in ("penetration", "sales"):
+        expected = one_echo_sum(kind, good, t)
+        out = synthesize(kind, good, n_points).values
+        assert np.max(np.abs(out - expected)) <= 1e-13 * np.max(expected), kind
+
+
+@pytest.mark.parametrize("name", list(BENCHMARKS))
+def test_synthesize_is_the_one_echo_sum_of_the_closed_forms(name):
+    assert_synthesized_is_the_one_echo_sum(BENCHMARKS[name])
+
+
+@PROPERTY_SETTINGS
+@given(good=two_wave_goods())
+def test_synthesize_is_the_one_echo_sum_of_the_closed_forms_on_the_box(good):
+    assert_synthesized_is_the_one_echo_sum(good)
 
 
 def first_purchases_only(good):
