@@ -40,15 +40,15 @@ def check_unit_interval(value: float, name: str) -> float:
     return value
 
 
-def uniform_grid_step(times: np.ndarray, name: str = "times") -> float:
+def uniform_grid_step(times: np.ndarray) -> float:
     """Return the grid step, raising FormatError when sampling is not uniform."""
     times = np.asarray(times, dtype=float)
     if times.size < 2:
-        raise FormatError(f"{name} needs at least two samples")
+        raise FormatError("times needs at least two samples")
     steps = np.diff(times)
     step = steps[0]
     if step <= 0 or not np.allclose(steps, step, rtol=1e-9, atol=1e-12):
-        raise FormatError(f"{name} must be sampled on a uniform increasing grid")
+        raise FormatError("times must be sampled on a uniform increasing grid")
     return float(step)
 
 

@@ -478,11 +478,11 @@ def least_squares(fun, x0, jac):
     passed explicitly, since ``leastsq``'s own default with a Jacobian is
     ``100 * (x0.size + 1)``.
 
-    Returns the end point ``x``, its residuals ``fun`` and ``cost``
-    (half their squared norm), the residual and Jacobian evaluations
-    ``nfev`` and ``njev``, MINPACK's return code ``status`` and
-    ``success``: whether a tolerance was met (codes 1 to 4) rather than
-    the evaluation limit (5) or a tolerance too small to reach (6 to 8).
+    Returns the end point ``x``, ``cost`` (half the squared norm of its
+    residuals), the residual and Jacobian evaluations ``nfev`` and
+    ``njev``, MINPACK's return code ``status`` and ``success``: whether
+    a tolerance was met (codes 1 to 4) rather than the evaluation limit
+    (5) or a tolerance too small to reach (6 to 8).
     """
     x, _, info, _, status = leastsq(
         fun,
@@ -498,7 +498,6 @@ def least_squares(fun, x0, jac):
     return OptimizeResult(
         x=x,
         cost=0.5 * np.dot(resid, resid),
-        fun=resid,
         nfev=info["nfev"],
         njev=info["njev"],
         status=status,
@@ -682,7 +681,6 @@ def synthesize(
     n_points: int = 30,
     noise: float = 0.0,
     seed: int | None = None,
-    intro_price: float = 1.0,
 ) -> TimeSeries:
     """Sample a model curve annually, optionally with multiplicative noise.
 
@@ -700,9 +698,7 @@ def synthesize(
     t = np.arange(n_points, dtype=float)
     if kind == "nominal_price":
         years = good.intro_year + good.onset_delay + t
-        values = intro_price * (
-            np.exp(-good.decline_rate * t) + (good.floor_ratio or 0.0)
-        )
+        values = np.exp(-good.decline_rate * t) + (good.floor_ratio or 0.0)
     elif kind in ("penetration", "sales"):
         years = good.intro_year + t
         times = (t, np.empty(0)) if kind == "penetration" else (np.empty(0), t)

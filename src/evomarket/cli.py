@@ -36,6 +36,7 @@ import argparse
 import configparser
 import dataclasses
 import functools
+import math
 import sys
 import time
 from pathlib import Path
@@ -93,14 +94,25 @@ def _load_config(path: Path | None) -> configparser.ConfigParser:
     return config
 
 
-def _get(config, section, option, cast, default):
+def _get(config, section, option, cast, default, low=None, strict=False):
+    """One config value, or ``default`` when the option is absent.
+
+    A float that is not finite is a usage error, and so, with ``low``
+    given, is a value below it (or equal to it, when ``strict``).
+    """
+    value = default
     if config.has_option(section, option):
         raw = config.get(section, option)
         try:
-            return cast(raw)
+            value = cast(raw)
         except ValueError as exc:
             raise UsageError(f"[{section}] {option}: cannot parse {raw!r}") from exc
-    return default
+        if isinstance(value, float) and not math.isfinite(value):
+            raise UsageError(f"[{section}] {option} must be finite, got {raw!r}")
+    if low is not None and not (value > low if strict else value >= low):
+        bound = "above" if strict else "at least"
+        raise UsageError(f"[{section}] {option} must be {bound} {low}, got {value!r}")
+    return value
 
 
 def _good_from_config(config) -> GoodParams:
@@ -166,8 +178,11 @@ def _warn(messages):
 def _cmd_simulate(args, config) -> int:
     good = _good_from_config(config)
     horizon = _get(config, "simulate", "horizon", float, 30.0)
-    step = _get(config, "simulate", "step", float, 0.1)
-    echoes = _get(config, "simulate", "echoes", int, 1)
+    step = _get(config, "simulate", "step", float, 0.1, low=0.0, strict=True)
+    echoes = _get(config, "simulate", "echoes", int, 1, low=1)
+    n_steps = int(round(horizon / step))
+    if n_steps < 1:
+        raise UsageError("[simulate] horizon must cover at least one step")
     spread_wave, evo_wave, warnings = wave_params(good)
     _warn(warnings)
 
@@ -177,7 +192,7 @@ def _cmd_simulate(args, config) -> int:
         shape=good.shape,
         rate=good.decline_rate,
     )
-    grid = step * np.arange(int(round(horizon / step)) + 1)
+    grid = step * np.arange(n_steps + 1)
     bass_curve = AdoptionCurve(grid, bass_penetration(grid, bass), bass_rate(grid, bass))
     evo_curve = AdoptionCurve(
         grid, gompertz_penetration(grid, gomp), gompertz_rate(grid, gomp)
@@ -325,8 +340,8 @@ def _cmd_fit(args, config) -> int:
 def _cmd_synth(args, config) -> int:
     good = _good_from_config(config)
     kinds = _get(config, "synth", "kinds", str, "nominal_price,penetration,sales")
-    n_points = _get(config, "synth", "points", int, 30)
-    noise = _get(config, "synth", "noise", float, 0.0)
+    n_points = _get(config, "synth", "points", int, 30, low=2)
+    noise = _get(config, "synth", "noise", float, 0.0, low=0.0)
     seed = args.seed if args.seed is not None else _get(config, "synth", "seed", int, 0)
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
@@ -359,9 +374,9 @@ def _cmd_synth(args, config) -> int:
 
 def _cmd_dist(args, config) -> int:
     seed = args.seed if args.seed is not None else _get(config, "dist", "seed", int, 7)
-    n_paths = _get(config, "dist", "paths", int, 20000)
-    keep = _get(config, "dist", "keep", int, 500)
-    dt = _get(config, "dist", "dt", float, 1e-3)
+    n_paths = _get(config, "dist", "paths", int, 20000, low=1)
+    keep = _get(config, "dist", "keep", int, 500, low=1)
+    dt = _get(config, "dist", "dt", float, 1e-3, low=0.0, strict=True)
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
 
@@ -382,13 +397,14 @@ def _cmd_dist(args, config) -> int:
     skew = float((centered**3).mean() / m2**1.5)
     kurt = float((centered**4).mean() / m2**2 - 3.0)
 
+    repro_params = stochastic.ReproductionSimParams(
+        compensation=10.0, jump_size=0.05, amortization=100.0
+    )
     repro = stochastic.reproduction_param_sim(
-        stochastic.ReproductionSimParams(
-            compensation=10.0, jump_size=0.05, amortization=100.0
-        ),
-        dt=0.02,
-        steps=1_500_000,
-        seed=seed + 2,
+        repro_params, dt=0.02, steps=1_500_000, seed=seed + 2
+    )
+    long_target = repro_params.jump_size / (
+        repro_params.amortization * repro_params.compensation
     )
     short_mean = float(repro.short_window_means.mean())
 
@@ -402,8 +418,7 @@ def _cmd_dist(args, config) -> int:
         f"log-size excess kurtosis: {kurt!r}",
         f"reproduction short-window mean: {short_mean!r}",
         f"reproduction long-window mean: {repro.long_window_mean!r}",
-        "reproduction long-window target: "
-        f"{0.05 / (100.0 * 10.0)!r}",
+        f"reproduction long-window target: {long_target!r}",
         "reproduction long-window standard error: "
         f"{repro.long_window_standard_error!r}",
     ]
@@ -432,8 +447,8 @@ def _cmd_replicate(args, config) -> int:
         if args.seed is not None
         else _get(config, "replicate", "seed", int, 20250808)
     )
-    n_seeds = _get(config, "replicate", "seeds", int, 50)
-    noise = _get(config, "replicate", "noise", float, 0.02)
+    n_seeds = _get(config, "replicate", "seeds", int, 50, low=1)
+    noise = _get(config, "replicate", "noise", float, 0.02, low=0.0)
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
 

@@ -10,8 +10,8 @@ times demand prefactor times affordable market volume at its price.
 The micro-dynamics is stepped with fourth-order Runge–Kutta; the
 replicator, whose fitnesses are fixed within a step, is stepped exactly.
 
-Two clocks appear throughout: ``tau`` is the fast clock, related to
-years by ``tau = clock_ratio * t`` with a small ``clock_ratio``.
+Two clocks appear throughout: the steps advance ``tau``, the fast
+market clock, while :func:`fisher_pry_share` works on calendar years.
 Populations are value-semantic; stepping returns new objects.
 """
 
@@ -95,33 +95,23 @@ class DemandState:
 class Population:
     """Value-semantic collection of competing products with a clock.
 
-    Parameters
-    ----------
-    products : sequence of Product
-    clock_ratio : float
-        Ratio of the fast clock to calendar years, in (0, 0.1].
-    tau : float
-        Current fast-clock time.
+    ``tau`` is the fast-clock time, 0 for a new population; each step
+    returns a population with ``tau`` advanced by its step.
     """
 
-    def __init__(
-        self, products: Sequence[Product], clock_ratio: float = 0.01, tau: float = 0.0
-    ):
+    def __init__(self, products: Sequence[Product]):
         if len(products) == 0:
             raise ValueError("population must contain at least one product")
-        if not 0.0 < clock_ratio <= 0.1:
-            raise ValueError("clock_ratio must lie in (0, 0.1]")
         self._sales = np.array([p.sales for p in products], dtype=float)
         self._stocks = np.array([p.stock for p in products], dtype=float)
         self._prices = np.array([p.price for p in products], dtype=float)
         self._preferences = np.array([p.preference for p in products], dtype=float)
         self._reproductions = np.array([p.reproduction for p in products], dtype=float)
-        self.clock_ratio = float(clock_ratio)
-        self.tau = float(tau)
+        self.tau = 0.0
 
     @classmethod
     def from_arrays(
-        cls, sales, stocks, prices, preferences, reproductions, clock_ratio, tau
+        cls, sales, stocks, prices, preferences, reproductions, tau
     ) -> "Population":
         """A population holding the given float arrays themselves, not copies.
 
@@ -135,7 +125,6 @@ class Population:
         pop._prices = prices
         pop._preferences = preferences
         pop._reproductions = reproductions
-        pop.clock_ratio = float(clock_ratio)
         pop.tau = float(tau)
         return pop
 
@@ -172,10 +161,6 @@ class Population:
         if total <= 0:
             raise ValueError("shares are undefined for a zero-sales population")
         return self._sales / total
-
-    @property
-    def years(self) -> float:
-        return self.tau / self.clock_ratio
 
 
 def fitness(product: Product, prefactor: float, market: MarketStructure) -> float:
@@ -241,7 +226,6 @@ def replicator_step(
         pop._prices,
         pop._preferences,
         pop._reproductions,
-        pop.clock_ratio,
         pop.tau + dtau,
     )
 
@@ -322,7 +306,6 @@ def micro_step(
         prices,
         eta,
         gamma,
-        pop.clock_ratio,
         pop.tau + dtau,
     )
     repurchase = new_psi - demand.first_purchase
@@ -337,15 +320,15 @@ def micro_step(
     return new_pop, new_demand
 
 
-def fisher_pry_share(t, advantage: float, intercept: float = 0.0, clock_ratio: float = 1.0):
+def fisher_pry_share(t, advantage: float, intercept: float = 0.0):
     """Market share of the fitter of two competitors at year ``t``.
 
     Logistic substitution: the log share ratio grows linearly,
-    ``log(m1/m2) = advantage * clock_ratio * t + intercept``.  Pass
-    ``clock_ratio=1`` when the advantage is already a per-year slope.
+    ``log(m1/m2) = advantage * t + intercept``, with ``advantage`` a
+    per-year slope.
     """
     t_arr = np.asarray(t, dtype=float)
-    out = 1.0 / (1.0 + np.exp(-(advantage * clock_ratio * t_arr + intercept)))
+    out = 1.0 / (1.0 + np.exp(-(advantage * t_arr + intercept)))
     return float(out) if np.isscalar(t) else out
 
 

@@ -56,17 +56,6 @@ class TimeSeries:
     def __len__(self) -> int:
         return self.years.size
 
-    def window(self, start: float | None = None, end: float | None = None) -> "TimeSeries":
-        """Sub-series with years in ``[start, end]`` (inclusive)."""
-        mask = np.ones(len(self), dtype=bool)
-        if start is not None:
-            mask &= self.years >= start
-        if end is not None:
-            mask &= self.years <= end
-        if not mask.any():
-            raise FormatError("window selects no observations")
-        return TimeSeries(self.years[mask], self.values[mask], self.kind)
-
 
 def read_series_csv(path) -> TimeSeries:
     """Parse a series file, reporting a malformed file by its first bad line.

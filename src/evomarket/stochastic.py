@@ -93,15 +93,13 @@ class ReproductionSimParams:
 
 @dataclass(frozen=True)
 class SizeDistParams:
-    """Lognormal size law: log drift, log volatility and reference size."""
+    """Lognormal law of unit sizes grown from 1: log drift and log volatility."""
 
     drift: float
     volatility: float
-    base_size: float = 1.0
 
     def __post_init__(self):
         check_positive(self.volatility, "volatility")
-        check_positive(self.base_size, "base_size")
 
 
 @dataclass(frozen=True)
@@ -112,7 +110,6 @@ class ReproductionSimResult:
     ``long_window_mean`` implied by the process parameters.
     """
 
-    times: np.ndarray
     path: np.ndarray
     short_window_means: np.ndarray
     short_window: float
@@ -170,13 +167,12 @@ def langevin_price_ensemble(
     n_paths: int,
     keep_steps: int,
     seed: int,
-    burn_in: float | None = None,
 ) -> np.ndarray:
     """Post-burn-in deviation samples from many independent paths.
 
     Runs ``n_paths`` paths from zero, discards a burn-in of
-    ``burn_in`` time units (default ``10 / (b^2 / noise)``, ten
-    relaxation times) and then keeps ``keep_steps`` consecutive states
+    ``10 / (b^2 / noise)`` time units, ten relaxation times, rounded to
+    whole steps, and then keeps ``keep_steps`` consecutive states
     of every path.  Returns the flattened samples, step-major:
     ``n_paths * keep_steps`` of them, the states of all paths at the
     first kept step, then at the second, and so on.
@@ -192,8 +188,7 @@ def langevin_price_ensemble(
     check_positive(dt, "dt")
     if n_paths < 1 or keep_steps < 1:
         raise ValueError("n_paths and keep_steps must be at least 1")
-    if burn_in is None:
-        burn_in = 10.0 * params.noise / params.restoring**2
+    burn_in = 10.0 * params.noise / params.restoring**2
     steps = int(round(burn_in / dt)) + keep_steps
     drift = params.restoring * dt
     kick = np.sqrt(params.noise * dt) / drift
@@ -306,17 +301,16 @@ def growth_rate_transform(y_prev, y_next):
 def lognormal_size_pdf(y, t, params: SizeDistParams):
     """Density of unit sizes after ``t`` time units of multiplicative growth.
 
-    ``log(y / base_size)`` is normal with mean ``drift * t`` and
-    variance ``volatility^2 * t``; the median is
-    ``base_size * exp(drift * t)`` and the distribution broadens with
-    time.
+    Sizes start at 1, so ``log(y)`` is normal with mean ``drift * t``
+    and variance ``volatility^2 * t``; the median is ``exp(drift * t)``
+    and the distribution broadens with time.
     """
     check_positive(t, "t")
     y_arr = np.asarray(y, dtype=float)
     if np.any(y_arr <= 0):
         raise ValueError("size must be positive")
     var = params.volatility**2 * t
-    log_dev = np.log(y_arr / params.base_size) - params.drift * t
+    log_dev = np.log(y_arr) - params.drift * t
     out = np.exp(-(log_dev**2) / (2.0 * var)) / (y_arr * np.sqrt(2.0 * np.pi * var))
     return float(out) if np.isscalar(y) else out
 
@@ -326,9 +320,8 @@ def multiplicative_growth_sim(
     steps: int,
     rate_sampler,
     seed: int,
-    base_size: float = 1.0,
 ) -> np.ndarray:
-    """Grow ``n_units`` unit sizes through i.i.d. multiplicative shocks.
+    """Grow ``n_units`` unit sizes from 1 through i.i.d. multiplicative shocks.
 
     Each step multiplies every size by ``exp(r)`` with ``r`` drawn from
     ``rate_sampler(rng, size)``.  With heavy-tailed rates the log sizes
@@ -338,22 +331,20 @@ def multiplicative_growth_sim(
     Parameters
     ----------
     n_units, steps : int
-        ``steps=0`` returns all sizes at ``base_size``.
+        ``steps=0`` returns all sizes at 1.
     rate_sampler : callable
         ``rate_sampler(rng, size) -> ndarray`` of growth rates.
     seed : int
-    base_size : float
     """
     if n_units < 1:
         raise ValueError("n_units must be at least 1")
     if steps < 0:
         raise ValueError("steps must be non-negative")
-    check_positive(base_size, "base_size")
     rng = np.random.default_rng(seed)
     log_sizes = np.zeros(n_units)
     for _ in range(steps):
         log_sizes += np.asarray(rate_sampler(rng, n_units), dtype=float)
-    return base_size * np.exp(log_sizes)
+    return np.exp(log_sizes)
 
 
 def reproduction_param_sim(
@@ -406,7 +397,6 @@ def reproduction_param_sim(
     path[1:] = lfilter([1.0], [1.0, -decay], inputs)
     if start != 0.0:
         path[1:] += start * decay ** np.arange(1, steps + 1)
-    times = dt * np.arange(steps + 1)
 
     burn_idx = min(int(round(5.0 / params.compensation / dt)), steps)
     window_len = max(int(round(10.0 / params.compensation / dt)), 1)
@@ -421,7 +411,6 @@ def reproduction_param_sim(
         params.noise_amp**2 * dt + params.jump_size**2 * dt / params.amortization
     )
     return ReproductionSimResult(
-        times=times,
         path=path,
         short_window_means=window_means,
         short_window=window_len * dt,

@@ -41,6 +41,33 @@ class TestUsageErrors:
         cfg = write_config(tmp_path, "[good]\nbenchmark = colour_tv\n")
         assert run("fit", "--config", str(cfg), "--out", str(tmp_path)) == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "command, good, setting",
+        [
+            ("simulate", "bw_tv", "[simulate]\nstep = 0"),
+            ("simulate", "bw_tv", "[simulate]\nstep = -0.1"),
+            ("simulate", "bw_tv", "[simulate]\nhorizon = 0"),
+            ("simulate", "bw_tv", "[simulate]\nhorizon = inf"),
+            ("simulate", "bw_tv", "[simulate]\nechoes = 0"),
+            ("simulate", "colour_tv", "[simulate]\nechoes = 0"),
+            ("dist", "bw_tv", "[dist]\npaths = 0"),
+            ("dist", "bw_tv", "[dist]\nkeep = 0"),
+            ("dist", "bw_tv", "[dist]\ndt = -1"),
+            ("dist", "bw_tv", "[dist]\ndt = nan"),
+            ("synth", "bw_tv", "[synth]\npoints = 1"),
+            ("synth", "bw_tv", "[synth]\nnoise = -0.1"),
+            ("replicate", "bw_tv", "[replicate]\nseeds = 0"),
+            ("replicate", "bw_tv", "[replicate]\nnoise = -0.02"),
+        ],
+    )
+    def test_bad_config_value(self, tmp_path, capsys, command, good, setting):
+        cfg = write_config(tmp_path, f"[good]\nbenchmark = {good}\n{setting}\n")
+        out = tmp_path / "out"
+        assert run(command, "--config", str(cfg), "--out", str(out)) == EXIT_USAGE
+        option = setting.split("\n")[1].split(" =")[0]
+        assert option in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSimulate:
     def test_writes_series_files(self, tmp_path):

@@ -266,11 +266,6 @@ class TestFisherPryShare:
         assert t_ninety == pytest.approx(9.99, abs=0.01)
         assert fisher_pry_share(t_ninety, 0.22, 0.0) == pytest.approx(0.9, rel=1e-9)
 
-    def test_clock_ratio_scaling(self):
-        assert fisher_pry_share(10.0, 0.22, 0.0, clock_ratio=1.0) == pytest.approx(
-            fisher_pry_share(1000.0, 0.22, 0.0, clock_ratio=0.01), rel=1e-12
-        )
-
 
 class TestSalesMeanPrice:
     def test_uniform_prices(self):

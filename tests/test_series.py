@@ -28,15 +28,6 @@ class TestTimeSeries:
         with pytest.raises(ValueError):
             TimeSeries(np.array([1950.0, 1951.0]), np.array([0.1, np.nan]))
 
-    def test_window(self):
-        ts = TimeSeries(np.arange(1950.0, 1960.0), np.arange(10.0), "sales")
-        cut = ts.window(1952.0, 1954.0)
-        assert list(cut.years) == [1952.0, 1953.0, 1954.0]
-
-    def test_empty_window_rejected(self):
-        ts = TimeSeries(np.arange(1950.0, 1960.0), np.arange(10.0))
-        with pytest.raises(FormatError):
-            ts.window(3000.0, 4000.0)
 
 
 class TestReadSeriesCsv:

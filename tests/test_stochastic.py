@@ -54,9 +54,8 @@ class TestLangevinPriceEnsemble:
     BLOCK = stochastic._BLOCK_PATHS
 
     def ensemble(self, n_paths, seed=5, keep_steps=10):
-        return langevin_price_ensemble(
-            UNIT_NOISE, 1e-3, n_paths, keep_steps, seed, burn_in=0.02
-        )
+        # dt = 0.5 makes the burn-in of ten relaxation times 20 steps
+        return langevin_price_ensemble(UNIT_NOISE, 0.5, n_paths, keep_steps, seed)
 
     def test_same_seed_is_bit_identical(self):
         n_paths = self.BLOCK + 300
@@ -80,6 +79,21 @@ class TestLangevinPriceEnsemble:
         samples = self.ensemble(n_paths, keep_steps=4)
         assert samples.shape == (4 * n_paths,)
         assert np.all(np.isfinite(samples))
+
+    @pytest.mark.parametrize(
+        "params, dt",
+        [(UNIT_NOISE, 1e-2), (PriceNoiseParams(restoring=0.5, noise=0.3), 2e-2)],
+    )
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_one_path_matches_the_scalar_stepper(self, params, dt, seed):
+        # the ensemble's block stepper works in units of the drift step;
+        # from the same stream it must step the scalar loop's equation
+        keep = 50
+        burn_in_steps = int(round(10.0 * params.noise / params.restoring**2 / dt))
+        stream = np.random.SeedSequence(seed).spawn(1)[0]
+        path = langevin_price_sim(params, dt, burn_in_steps + keep, stream)
+        samples = langevin_price_ensemble(params, dt, 1, keep, seed)
+        assert np.allclose(samples, path[-keep:], rtol=0.0, atol=1e-11)
 
     def test_blocks_draw_distinct_streams(self):
         states = self.ensemble(2 * self.BLOCK).reshape(10, -1)
@@ -210,7 +224,7 @@ class TestGrowthRateTransform:
 
 
 class TestLognormalSizePdf:
-    params = SizeDistParams(drift=0.05, volatility=0.3, base_size=2.0)
+    params = SizeDistParams(drift=0.05, volatility=0.3)
 
     def test_integrates_to_one(self):
         total, _ = quad(lambda y: lognormal_size_pdf(y, 4.0, self.params), 0, np.inf)
@@ -218,16 +232,16 @@ class TestLognormalSizePdf:
 
     def test_median(self):
         t = 4.0
-        median = self.params.base_size * np.exp(self.params.drift * t)
+        median = np.exp(self.params.drift * t)
         mass, _ = quad(lambda y: lognormal_size_pdf(y, t, self.params), 0, median)
         assert mass == pytest.approx(0.5, abs=1e-8)
 
     def test_log_symmetry_without_drift(self):
-        params = SizeDistParams(drift=0.0, volatility=0.4, base_size=1.5)
+        params = SizeDistParams(drift=0.0, volatility=0.4)
         t = 2.0
         for factor in (1.3, 2.0, 5.0):
-            up = lognormal_size_pdf(params.base_size * factor, t, params)
-            down = lognormal_size_pdf(params.base_size / factor, t, params)
+            up = lognormal_size_pdf(factor, t, params)
+            down = lognormal_size_pdf(1.0 / factor, t, params)
             assert up * factor == pytest.approx(down / factor, rel=1e-10)
 
     def test_nonpositive_size_rejected(self):
@@ -237,8 +251,8 @@ class TestLognormalSizePdf:
 
 class TestMultiplicativeGrowthSim:
     def test_zero_steps_identity(self):
-        sizes = multiplicative_growth_sim(5, 0, lambda rng, n: rng.normal(size=n), 3, 2.0)
-        assert np.all(sizes == 2.0)
+        sizes = multiplicative_growth_sim(5, 0, lambda rng, n: rng.normal(size=n), 3)
+        assert np.all(sizes == 1.0)
 
     def test_degenerate_rate(self):
         sizes = multiplicative_growth_sim(4, 10, lambda rng, n: np.full(n, 0.1), 3)
