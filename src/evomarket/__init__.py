@@ -13,7 +13,6 @@ from .benchmarks import BENCHMARKS, GoodParams, ROUND_TRIP_GOODS, VCR_FORMAT_CON
 from .calibration import (
     FisherPryFit,
     FitResult,
-    FitSpec,
     PriceDeclineFit,
     fit_two_wave,
     price_function,
@@ -47,7 +46,6 @@ from .evodyn import (
     Population,
     Product,
     fisher_pry_share,
-    fitness,
     mean_fitness,
     mean_price_drift,
     micro_step,

@@ -168,8 +168,6 @@ ROUND_TRIP_GOODS = ("colour_tv", "fax", "bw_tv", "vcr")
 # of VHS over Betamax and the (zero) intercept of the log share ratio.
 VCR_FORMAT_CONTEST = {"advantage": 0.22, "intercept": 0.0}
 
-_DEFAULT_LIFETIME = 9.0
-
 
 def wave_params(good: GoodParams) -> tuple[WaveParams, WaveParams, list[str]]:
     """Repurchase parameters of both waves, treating blanks as zero.
@@ -192,11 +190,11 @@ def wave_params(good: GoodParams) -> tuple[WaveParams, WaveParams, list[str]]:
     spreading = WaveParams(
         multiple_rate=spread_q,
         replacement_fraction=spread_r,
-        lifetime=(good.spreading_lifetime or _DEFAULT_LIFETIME) if spread_r > 0 else None,
+        lifetime=good.spreading_lifetime if spread_r > 0 else None,
     )
     evolutionary = WaveParams(
         multiple_rate=evo_q,
         replacement_fraction=evo_r,
-        lifetime=(good.evolutionary_lifetime or _DEFAULT_LIFETIME) if evo_r > 0 else None,
+        lifetime=good.evolutionary_lifetime if evo_r > 0 else None,
     )
     return spreading, evolutionary, warnings

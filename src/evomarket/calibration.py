@@ -61,7 +61,6 @@ from .market import IncomeModel
 from .series import TimeSeries
 
 __all__ = [
-    "FitSpec",
     "FitResult",
     "PriceDeclineFit",
     "FisherPryFit",
@@ -105,27 +104,6 @@ _REFINE_STARTS = 4
 # Observations below this fraction of a series' maximum are weighted as
 # if they sat at it, so exact zeros (before an onset) keep a finite weight.
 _WEIGHT_FLOOR = 1e-3
-
-
-@dataclass(frozen=True)
-class FitSpec:
-    """Analyst-supplied protocol choices for one good.
-
-    ``onset_delay`` (years between introduction and the start of the
-    evolutionary price decline) and the introduction price are fixed by
-    the analyst, not fitted.  ``income`` enables deflation of nominal
-    prices for long horizons.
-    """
-
-    intro_year: float = 0.0
-    onset_delay: float = 0.0
-    intro_price: float = 1.0
-    income: IncomeModel | None = None
-
-    def __post_init__(self):
-        check_positive(self.intro_price, "intro_price")
-        if self.onset_delay < 0:
-            raise ValueError("onset_delay must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -177,36 +155,39 @@ def series_digest(series: TimeSeries) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _scaled_prices(series: TimeSeries, spec: FitSpec) -> tuple[np.ndarray, np.ndarray]:
+def _scaled_prices(series: TimeSeries, fit: PriceDeclineFit):
     """Observation times on the decline clock and prices scaled to the start.
 
-    Nominal prices are deflated by the income model when one is given,
-    then scaled by the (equally deflated) introduction price.
+    Nominal prices are deflated by the fit's income model when it has
+    one, then scaled by the (equally deflated) introduction price.
     """
-    onset = spec.intro_year + spec.onset_delay
+    check_positive(fit.intro_price, "intro_price")
+    if fit.onset_delay < 0:
+        raise ValueError("onset_delay must be non-negative")
+    onset = fit.intro_year + fit.onset_delay
     mask = series.years >= onset - 1e-9
     years = series.years[mask]
     prices = series.values[mask]
-    if spec.income is not None:
-        prices = prices / spec.income.at_year(years)
-        ref = spec.intro_price / spec.income.at_year(onset)
+    if fit.income is not None:
+        prices = prices / fit.income.at_year(years)
+        ref = fit.intro_price / fit.income.at_year(onset)
     else:
-        ref = spec.intro_price
+        ref = fit.intro_price
     return years - onset, prices / ref
 
 
 def price_function(
-    series: TimeSeries, spec: FitSpec, floor_ratio: float
+    series: TimeSeries, fit: PriceDeclineFit, floor_ratio: float
 ) -> TimeSeries:
     """Scaled price path ``(price - floor) / intro_price`` on the decline clock.
 
-    Income deflation is applied first when the spec carries an income
-    model.  The result is the quantity whose log is linear in time under
-    an exponential decline.
+    ``fit``, fitted or not, supplies the onset and the deflation.  The
+    result is the quantity whose log is linear in time under an
+    exponential decline.
     """
     if not 0.0 <= floor_ratio < 1.0:
         raise ValueError("floor_ratio must lie in [0, 1)")
-    t_prime, scaled = _scaled_prices(series, spec)
+    t_prime, scaled = _scaled_prices(series, fit)
     if t_prime.size == 0:
         raise FitError("no observations after the decline onset")
     return TimeSeries(t_prime, scaled - floor_ratio, kind=None)
@@ -227,8 +208,10 @@ class PriceDeclineFit(BaseModel):
     Parameters
     ----------
     intro_year, onset_delay, intro_price, income :
-        See :class:`FitSpec`; they are replicated here so the estimator
-        is self-contained.
+        The introduction year, the years from it to the start of the
+        decline (>= 0, fixed by the analyst, not fitted), the nominal
+        price the series is scaled by (> 0), and an optional
+        :class:`IncomeModel` that deflates nominal prices.
 
     Attributes
     ----------
@@ -264,16 +247,8 @@ class PriceDeclineFit(BaseModel):
         self.intro_price = intro_price
         self.income = income
 
-    def _spec(self) -> FitSpec:
-        return FitSpec(
-            intro_year=self.intro_year,
-            onset_delay=self.onset_delay,
-            intro_price=self.intro_price,
-            income=self.income,
-        )
-
     def fit(self, series: TimeSeries):
-        t_prime, scaled = _scaled_prices(series, self._spec())
+        t_prime, scaled = _scaled_prices(series, self)
         if t_prime.size < 4:
             raise FitError("price fit needs at least 4 observations after the onset")
         # the amplitude refers to the first observation, so a clock far
@@ -638,15 +613,9 @@ class FisherPryFit(BaseModel):
     def __init__(self, origin_year: float = 0.0):
         self.origin_year = origin_year
 
-    def fit(self, X, y=None):
-        if isinstance(X, TimeSeries):
-            t = X.years - self.origin_year
-            shares = X.values
-        else:
-            t = as_float_array(X, "times")
-            shares = as_float_array(y, "shares")
-        if t.size != shares.size:
-            raise ValueError("times and shares must have equal length")
+    def fit(self, series: TimeSeries):
+        t = series.years - self.origin_year
+        shares = series.values
         if np.any((shares <= 0) | (shares >= 1)):
             raise ValueError("shares must lie strictly inside (0, 1)")
         if t.size < 2:

@@ -115,7 +115,7 @@ def _get(config, section, option, cast, default, low=None, strict=False):
     return value
 
 
-def _good_from_config(config) -> GoodParams:
+def _read_good(config) -> GoodParams:
     name = _get(config, "good", "benchmark", str, None)
     if name is not None:
         if name not in BENCHMARKS:
@@ -137,9 +137,9 @@ def _good_from_config(config) -> GoodParams:
         if value is None:
             raise UsageError(f"[good] needs either 'benchmark' or '{key}'")
         values[key] = value
+    values["onset_delay"] = _get(config, "good", "onset_delay", float, 0.0, low=0.0)
     optional = {
         "intro_year": 0.0,
-        "onset_delay": 0.0,
         "floor_ratio": None,
         "spreading_replacement": None,
         "spreading_multiple": None,
@@ -154,15 +154,37 @@ def _good_from_config(config) -> GoodParams:
     return GoodParams(name=_get(config, "good", "name", str, "custom"), **values)
 
 
+def _good_from_config(config):
+    """``(good, bass, gompertz, wave_params(good))`` of the configured good.
+
+    A value that their constructors reject is a usage error naming the
+    ``[good]`` options that the failing constructor reads.
+    """
+    good = _read_good(config)
+    options = "innovation, imitation or spreading_plateau"
+    try:
+        bass = BassParams(good.innovation, good.imitation, good.spreading_plateau)
+        options = "evolutionary_plateau, shape or decline_rate"
+        gompertz = GompertzParams(good.evolutionary_plateau, good.shape, good.decline_rate)
+        options = (
+            "spreading_replacement, spreading_multiple, spreading_lifetime, "
+            "evolutionary_replacement, evolutionary_multiple or evolutionary_lifetime"
+        )
+        return good, bass, gompertz, wave_params(good)
+    except ValueError as exc:
+        raise UsageError(f"[good] {options}: {exc}") from exc
+
+
 def _income_from_config(config) -> IncomeModel | None:
     mean = _get(config, "fit", "income_mean", float, None)
     if mean is None:
         return None
-    return IncomeModel(
-        mean_income=mean,
-        growth=_get(config, "fit", "income_growth", float, 0.0),
-        ref_year=_get(config, "fit", "income_ref_year", float, 0.0),
-    )
+    growth = _get(config, "fit", "income_growth", float, 0.0)
+    ref_year = _get(config, "fit", "income_ref_year", float, 0.0)
+    try:
+        return IncomeModel(mean_income=mean, growth=growth, ref_year=ref_year)
+    except ValueError as exc:
+        raise UsageError(f"[fit] income_mean or income_growth: {exc}") from exc
 
 
 def _warn(messages):
@@ -176,22 +198,15 @@ def _warn(messages):
 
 
 def _cmd_simulate(args, config) -> int:
-    good = _good_from_config(config)
+    good, bass, gomp, (spread_wave, evo_wave, warnings) = _good_from_config(config)
     horizon = _get(config, "simulate", "horizon", float, 30.0)
     step = _get(config, "simulate", "step", float, 0.1, low=0.0, strict=True)
     echoes = _get(config, "simulate", "echoes", int, 1, low=1)
     n_steps = int(round(horizon / step))
     if n_steps < 1:
         raise UsageError("[simulate] horizon must cover at least one step")
-    spread_wave, evo_wave, warnings = wave_params(good)
     _warn(warnings)
 
-    bass = BassParams(good.innovation, good.imitation, good.spreading_plateau)
-    gomp = GompertzParams(
-        plateau=good.evolutionary_plateau,
-        shape=good.shape,
-        rate=good.decline_rate,
-    )
     grid = step * np.arange(n_steps + 1)
     bass_curve = AdoptionCurve(grid, bass_penetration(grid, bass), bass_rate(grid, bass))
     evo_curve = AdoptionCurve(
@@ -285,9 +300,9 @@ def read_fit_table(path) -> dict:
 
 
 def _cmd_fit(args, config) -> int:
-    good = _good_from_config(config)
+    good = _good_from_config(config)[0]
     income = _income_from_config(config)
-    intro_price = _get(config, "fit", "intro_price", float, 1.0)
+    intro_price = _get(config, "fit", "intro_price", float, 1.0, low=0.0, strict=True)
     price = _require_series(config, "price_series", "nominal_price")
     penetration = _require_series(config, "penetration_series", "penetration")
     sales = _require_series(config, "sales_series", "sales")
@@ -317,18 +332,17 @@ def _cmd_fit(args, config) -> int:
         meta_lines.append(f"{key}: {value}")
     (out / "fit_meta.txt").write_text("\n".join(meta_lines) + "\n", encoding="utf-8")
     if args.plot:
+        # the fitted plateau may be 0, which GompertzParams rejects, so
+        # scale the unit-plateau curve by it
         t_prime = penetration.years - good.intro_year - good.onset_delay
-        model = GompertzParams(
-            plateau=result.evolutionary_plateau,
-            shape=result.shape,
-            rate=result.decline_rate,
-        )
+        unit = GompertzParams(plateau=1.0, shape=result.shape, rate=result.decline_rate)
+        evolutionary = result.evolutionary_plateau * gompertz_penetration(t_prime, unit)
         write_line_plot(
             out / "fit.svg",
             penetration.years,
             [
                 ("observed penetration", penetration.values),
-                ("evolutionary wave", gompertz_penetration(t_prime, model)),
+                ("evolutionary wave", evolutionary),
             ],
             title=f"{result.good}: penetration fit",
             x_label="year",
@@ -338,11 +352,11 @@ def _cmd_fit(args, config) -> int:
 
 
 def _cmd_synth(args, config) -> int:
-    good = _good_from_config(config)
+    good = _good_from_config(config)[0]
     kinds = _get(config, "synth", "kinds", str, "nominal_price,penetration,sales")
     n_points = _get(config, "synth", "points", int, 30, low=2)
     noise = _get(config, "synth", "noise", float, 0.0, low=0.0)
-    seed = args.seed if args.seed is not None else _get(config, "synth", "seed", int, 0)
+    seed = args.seed if args.seed is not None else _get(config, "synth", "seed", int, 0, low=0)
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
     written = []
@@ -373,7 +387,7 @@ def _cmd_synth(args, config) -> int:
 
 
 def _cmd_dist(args, config) -> int:
-    seed = args.seed if args.seed is not None else _get(config, "dist", "seed", int, 7)
+    seed = args.seed if args.seed is not None else _get(config, "dist", "seed", int, 7, low=0)
     n_paths = _get(config, "dist", "paths", int, 20000, low=1)
     keep = _get(config, "dist", "keep", int, 500, low=1)
     dt = _get(config, "dist", "dt", float, 1e-3, low=0.0, strict=True)
@@ -445,7 +459,7 @@ def _cmd_replicate(args, config) -> int:
     seed = (
         args.seed
         if args.seed is not None
-        else _get(config, "replicate", "seed", int, 20250808)
+        else _get(config, "replicate", "seed", int, 20250808, low=0)
     )
     n_seeds = _get(config, "replicate", "seeds", int, 50, low=1)
     noise = _get(config, "replicate", "noise", float, 0.02, low=0.0)
@@ -534,6 +548,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
+        if args.seed is not None and args.seed < 0:
+            raise UsageError(f"--seed must be at least 0, got {args.seed}")
         config = _load_config(args.config)
         return _COMMANDS[args.command](args, config)
     except UsageError as exc:

@@ -13,17 +13,19 @@ adopters has adopted.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._integrate import rk4_integrate
+from ._integrate import rk4_step
 from ._validation import (
     as_float_array,
     check_nonnegative,
     check_positive,
     uniform_grid_step,
 )
+from .errors import NumericError
 from .market import MarketStructure
 
 __all__ = [
@@ -142,9 +144,6 @@ def bass_penetration(t, params: BassParams):
     plateau.  Matches :func:`bass_ode` to integrator accuracy.
     """
     t_arr = _check_nonneg_times(t)
-    if params.plateau == 0.0:
-        out = np.zeros_like(t_arr)
-        return float(out) if np.isscalar(t) else out
     a, b = params.innovation, params.imitation
     decay = np.exp(-(a + b) * t_arr)
     out = params.plateau * (1.0 - decay) / (1.0 + (b / a) * decay)
@@ -175,6 +174,7 @@ def bass_ode(params: BassParams, horizon: float, step: float = 1e-3) -> Adoption
         dn/dt = (innovation + imitation * n / plateau) * (plateau - n)
 
     Serves as the independent oracle for :func:`bass_penetration`.
+    Raises NumericError if the penetration stops being finite.
 
     Returns
     -------
@@ -184,21 +184,25 @@ def bass_ode(params: BassParams, horizon: float, step: float = 1e-3) -> Adoption
     check_positive(step, "step")
     if horizon < step:
         raise ValueError("horizon must be at least one step")
+    times = step * np.arange(int(round(horizon / step)) + 1)
     plateau = params.plateau
     if plateau == 0.0:
-        times = step * np.arange(int(round(horizon / step)) + 1)
+        # the right-hand side divides by the plateau
         zeros = np.zeros_like(times)
         return AdoptionCurve(times, zeros, zeros)
 
     a, b = params.innovation, params.imitation
 
-    def rhs(_t, state):
-        # a Python float, which broadcasts against the one-element state
-        n = float(state[0])
+    def rhs(_t, n):
         return (a + b * n / plateau) * (plateau - n)
 
-    times, states = rk4_integrate(rhs, [0.0], 0.0, horizon, step)
-    penetration = states[:, 0]
+    penetration = np.empty_like(times)
+    n = penetration[0] = 0.0
+    for i in range(1, times.size):
+        n = rk4_step(rhs, times[i - 1], n, step)
+        if not math.isfinite(n):
+            raise NumericError(f"integration diverged at t={times[i]:g}")
+        penetration[i] = n
     rate = (a + b * penetration / plateau) * (plateau - penetration)
     return AdoptionCurve(times, penetration, rate)
 

@@ -31,7 +31,6 @@ __all__ = [
     "Product",
     "DemandState",
     "Population",
-    "fitness",
     "population_fitness",
     "mean_fitness",
     "replicator_step",
@@ -161,23 +160,6 @@ class Population:
         if total <= 0:
             raise ValueError("shares are undefined for a zero-sales population")
         return self._sales / total
-
-
-def fitness(product: Product, prefactor: float, market: MarketStructure) -> float:
-    """Effective reproduction rate of one model.
-
-    Preference times reproduction coefficient times demand prefactor
-    times the market volume at the model's price; its sign follows the
-    reproduction coefficient, and at equal everything else a cheaper
-    model (above the minimum price) is fitter.
-    """
-    check_positive(prefactor, "prefactor")
-    return (
-        product.preference
-        * product.reproduction
-        * prefactor
-        * market_volume(product.price, market)
-    )
 
 
 def population_fitness(

@@ -9,7 +9,6 @@ from evomarket.benchmarks import BENCHMARKS, ROUND_TRIP_GOODS
 from evomarket import calibration
 from evomarket.calibration import (
     FisherPryFit,
-    FitSpec,
     TWO_WAVE_STARTS,
     PriceDeclineFit,
     _separable_lm,
@@ -67,18 +66,18 @@ def recorded_lm_runs(monkeypatch, fit):
 class TestPriceFunction:
     def test_normalization_at_start(self):
         series = price_series(0.2, 0.0)
-        out = price_function(series, FitSpec(), floor_ratio=0.0)
+        out = price_function(series, PriceDeclineFit(), floor_ratio=0.0)
         assert out.years[0] == 0.0
         assert out.values[0] == pytest.approx(1.0)
 
     def test_floor_maps_to_zero(self):
         series = TimeSeries(np.arange(5.0), np.full(5, 0.33), "nominal_price")
-        out = price_function(series, FitSpec(), floor_ratio=0.33)
+        out = price_function(series, PriceDeclineFit(), floor_ratio=0.33)
         assert np.allclose(out.values, 0.0)
 
     def test_exponential_synthetic_is_exact(self):
         series = price_series(0.2, 0.1)
-        out = price_function(series, FitSpec(), floor_ratio=0.1)
+        out = price_function(series, PriceDeclineFit(), floor_ratio=0.1)
         assert np.allclose(out.values, np.exp(-0.2 * out.years), rtol=1e-12)
 
     def test_income_deflation(self):
@@ -86,8 +85,8 @@ class TestPriceFunction:
         t = np.arange(10.0)
         nominal = income.at(t) * (0.8 * np.exp(-0.1 * t) + 0.0)
         series = TimeSeries(1950.0 + t, nominal, "nominal_price")
-        spec = FitSpec(intro_year=1950.0, intro_price=nominal[0], income=income)
-        out = price_function(series, spec, floor_ratio=0.0)
+        fit = PriceDeclineFit(intro_year=1950.0, intro_price=nominal[0], income=income)
+        out = price_function(series, fit, floor_ratio=0.0)
         assert np.allclose(out.values, np.exp(-0.1 * t), rtol=1e-12)
 
 
@@ -165,7 +164,7 @@ class TestPriceDeclineFit:
 
     def test_price_function_at_the_fitted_floor_is_the_decline(self):
         fit = PriceDeclineFit().fit(price_series(0.2, 0.33))
-        out = price_function(price_series(0.2, 0.33), FitSpec(), fit.floor_ratio_)
+        out = price_function(price_series(0.2, 0.33), fit, fit.floor_ratio_)
         assert np.allclose(out.values, np.exp(-0.2 * out.years), atol=1e-6)
 
     def test_unfitted_predict_raises(self):
@@ -185,20 +184,20 @@ class TestFisherPryFit:
     def test_exact_recovery(self):
         t = np.arange(12.0)
         shares = 1.0 / (1.0 + np.exp(-(0.22 * t + 0.0)))
-        fit = FisherPryFit().fit(t, shares)
+        fit = FisherPryFit().fit(TimeSeries(t, shares, "share"))
         assert fit.advantage_ == pytest.approx(0.22, abs=1e-12)
         assert fit.intercept_ == pytest.approx(0.0, abs=1e-12)
 
     def test_constant_half_share(self):
         t = np.arange(10.0)
-        fit = FisherPryFit().fit(t, np.full(10, 0.5))
+        fit = FisherPryFit().fit(TimeSeries(t, np.full(10, 0.5), "share"))
         assert fit.advantage_ == pytest.approx(0.0, abs=1e-15)
         assert fit.intercept_ == pytest.approx(0.0, abs=1e-15)
 
     def test_boundary_share_rejected(self):
         t = np.arange(3.0)
         with pytest.raises(ValueError):
-            FisherPryFit().fit(t, np.array([0.2, 1.0, 0.4]))
+            FisherPryFit().fit(TimeSeries(t, np.array([0.2, 1.0, 0.4]), "share"))
 
     def test_noisy_logit_monte_carlo(self):
         errors = []
@@ -207,7 +206,7 @@ class TestFisherPryFit:
             t = np.arange(10.0)
             logits = 0.22 * t + 0.02 * rng.standard_normal(10)
             shares = 1.0 / (1.0 + np.exp(-logits))
-            fit = FisherPryFit().fit(t, shares)
+            fit = FisherPryFit().fit(TimeSeries(t, shares, "share"))
             errors.append(fit.advantage_ / 0.22 - 1.0)
         assert abs(np.median(errors)) < 0.15
 

@@ -90,6 +90,8 @@ class TestBassOde:
         curve = bass_ode(params, horizon=5.0, step=0.01)
         assert np.all(curve.penetration == 0.0)
         assert np.all(curve.rate == 0.0)
+        assert np.all(bass_penetration(curve.times, params) == 0.0)
+        assert bass_penetration(2.5, params) == 0.0
 
     def test_colour_tv_saturates_at_plateau(self):
         curve = bass_ode(COLOUR_TV, horizon=30.0, step=1e-2)

@@ -9,7 +9,6 @@ from evomarket.evodyn import (
     Population,
     Product,
     fisher_pry_share,
-    fitness,
     mean_fitness,
     mean_price_drift,
     micro_step,
@@ -31,6 +30,11 @@ def two_products(f1_gamma=0.3, f2_gamma=0.1, price=0.05):
     )
 
 
+def fitness(product, prefactor, market):
+    """Fitness of a one-product population."""
+    return float(population_fitness(Population([product]), prefactor, market)[0])
+
+
 class TestFitness:
     def test_zero_reproduction(self, market):
         prod = Product(1.0, 1.0, 0.5, 1.0, 0.0)
@@ -50,7 +54,9 @@ class TestMeanFitness:
     def test_single_product(self, market):
         prod = Product(2.0, 1.0, 0.3, 1.2, 0.5)
         pop = Population([prod])
-        assert mean_fitness(pop, 1.0, market) == pytest.approx(fitness(prod, 1.0, market))
+        # preference * reproduction * prefactor * market volume, written out
+        expected = 1.2 * 0.5 * 1.0 * market_volume(0.3, market)
+        assert mean_fitness(pop, 1.0, market) == pytest.approx(expected)
 
     def test_equal_sales_arithmetic_mean(self, market):
         pop = Population(
