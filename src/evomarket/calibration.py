@@ -55,7 +55,7 @@ from .benchmarks import GoodParams, wave_params
 from .diffusion import BassParams, GompertzParams
 # not called here, but kept: the benchmark's tracer wraps these module attributes
 from .diffusion import bass_penetration, bass_rate, gompertz_penetration, gompertz_rate
-from .errors import FitError
+from .errors import FitError, FormatError
 from .evodyn import fisher_pry_share
 from .market import IncomeModel
 from .series import TimeSeries
@@ -616,8 +616,13 @@ class FisherPryFit(BaseModel):
     def fit(self, series: TimeSeries):
         t = series.years - self.origin_year
         shares = series.values
-        if np.any((shares <= 0) | (shares >= 1)):
-            raise ValueError("shares must lie strictly inside (0, 1)")
+        outside = np.flatnonzero((shares <= 0) | (shares >= 1))
+        if outside.size:
+            first = outside[0]
+            raise FormatError(
+                "shares must lie strictly inside (0, 1): "
+                f"year {float(series.years[first])!r} has share {float(shares[first])!r}"
+            )
         if t.size < 2:
             raise FitError("share fit needs at least 2 observations")
         logits = np.log(shares / (1.0 - shares))

@@ -248,9 +248,11 @@ def _cmd_simulate(args, config) -> int:
     return EXIT_OK
 
 
-def _require_series(config, option, kind) -> TimeSeries:
+def _fit_series(config, option, kind, required=True) -> TimeSeries | None:
     path = _get(config, "fit", option, str, None)
     if path is None:
+        if not required:
+            return None
         raise UsageError(f"[fit] {option} is required")
     if not Path(path).exists():
         raise UsageError(f"[fit] {option}: file not found: {path}")
@@ -303,20 +305,17 @@ def _cmd_fit(args, config) -> int:
     good = _good_from_config(config)[0]
     income = _income_from_config(config)
     intro_price = _get(config, "fit", "intro_price", float, 1.0, low=0.0, strict=True)
-    price = _require_series(config, "price_series", "nominal_price")
-    penetration = _require_series(config, "penetration_series", "penetration")
-    sales = _require_series(config, "sales_series", "sales")
+    price = _fit_series(config, "price_series", "nominal_price")
+    penetration = _fit_series(config, "penetration_series", "penetration")
+    sales = _fit_series(config, "sales_series", "sales")
+    share = _fit_series(config, "share_series", "share", required=False)
 
     result = calibration.fit_two_wave(
         price, penetration, sales, good, intro_price=intro_price, income=income
     )
     _warn(result.provenance.get("analyst_warnings", []))
 
-    share_path = _get(config, "fit", "share_series", str, None)
-    if share_path is not None:
-        if not Path(share_path).exists():
-            raise UsageError(f"[fit] share_series: file not found: {share_path}")
-        share = read_series_csv(share_path)
+    if share is not None:
         share_fit = calibration.FisherPryFit(origin_year=good.intro_year).fit(share)
         result = dataclasses.replace(
             result, advantage=share_fit.advantage_, intercept=share_fit.intercept_
@@ -388,9 +387,9 @@ def _cmd_synth(args, config) -> int:
 
 def _cmd_dist(args, config) -> int:
     seed = args.seed if args.seed is not None else _get(config, "dist", "seed", int, 7, low=0)
-    n_paths = _get(config, "dist", "paths", int, 20000, low=1)
-    keep = _get(config, "dist", "keep", int, 500, low=1)
-    dt = _get(config, "dist", "dt", float, 1e-3, low=0.0, strict=True)
+    n_paths = _get(config, "dist", "paths", int, 200_000, low=1)
+    keep = _get(config, "dist", "keep", int, 1, low=1)
+    dt = _get(config, "dist", "dt", float, 0.5, low=0.0, strict=True)
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
 
@@ -427,6 +426,10 @@ def _cmd_dist(args, config) -> int:
         f"price-noise samples: {samples.size}",
         f"price-noise variance: {variance!r} (stationary {noise.stationary_variance!r})",
         f"price-noise ks distance: {ks!r}",
+        # the paths are independent; the states kept along one path are
+        # not, so with keep > 1 this understates the effective sample size
+        f"price-noise independent paths: {n_paths}",
+        f"price-noise ks band at 1% false alarm: {1.628 / math.sqrt(n_paths)!r}",
         f"laplace fit location/scale: {location!r} / {scale!r}",
         f"log-size skew: {skew!r}",
         f"log-size excess kurtosis: {kurt!r}",

@@ -11,16 +11,13 @@ reproduction coefficient reproduces the separation between its
 short-window mean (zero) and its long-window mean (investment driven).
 
 Every simulation takes an explicit seed and is reproducible bit for bit
-for that seed.  The Langevin ensemble splits its paths into fixed blocks,
-each drawing from its own stream spawned from the seed, and steps the
-blocks on a thread pool with one worker per CPU the process may run on;
-its samples depend on the seed alone, not on the number of cores.
+for that seed.  The Langevin paths take the process's exact transition
+(the reflected Brownian step of ``|X|`` with the Brownian-bridge
+minimum), so a step of any length carries no discretisation error.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,6 +114,47 @@ class ReproductionSimResult:
     long_window_standard_error: float
 
 
+def _reflected_steps(x, params: PriceNoiseParams, dt: float, steps: int, rng) -> None:
+    """Take ``steps`` exact steps of length ``dt`` of the deviations ``x``, in place.
+
+    ``|X|`` is a Brownian motion with drift ``-b`` reflected at zero, so
+    from ``r = |x|`` the free end point is ``y = r - b*dt + sqrt(noise*dt)*z``
+    and ``m``, the minimum of the Brownian bridge from ``r`` to ``y``, has
+    ``P(m < c) = exp(-2 (r - c)(y - c) / (noise*dt))`` for ``c < min(r, y)``.
+    The reflection lifts the end point by ``-min(m, 0)``.  A path whose
+    bridge stays above zero keeps its sign; one that touched zero leaves
+    it with either sign, by symmetry, at even odds (Borodin & Salminen,
+    *Handbook of Brownian Motion*, 2002; Beskos & Roberts, *Ann. Appl.
+    Probab.* 15, 2005).  Each step draws ``x.size`` normals, then as
+    many exponentials, then as many uniforms.
+    """
+    spread = params.noise * dt
+    r, y, low, gap = (np.empty_like(x) for _ in range(4))
+    for _ in range(steps):
+        np.abs(x, out=r)
+        rng.standard_normal(out=y)
+        y *= np.sqrt(spread)
+        y += r
+        y -= params.restoring * dt
+        # low <- 2m = r + y - sqrt((y - r)^2 + 2 spread E), E ~ Exp(1)
+        rng.standard_exponential(out=low)
+        low *= 2.0 * spread
+        np.subtract(y, r, out=gap)
+        gap *= gap
+        low += gap
+        np.sqrt(low, out=low)
+        r += y
+        np.subtract(r, low, out=low)
+        # the sign: x's where the bridge stayed above zero, else a coin
+        rng.random(out=gap)
+        gap -= 0.5
+        np.copyto(gap, x, where=low > 0.0)
+        np.minimum(low, 0.0, out=low)
+        low *= 0.5
+        y -= low
+        np.copysign(y, gap, out=x)
+
+
 def langevin_price_sim(
     params: PriceNoiseParams,
     dt: float,
@@ -124,11 +162,11 @@ def langevin_price_sim(
     seed: int,
     start: float = 0.0,
 ) -> np.ndarray:
-    """Euler-Maruyama path of the price deviation.
+    """One path of the price deviation, stepped exactly.
 
-    Update rule per step:
-    ``d <- d - b*sign(d)*dt + sqrt(noise*dt) * xi`` with standard normal
-    ``xi``.  Returns the path including the start value (length
+    Takes the exact steps of :func:`langevin_price_ensemble` on one path
+    (:func:`_reflected_steps`), so it has no discretisation error at
+    any ``dt``.  Returns the path including the start value (length
     ``steps + 1``); deterministic for a fixed seed.
     """
     check_positive(dt, "dt")
@@ -136,29 +174,12 @@ def langevin_price_sim(
         raise ValueError("steps must be at least 1")
     rng = np.random.default_rng(seed)
     path = np.empty(steps + 1)
-    path[0] = x = float(start)
-    kicks = np.sqrt(params.noise * dt) * rng.standard_normal(steps)
-    b_dt = params.restoring * dt
-    for i in range(steps):
-        x = x - b_dt * np.sign(x) + kicks[i]
-        path[i + 1] = x
+    path[0] = start
+    x = path[:1].copy()
+    for i in range(1, steps + 1):
+        _reflected_steps(x, params, dt, 1, rng)
+        path[i] = x[0]
     return path
-
-
-# Paths per block of the Langevin ensemble.  Each block draws from its
-# own spawned stream, so the samples depend on this constant and the
-# seed, never on how many workers share out the blocks.
-_BLOCK_PATHS = 2_500
-# Steps of normals a block draws at a time (1.3 MB per block).
-_CHUNK_STEPS = 64
-
-
-def _cpu_count() -> int:
-    """Number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity on this platform
-        return os.cpu_count() or 1
 
 
 def langevin_price_ensemble(
@@ -177,65 +198,22 @@ def langevin_price_ensemble(
     ``n_paths * keep_steps`` of them, the states of all paths at the
     first kept step, then at the second, and so on.
 
-    The paths run in blocks of ``_BLOCK_PATHS`` (the last block may be
-    shorter).  Block ``k`` draws its normals from
-    ``SeedSequence(seed).spawn(n_blocks)[k]``, so the blocks are
-    independent and the samples depend only on the seed and the block
-    size.  The blocks are spread over a thread pool with one worker per
-    CPU the process may run on; the result is the same on any number
-    of cores.
+    Every step is exact (:func:`_reflected_steps`), so ``dt`` sets only
+    the spacing of the kept states, never a discretisation error.  All
+    paths draw from one ``default_rng(seed)`` stream, step by step.
     """
     check_positive(dt, "dt")
     if n_paths < 1 or keep_steps < 1:
         raise ValueError("n_paths and keep_steps must be at least 1")
     burn_in = 10.0 * params.noise / params.restoring**2
-    steps = int(round(burn_in / dt)) + keep_steps
-    drift = params.restoring * dt
-    kick = np.sqrt(params.noise * dt) / drift
-    n_blocks = -(-n_paths // _BLOCK_PATHS)
-    streams = np.random.SeedSequence(seed).spawn(n_blocks)
+    rng = np.random.default_rng(seed)
+    x = np.zeros(n_paths)
+    _reflected_steps(x, params, dt, int(round(burn_in / dt)), rng)
     kept = np.empty((keep_steps, n_paths))
-    with ThreadPoolExecutor(max_workers=min(_cpu_count(), n_blocks)) as pool:
-        futures = [
-            pool.submit(
-                _langevin_block,
-                stream,
-                steps,
-                kick,
-                drift,
-                kept[:, lo : lo + _BLOCK_PATHS],
-            )
-            for stream, lo in zip(streams, range(0, n_paths, _BLOCK_PATHS))
-        ]
-        for future in futures:
-            future.result()
+    for row in kept:
+        _reflected_steps(x, params, dt, 1, rng)
+        row[:] = x
     return kept.ravel()
-
-
-def _langevin_block(stream, steps, kick, drift, kept):
-    """Step one block of paths from zero and fill its columns ``kept``.
-
-    The state is held in units of the drift step ``b * dt``, where one
-    step is ``x <- x - sign(x) + kick * xi``; the kept states are scaled
-    back at the end.  numpy releases the GIL inside the normal fills and
-    the ufunc loops, so blocks on different workers run in parallel.
-    """
-    rng = np.random.default_rng(stream)
-    x = np.zeros(kept.shape[1])
-    sign = np.empty_like(x)
-    normals = np.empty((_CHUNK_STEPS, x.size))
-    first_kept = steps - kept.shape[0]
-    for start in range(0, steps, _CHUNK_STEPS):
-        chunk = normals[: min(_CHUNK_STEPS, steps - start)]
-        rng.standard_normal(out=chunk)
-        chunk *= kick
-        for step, row in enumerate(chunk, start):
-            np.sign(x, out=sign)
-            x -= sign
-            x += row
-            if step >= first_kept:
-                kept[step - first_kept] = x
-    kept *= drift
 
 
 def laplace_pdf(x, restoring: float, noise: float):

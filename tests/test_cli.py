@@ -298,6 +298,54 @@ sales_series = {data_dir}/sales.csv
         fit = FisherPryFit(origin_year=BENCHMARKS["vcr"].intro_year).fit(share)
         assert fit.advantage_ == pytest.approx(VCR_FORMAT_CONTEST["advantage"], rel=0.01)
 
+    def synth_with_share(self, tmp_path):
+        data = tmp_path / "data"
+        cfg = write_config(
+            tmp_path,
+            "[good]\nbenchmark = colour_tv\n[synth]\n"
+            "kinds = nominal_price,penetration,sales,share\nnoise = 0\n",
+            name="synth.ini",
+        )
+        assert run("synth", "--config", str(cfg), "--out", str(data)) == EXIT_OK
+        return data
+
+    def test_share_series_of_another_kind_is_format_error(self, tmp_path, capsys):
+        data = self.synth_with_share(tmp_path)
+        cfg = self.fit_config(tmp_path, data)
+        with cfg.open("a", encoding="utf-8") as handle:
+            handle.write(f"share_series = {data}/penetration.csv\n")
+        out = tmp_path / "fitted"
+        assert run("fit", "--config", str(cfg), "--out", str(out)) == EXIT_FORMAT
+        assert "expected kind 'share', got 'penetration'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_share_of_exactly_one_is_format_error(self, tmp_path, capsys):
+        data = self.synth_with_share(tmp_path)
+        share = read_series_csv(data / "share.csv")
+        values = share.values.copy()
+        values[[4, 9]] = 1.0
+        write_series_csv(TimeSeries(share.years, values, "share"), data / "share.csv")
+        cfg = self.fit_config(tmp_path, data)
+        with cfg.open("a", encoding="utf-8") as handle:
+            handle.write(f"share_series = {data}/share.csv\n")
+        out = tmp_path / "fitted"
+        assert run("fit", "--config", str(cfg), "--out", str(out)) == EXIT_FORMAT
+        err = capsys.readouterr().err
+        assert f"year {float(share.years[4])!r} has share 1.0" in err
+
+    def test_share_series_sets_the_advantage(self, tmp_path):
+        data = self.synth_with_share(tmp_path)
+        cfg = self.fit_config(tmp_path, data)
+        with cfg.open("a", encoding="utf-8") as handle:
+            handle.write(f"share_series = {data}/share.csv\n")
+        out = tmp_path / "fitted"
+        assert run("fit", "--config", str(cfg), "--out", str(out)) == EXIT_OK
+        share = read_series_csv(data / "share.csv")
+        expected = FisherPryFit(origin_year=BENCHMARKS["colour_tv"].intro_year).fit(share)
+        table = read_fit_table(out / "fit_table.csv")
+        assert table["advantage"] == expected.advantage_
+        assert table["intercept"] == expected.intercept_
+
     @pytest.mark.usefixtures("lm_stops_at_three_evaluations")
     def test_fit_stopped_by_the_evaluation_limit_reads_unconverged(self, tmp_path):
         data = tmp_path / "data"

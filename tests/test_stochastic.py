@@ -1,9 +1,9 @@
-import sys
 import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.stats import ks_2samp
 
 from evomarket import stochastic
 from evomarket.errors import StepSizeError
@@ -51,31 +51,15 @@ class TestLangevinPriceSim:
 
 
 class TestLangevinPriceEnsemble:
-    BLOCK = stochastic._BLOCK_PATHS
-
     def ensemble(self, n_paths, seed=5, keep_steps=10):
         # dt = 0.5 makes the burn-in of ten relaxation times 20 steps
         return langevin_price_ensemble(UNIT_NOISE, 0.5, n_paths, keep_steps, seed)
 
     def test_same_seed_is_bit_identical(self):
-        n_paths = self.BLOCK + 300
-        assert np.array_equal(self.ensemble(n_paths), self.ensemble(n_paths))
+        assert np.array_equal(self.ensemble(2800), self.ensemble(2800))
 
-    def test_worker_count_does_not_change_samples(self, monkeypatch):
-        n_paths = 3 * self.BLOCK + 100
-        monkeypatch.setattr(stochastic, "_cpu_count", lambda: 1)
-        serial = self.ensemble(n_paths)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for workers in (2, 8):
-                monkeypatch.setattr(stochastic, "_cpu_count", lambda: workers)
-                assert np.array_equal(self.ensemble(n_paths), serial)
-        finally:
-            sys.setswitchinterval(interval)
-
-    @pytest.mark.parametrize("n_paths", [BLOCK + 7, 10])
-    def test_partial_blocks(self, n_paths):
+    @pytest.mark.parametrize("n_paths", [2507, 10])
+    def test_sample_count_and_finiteness(self, n_paths):
         samples = self.ensemble(n_paths, keep_steps=4)
         assert samples.shape == (4 * n_paths,)
         assert np.all(np.isfinite(samples))
@@ -86,19 +70,52 @@ class TestLangevinPriceEnsemble:
     )
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_one_path_matches_the_scalar_stepper(self, params, dt, seed):
-        # the ensemble's block stepper works in units of the drift step;
-        # from the same stream it must step the scalar loop's equation
         keep = 50
         burn_in_steps = int(round(10.0 * params.noise / params.restoring**2 / dt))
-        stream = np.random.SeedSequence(seed).spawn(1)[0]
-        path = langevin_price_sim(params, dt, burn_in_steps + keep, stream)
+        path = langevin_price_sim(params, dt, burn_in_steps + keep, seed)
         samples = langevin_price_ensemble(params, dt, 1, keep, seed)
-        assert np.allclose(samples, path[-keep:], rtol=0.0, atol=1e-11)
+        assert np.array_equal(samples, path[-keep:])
 
-    def test_blocks_draw_distinct_streams(self):
-        states = self.ensemble(2 * self.BLOCK).reshape(10, -1)
-        first, second = states[:, : self.BLOCK], states[:, self.BLOCK :]
-        assert np.intersect1d(first, second).size == 0
+
+def exact_step_from(x0, h, n, seed, substeps=1):
+    x = np.full(n, float(x0))
+    rng = np.random.default_rng(seed)
+    for _ in range(substeps):
+        stochastic._reflected_steps(x, UNIT_NOISE, h / substeps, 1, rng)
+    return x
+
+
+def euler_from(x0, h, dt, n, seed):
+    # the Euler-Maruyama reference: d <- d - b sign(d) dt + sqrt(noise dt) xi
+    x = np.full(n, float(x0))
+    rng = np.random.default_rng(seed)
+    kick = np.sqrt(UNIT_NOISE.noise * dt)
+    for _ in range(round(h / dt)):
+        x -= UNIT_NOISE.restoring * dt * np.sign(x)
+        x += kick * rng.standard_normal(n)
+    return x
+
+
+class TestExactStep:
+    # each two-sample KS test fails by chance with probability 1e-3
+    P_MIN = 1e-3
+
+    @pytest.mark.parametrize("x0", [0.0, 0.3, 2.0])
+    def test_one_coarse_step_matches_fine_euler_steps(self, x0):
+        exact = exact_step_from(x0, 0.5, 20_000, seed=11)
+        euler = euler_from(x0, 0.5, 1e-3, 20_000, seed=12)
+        assert ks_2samp(exact, euler).pvalue > self.P_MIN
+
+    @pytest.mark.parametrize("x0", [0.0, 0.3, 2.0])
+    def test_one_step_matches_two_half_steps(self, x0):
+        one = exact_step_from(x0, 1.0, 200_000, seed=21)
+        two = exact_step_from(x0, 1.0, 200_000, seed=22, substeps=2)
+        assert ks_2samp(one, two).pvalue > self.P_MIN
+
+    @pytest.mark.parametrize("x0", [5.0, -5.0])
+    def test_far_from_zero_the_sign_never_flips(self, x0):
+        x = exact_step_from(x0, 0.5, 100_000, seed=31)
+        assert np.all(np.sign(x) == np.sign(x0))
 
 
 class TestLaplacePdf:
