@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from ._validation import as_float_array, check_nonnegative, check_positive
 from .errors import StepSizeError
@@ -353,6 +352,14 @@ def reproduction_param_sim(
     mean of its ``n`` post-burn-in values has standard error
     ``sigma / ((1 - phi) sqrt(n))``.
 
+    One ``default_rng(seed)`` stream draws all ``steps`` normals, then
+    all ``steps`` Poisson counts, so a seed fixes the inputs.  The path
+    is their discounted prefix sum from ``start``, taken in place by
+    doubling: after the pass with shift ``s`` every entry holds its
+    last ``2 s`` discounted inputs, so ``ceil(log2(steps + 1))`` passes
+    of whole-array work suffice (Hillis & Steele, *CACM* 29, 1986;
+    Blelloch, "Prefix sums and their applications", 1990).
+
     Raises
     ------
     StepSizeError
@@ -365,16 +372,23 @@ def reproduction_param_sim(
         raise StepSizeError("dt * compensation must stay below 0.5")
 
     rng = np.random.default_rng(seed)
-    noise = params.noise_amp * np.sqrt(dt) * rng.standard_normal(steps)
-    jumps = params.jump_size * rng.poisson(dt / params.amortization, size=steps)
-    inputs = noise + jumps
-    decay = 1.0 - params.compensation * dt
-
     path = np.empty(steps + 1)
     path[0] = start
-    path[1:] = lfilter([1.0], [1.0, -decay], inputs)
-    if start != 0.0:
-        path[1:] += start * decay ** np.arange(1, steps + 1)
+    inputs = path[1:]
+    rng.standard_normal(out=inputs)
+    inputs *= params.noise_amp * np.sqrt(dt)
+    inputs += params.jump_size * rng.poisson(dt / params.amortization, size=steps)
+
+    decay = 1.0 - params.compensation * dt
+    shift, factor = 1, decay
+    # factor is decay**shift taken as a power: squaring it pass by pass
+    # would grow its rounding error with shift.  Once it underflows to 0
+    # every later pass adds 0, so stopping there leaves the path of all
+    # ceil(log2(steps + 1)) passes.
+    while shift <= steps and factor > 0.0:
+        path[shift:] += factor * path[:-shift]
+        shift *= 2
+        factor = decay**shift
 
     burn_idx = min(int(round(5.0 / params.compensation / dt)), steps)
     window_len = max(int(round(10.0 / params.compensation / dt)), 1)
@@ -399,33 +413,16 @@ def reproduction_param_sim(
     )
 
 
-# Ranks per pass of ks_statistic: its two buffers stay in cache.
-_KS_CHUNK = 65_536
-
-
 def ks_statistic(samples, cdf) -> float:
     """Kolmogorov-Smirnov distance between samples and a CDF callable.
 
     The largest of ``(i + 1)/n - F(x_i)`` and ``F(x_i) - i/n`` over the
-    sorted samples ``x_i``, evaluated a chunk of ranks at a time.
+    sorted samples ``x_i``.
     """
     data = np.sort(as_float_array(samples, "samples"))
     n = data.size
     if n == 0:
         raise ValueError("ks_statistic needs samples")
     theory = np.asarray(cdf(data), dtype=float)
-    ranks = np.arange(min(n, _KS_CHUNK), dtype=float)
-    gap = np.empty_like(ranks)
-    distance = -np.inf
-    for lo in range(0, n, _KS_CHUNK):
-        f = theory[lo : lo + _KS_CHUNK]
-        d = gap[: f.size]
-        np.add(ranks[: f.size], lo + 1, out=d)
-        d /= n
-        d -= f
-        distance = max(distance, d.max())
-        np.add(ranks[: f.size], lo, out=d)
-        d /= n
-        np.subtract(f, d, out=d)
-        distance = max(distance, d.max())
-    return float(distance)
+    ranks = np.arange(n + 1) / n
+    return float(max((ranks[1:] - theory).max(), (theory - ranks[:-1]).max()))

@@ -1,12 +1,15 @@
 """Acceptance suite: every shipped claim at its stated tolerance.
 
-Each test prints one pass/fail line (with the measured quantity and the
-elapsed time) so the suite doubles as a readable report.  Tolerances
+Each criterion prints one pass/fail line (with the measured quantity
+and the elapsed time) so the suite doubles as a readable report.  A
+criterion whose verdict is a function of its inputs has a test beside
+it that feeds the verdict deliberately wrong inputs.  Tolerances
 are fixed here, not imported, so drift in library defaults cannot
 silently weaken the gate.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -138,6 +141,18 @@ def test_criterion_03_gompertz_price_identity(capsys):
     )
 
 
+def laplace_measures(samples):
+    """Variance of price-noise samples and their KS distance to Laplace(b=1, D=1)."""
+    distance = ks_statistic(samples, lambda x: laplace_cdf(x, 1.0, 1.0))
+    return float(samples.var()), distance
+
+
+def laplace_verdict(samples):
+    """Criterion 4's verdict on price-noise samples: (variance ok, KS ok)."""
+    variance, distance = laplace_measures(samples)
+    return abs(variance / 0.5 - 1.0) < 0.05, distance < 0.01
+
+
 def test_criterion_04_laplace_stationarity(capsys):
     params = PriceNoiseParams(restoring=1.0, noise=1.0)
     with Stopwatch() as clock:
@@ -145,15 +160,26 @@ def test_criterion_04_laplace_stationarity(capsys):
             params, dt=0.5, n_paths=200_000, keep_steps=1, seed=404
         )
         assert samples.size == 200_000
-        variance = float(samples.var())
-        distance = ks_statistic(samples, lambda x: laplace_cdf(x, 1.0, 1.0))
-    assert abs(variance / 0.5 - 1.0) < 0.05
-    assert distance < 0.01
+        variance_ok, ks_ok = laplace_verdict(samples)
+    assert variance_ok
+    assert ks_ok
+    variance, distance = laplace_measures(samples)
     report(
         capsys, 4, "price noise settles into the double-exponential law",
         f"variance {variance:.4f} (target 0.5), KS {distance:.4f}",
         clock.elapsed, 60.0,
     )
+
+
+def test_criterion_04_rejects_a_normal_law_and_a_laplace_scale_5pct_off():
+    rng = np.random.default_rng(4040)
+    normal = rng.normal(0.0, np.sqrt(0.5), 200_000)
+    laplace = rng.laplace(0.0, 1.05 * 0.5, 200_000)
+    # equal variance: only the KS distance (about 0.063) tells them apart
+    assert laplace_verdict(normal) == (True, False)
+    # the variance is 10% off; the CDF moves by at most 0.009, so the
+    # KS distance sits at the bound of 0.01 and cannot be relied on
+    assert laplace_verdict(laplace)[0] is False
 
 
 def test_criterion_05_replicator_fisher_pry(capsys):
@@ -310,37 +336,72 @@ def test_criterion_09_lognormal_size_law(capsys):
     )
 
 
+# the criterion pins the relaxation rate, jump size and amortization
+# time; the qualitative noise term is chosen small enough that its time
+# average cannot drown the 5e-5 long-run signal at this horizon
+REPRODUCTION_BASE = ReproductionSimParams(
+    compensation=10.0, jump_size=0.05, amortization=100.0, noise_amp=4e-3
+)
+REPRODUCTION_FAST = ReproductionSimParams(
+    compensation=10.0, jump_size=0.05, amortization=50.0, noise_amp=4e-3
+)
+REPRODUCTION_TARGET = 0.05 / (100.0 * 10.0)
+
+
+def reproduction_run(params, seed):
+    return reproduction_param_sim(
+        params, dt=0.02, steps=5_000_000, seed=seed, n_short_windows=25
+    )
+
+
+def reproduction_measures(base, fast):
+    """Short-window mean and its standard error, long mean, halving ratio."""
+    window_means = base.short_window_means
+    stderr = float(window_means.std(ddof=1) / np.sqrt(window_means.size))
+    short_mean = float(window_means.mean())
+    ratio = fast.long_window_mean / base.long_window_mean
+    return short_mean, stderr, base.long_window_mean, ratio
+
+
+def reproduction_verdict(base, fast):
+    """Criterion 10's verdict on a base and a halved-amortization run.
+
+    Returns (short mean ok, long mean ok, halving ratio ok).
+    """
+    short_mean, stderr, long_mean, ratio = reproduction_measures(base, fast)
+    return (
+        abs(short_mean) < 3.0 * stderr,
+        abs(long_mean / REPRODUCTION_TARGET - 1.0) < 0.10,
+        abs(ratio / 2.0 - 1.0) < 0.10,
+    )
+
+
 def test_criterion_10_reproduction_jump_process(capsys):
-    # the criterion pins the relaxation rate, jump size and amortization
-    # time; the qualitative noise term is chosen small enough that its
-    # time average cannot drown the 5e-5 long-run signal at this horizon
-    base_params = ReproductionSimParams(
-        compensation=10.0, jump_size=0.05, amortization=100.0, noise_amp=4e-3
-    )
-    fast_params = ReproductionSimParams(
-        compensation=10.0, jump_size=0.05, amortization=50.0, noise_amp=4e-3
-    )
-    target = 0.05 / (100.0 * 10.0)
     with Stopwatch() as clock:
-        base = reproduction_param_sim(
-            base_params, dt=0.02, steps=5_000_000, seed=1010, n_short_windows=25
-        )
-        fast = reproduction_param_sim(
-            fast_params, dt=0.02, steps=5_000_000, seed=1011, n_short_windows=25
-        )
-        window_means = base.short_window_means
-        stderr = float(window_means.std(ddof=1) / np.sqrt(window_means.size))
-        short_mean = float(window_means.mean())
-        ratio = fast.long_window_mean / base.long_window_mean
-    assert abs(short_mean) < 3.0 * stderr
-    assert abs(base.long_window_mean / target - 1.0) < 0.10
-    assert abs(ratio / 2.0 - 1.0) < 0.10
+        base = reproduction_run(REPRODUCTION_BASE, seed=1010)
+        fast = reproduction_run(REPRODUCTION_FAST, seed=1011)
+        short_ok, long_ok, ratio_ok = reproduction_verdict(base, fast)
+    assert short_ok
+    assert long_ok
+    assert ratio_ok
+    short_mean, stderr, long_mean, ratio = reproduction_measures(base, fast)
     report(
         capsys, 10, "investment jumps set the long-run reproduction mean",
         f"short mean {short_mean:+.2e} (3se {3 * stderr:.1e}), "
-        f"long {base.long_window_mean:.2e} vs {target:.2e}, halving ratio {ratio:.2f}",
+        f"long {long_mean:.2e} vs {REPRODUCTION_TARGET:.2e}, halving ratio {ratio:.2f}",
         clock.elapsed, 30.0,
     )
+
+
+def test_criterion_10_rejects_a_20pct_jump_error_and_an_unhalved_amortization():
+    base = reproduction_run(REPRODUCTION_BASE, seed=1010)
+    fast = reproduction_run(REPRODUCTION_FAST, seed=1011)
+    # jump size 0.06 puts the long mean 20% above the target
+    heavy = reproduction_run(replace(REPRODUCTION_BASE, jump_size=0.06), seed=1010)
+    assert reproduction_verdict(heavy, fast)[1] is False
+    # the same amortization on both runs leaves the ratio near 1
+    unhalved = reproduction_run(REPRODUCTION_BASE, seed=1011)
+    assert reproduction_verdict(base, unhalved)[2] is False
 
 
 def test_criterion_11_lifecycle_echoes_and_periodicity(capsys):

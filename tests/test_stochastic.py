@@ -1,10 +1,14 @@
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.stats import ks_2samp
 
+import evomarket
 from evomarket import stochastic
 from evomarket.errors import StepSizeError
 from evomarket.stochastic import (
@@ -327,6 +331,34 @@ class TestReproductionParamSim:
         with pytest.raises(StepSizeError):
             reproduction_param_sim(self.params, dt=0.06, steps=10, seed=0)
 
+    # compensation*dt 0.49 stops the doubling once decay**shift underflows,
+    # at shift 2048; 1e-4 runs every pass up to the path length
+    @pytest.mark.parametrize("start", [0.0, 0.7])
+    @pytest.mark.parametrize(
+        "compensation, dt, amortization, steps",
+        [(49.0, 0.01, 0.1, s) for s in (4095, 4096, 4097)]
+        + [(1.0, 1e-4, 0.01, s) for s in (2**18 - 1, 2**18, 2**18 + 1)],
+    )
+    def test_path_is_the_plain_recurrence(
+        self, compensation, dt, amortization, steps, start
+    ):
+        params = ReproductionSimParams(compensation, 0.05, amortization, 0.05)
+        path = reproduction_param_sim(params, dt, steps, seed=12, start=start).path
+        rng = np.random.default_rng(12)
+        normals = rng.standard_normal(steps)
+        counts = rng.poisson(dt / amortization, size=steps)
+        inputs = (0.05 * np.sqrt(dt) * normals + 0.05 * counts).tolist()
+        decay = 1.0 - compensation * dt
+        g = start
+        expected = [g]
+        for u in inputs:
+            g = decay * g + u
+            expected.append(g)
+        expected = np.array(expected)
+        assert counts.sum() > 0
+        # a few hundred roundings of the path's largest value
+        assert np.abs(path - expected).max() <= 1e-13 * np.abs(expected).max()
+
     def test_deterministic_per_seed(self):
         a = reproduction_param_sim(self.params, 0.01, 1000, seed=4)
         b = reproduction_param_sim(self.params, 0.01, 1000, seed=4)
@@ -336,6 +368,18 @@ class TestReproductionParamSim:
         result = reproduction_param_sim(self.params, 0.01, 200_000, seed=4)
         assert 1.0 / self.params.compensation < result.short_window
         assert result.short_window < self.params.amortization
+
+
+def test_import_leaves_scipy_signal_and_stats_out():
+    source = str(Path(evomarket.__file__).parents[1])
+    probe = (
+        f"import sys; sys.path.insert(0, {source!r}); import evomarket; "
+        "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 class TestKsStatistic:
