@@ -190,16 +190,18 @@ def langevin_price_ensemble(
 ) -> np.ndarray:
     """Post-burn-in deviation samples from many independent paths.
 
-    Runs ``n_paths`` paths from zero, discards a burn-in of
-    ``10 / (b^2 / noise)`` time units, ten relaxation times, rounded to
-    whole steps, and then keeps ``keep_steps`` consecutive states
-    of every path.  Returns the flattened samples, step-major:
+    Runs ``n_paths`` paths from zero, discards a burn-in of exactly
+    ``10 / (b^2 / noise)`` time units, ten relaxation times, taken as
+    one step, and then keeps ``keep_steps`` consecutive states of every
+    path at spacing ``dt``.  Returns the flattened samples, step-major:
     ``n_paths * keep_steps`` of them, the states of all paths at the
     first kept step, then at the second, and so on.
 
-    Every step is exact (:func:`_reflected_steps`), so ``dt`` sets only
-    the spacing of the kept states, never a discretisation error.  All
-    paths draw from one ``default_rng(seed)`` stream, step by step.
+    Every step is exact (:func:`_reflected_steps`), so by
+    Chapman-Kolmogorov one burn-in step draws from the same law as
+    many shorter ones, and ``dt`` sets only the spacing of the kept
+    states, never a discretisation error.  All paths draw from one
+    ``default_rng(seed)`` stream, step by step.
     """
     check_positive(dt, "dt")
     if n_paths < 1 or keep_steps < 1:
@@ -207,7 +209,7 @@ def langevin_price_ensemble(
     burn_in = 10.0 * params.noise / params.restoring**2
     rng = np.random.default_rng(seed)
     x = np.zeros(n_paths)
-    _reflected_steps(x, params, dt, int(round(burn_in / dt)), rng)
+    _reflected_steps(x, params, burn_in, 1, rng)
     kept = np.empty((keep_steps, n_paths))
     for row in kept:
         _reflected_steps(x, params, dt, 1, rng)
@@ -324,6 +326,11 @@ def multiplicative_growth_sim(
     return np.exp(log_sizes)
 
 
+# steps per block of reproduction_param_sim's draws and doubling passes:
+# the three 512 KB float blocks a pass touches fit a 1-2 MB L2 cache
+_BLOCK = 1 << 16
+
+
 def reproduction_param_sim(
     params: ReproductionSimParams,
     dt: float,
@@ -353,12 +360,17 @@ def reproduction_param_sim(
     ``sigma / ((1 - phi) sqrt(n))``.
 
     One ``default_rng(seed)`` stream draws all ``steps`` normals, then
-    all ``steps`` Poisson counts, so a seed fixes the inputs.  The path
-    is their discounted prefix sum from ``start``, taken in place by
-    doubling: after the pass with shift ``s`` every entry holds its
-    last ``2 s`` discounted inputs, so ``ceil(log2(steps + 1))`` passes
-    of whole-array work suffice (Hillis & Steele, *CACM* 29, 1986;
-    Blelloch, "Prefix sums and their applications", 1990).
+    all ``steps`` Poisson counts, so a seed fixes the inputs; the counts
+    are drawn and added in blocks, which draws the same sequence as one
+    call.  The path is their discounted prefix sum from ``start``, taken
+    in place by doubling: after the pass with shift ``s`` every entry
+    holds its last ``2 s`` discounted inputs, so
+    ``ceil(log2(steps + 1))`` passes suffice (Hillis & Steele, *CACM*
+    29, 1986; Blelloch, "Prefix sums and their applications", 1990).
+    Each pass runs block by block from the top of the path down, each
+    block's product going through one block-sized buffer before it is
+    added, so every read sees an entry this pass has not yet written,
+    and the only path-sized allocation is the path itself.
 
     Raises
     ------
@@ -377,16 +389,26 @@ def reproduction_param_sim(
     inputs = path[1:]
     rng.standard_normal(out=inputs)
     inputs *= params.noise_amp * np.sqrt(dt)
-    inputs += params.jump_size * rng.poisson(dt / params.amortization, size=steps)
+    for lo in range(0, steps, _BLOCK):
+        hi = min(lo + _BLOCK, steps)
+        counts = rng.poisson(dt / params.amortization, size=hi - lo)
+        inputs[lo:hi] += params.jump_size * counts
 
     decay = 1.0 - params.compensation * dt
+    buf = np.empty(min(steps, _BLOCK))
     shift, factor = 1, decay
     # factor is decay**shift taken as a power: squaring it pass by pass
     # would grow its rounding error with shift.  Once it underflows to 0
     # every later pass adds 0, so stopping there leaves the path of all
     # ceil(log2(steps + 1)) passes.
     while shift <= steps and factor > 0.0:
-        path[shift:] += factor * path[:-shift]
+        # path[lo:hi] += factor * path[lo - shift:hi - shift], top block
+        # first, so every block reads this pass's input
+        for hi in range(steps + 1, shift, -_BLOCK):
+            lo = max(hi - _BLOCK, shift)
+            part = buf[: hi - lo]
+            np.multiply(path[lo - shift : hi - shift], factor, out=part)
+            path[lo:hi] += part
         shift *= 2
         factor = decay**shift
 

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -56,7 +57,8 @@ class TestLangevinPriceSim:
 
 class TestLangevinPriceEnsemble:
     def ensemble(self, n_paths, seed=5, keep_steps=10):
-        # dt = 0.5 makes the burn-in of ten relaxation times 20 steps
+        # the burn-in of ten relaxation times is one step; dt = 0.5 spaces
+        # the kept states
         return langevin_price_ensemble(UNIT_NOISE, 0.5, n_paths, keep_steps, seed)
 
     def test_same_seed_is_bit_identical(self):
@@ -75,10 +77,21 @@ class TestLangevinPriceEnsemble:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_one_path_matches_the_scalar_stepper(self, params, dt, seed):
         keep = 50
-        burn_in_steps = int(round(10.0 * params.noise / params.restoring**2 / dt))
-        path = langevin_price_sim(params, dt, burn_in_steps + keep, seed)
-        samples = langevin_price_ensemble(params, dt, 1, keep, seed)
+        burn_in = 10.0 * params.noise / params.restoring**2
+        # at dt = burn_in every step has the one length the stepper takes
+        path = langevin_price_sim(params, burn_in, keep + 1, seed)
+        samples = langevin_price_ensemble(params, burn_in, 1, keep, seed)
         assert np.array_equal(samples, path[-keep:])
+        # at any other dt: one burn-in step, then keep steps of dt
+        x = np.zeros(1)
+        rng = np.random.default_rng(seed)
+        stochastic._reflected_steps(x, params, burn_in, 1, rng)
+        expected = []
+        for _ in range(keep):
+            stochastic._reflected_steps(x, params, dt, 1, rng)
+            expected.append(x[0])
+        samples = langevin_price_ensemble(params, dt, 1, keep, seed)
+        assert np.array_equal(samples, expected)
 
 
 def exact_step_from(x0, h, n, seed, substeps=1):
@@ -115,6 +128,13 @@ class TestExactStep:
         one = exact_step_from(x0, 1.0, 200_000, seed=21)
         two = exact_step_from(x0, 1.0, 200_000, seed=22, substeps=2)
         assert ks_2samp(one, two).pvalue > self.P_MIN
+
+    def test_one_step_matches_twenty_steps_from_zero(self):
+        # the ensemble's burn-in: ten relaxation times as one step, against
+        # the twenty steps of 0.5 it replaced
+        one = exact_step_from(0.0, 10.0, 200_000, seed=41)
+        twenty = exact_step_from(0.0, 10.0, 200_000, seed=42, substeps=20)
+        assert ks_2samp(one, twenty).pvalue > self.P_MIN
 
     @pytest.mark.parametrize("x0", [5.0, -5.0])
     def test_far_from_zero_the_sign_never_flips(self, x0):
@@ -292,6 +312,27 @@ class TestMultiplicativeGrowthSim:
         assert abs(excess_kurtosis) < 0.25
 
 
+# compensation*dt 0.49 stops the doubling once decay**shift underflows,
+# at shift 2048; 1e-3 and 1e-4 run every pass up to the path length, with
+# shifts past the block size and paths that end at a block's edges (the
+# short windows need 15 / (compensation*dt) steps)
+BLOCK = stochastic._BLOCK
+PATH_CASES = (
+    [(49.0, 0.01, 0.1, s) for s in (4095, 4096, 4097)]
+    + [(1.0, 1e-3, 0.01, s) for s in (BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1)]
+    + [(1.0, 1e-4, 0.01, s) for s in (2**18 - 1, 2**18, 2**18 + 1)]
+)
+
+
+def reproduction_inputs(dt, amortization, steps, seed):
+    # the inputs reproduction_param_sim draws at jump_size = noise_amp = 0.05
+    rng = np.random.default_rng(seed)
+    normals = rng.standard_normal(steps)
+    counts = rng.poisson(dt / amortization, size=steps)
+    assert counts.sum() > 0
+    return 0.05 * np.sqrt(dt) * normals + 0.05 * counts
+
+
 class TestReproductionParamSim:
     params = ReproductionSimParams(
         compensation=10.0, jump_size=0.05, amortization=100.0, noise_amp=0.05
@@ -331,33 +372,54 @@ class TestReproductionParamSim:
         with pytest.raises(StepSizeError):
             reproduction_param_sim(self.params, dt=0.06, steps=10, seed=0)
 
-    # compensation*dt 0.49 stops the doubling once decay**shift underflows,
-    # at shift 2048; 1e-4 runs every pass up to the path length
     @pytest.mark.parametrize("start", [0.0, 0.7])
-    @pytest.mark.parametrize(
-        "compensation, dt, amortization, steps",
-        [(49.0, 0.01, 0.1, s) for s in (4095, 4096, 4097)]
-        + [(1.0, 1e-4, 0.01, s) for s in (2**18 - 1, 2**18, 2**18 + 1)],
-    )
+    @pytest.mark.parametrize("compensation, dt, amortization, steps", PATH_CASES)
     def test_path_is_the_plain_recurrence(
         self, compensation, dt, amortization, steps, start
     ):
         params = ReproductionSimParams(compensation, 0.05, amortization, 0.05)
         path = reproduction_param_sim(params, dt, steps, seed=12, start=start).path
-        rng = np.random.default_rng(12)
-        normals = rng.standard_normal(steps)
-        counts = rng.poisson(dt / amortization, size=steps)
-        inputs = (0.05 * np.sqrt(dt) * normals + 0.05 * counts).tolist()
         decay = 1.0 - compensation * dt
         g = start
         expected = [g]
-        for u in inputs:
+        for u in reproduction_inputs(dt, amortization, steps, seed=12).tolist():
             g = decay * g + u
             expected.append(g)
         expected = np.array(expected)
-        assert counts.sum() > 0
         # a few hundred roundings of the path's largest value
         assert np.abs(path - expected).max() <= 1e-13 * np.abs(expected).max()
+
+    @pytest.mark.parametrize(
+        "compensation, dt, amortization, steps",
+        PATH_CASES + [(10.0, 0.02, 100.0, 1_500_000)],
+    )
+    def test_path_is_the_whole_array_doubling(
+        self, compensation, dt, amortization, steps
+    ):
+        # the blocked passes add the same numbers in the same order as
+        # whole-array passes on the same draws
+        params = ReproductionSimParams(compensation, 0.05, amortization, 0.05)
+        path = reproduction_param_sim(params, dt, steps, seed=13, start=0.7).path
+        inputs = reproduction_inputs(dt, amortization, steps, seed=13)
+        expected = np.concatenate(([0.7], inputs))
+        decay = 1.0 - compensation * dt
+        shift, factor = 1, decay
+        while shift <= steps and factor > 0.0:
+            expected[shift:] += factor * expected[:-shift]
+            shift *= 2
+            factor = decay**shift
+        assert np.array_equal(path, expected)
+
+    def test_memory_stays_near_the_path(self):
+        # dist's size; whole-array passes peak near three paths
+        steps = 1_500_000
+        tracemalloc.start()
+        try:
+            reproduction_param_sim(self.params, 0.02, steps, seed=9)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * (steps + 1)
 
     def test_deterministic_per_seed(self):
         a = reproduction_param_sim(self.params, 0.01, 1000, seed=4)
