@@ -9,6 +9,9 @@ by each model's fitness: preference times reproduction coefficient
 times demand prefactor times affordable market volume at its price.
 The micro-dynamics is stepped with fourth-order Runge–Kutta; the
 replicator, whose fitnesses are fixed within a step, is stepped exactly.
+A replicator-stepped population carries the step's growth factor, so a
+run of steps with the same prefactor, market and step size computes its
+fitnesses once.
 
 Two clocks appear throughout: the steps advance ``tau``, the fast
 market clock, while :func:`fisher_pry_share` works on calendar years.
@@ -98,6 +101,9 @@ class Population:
     returns a population with ``tau`` advanced by its step.
     """
 
+    # (key, factor) of the replicator step that made this population
+    _growth = None
+
     def __init__(self, products: Sequence[Product]):
         if len(products) == 0:
             raise ValueError("population must contain at least one product")
@@ -116,7 +122,9 @@ class Population:
 
         A population never writes to its arrays and hands out only
         copies, so a step passes the arrays it leaves unchanged straight
-        on; callers must not write to the arrays afterwards.
+        on; callers must not write to the arrays afterwards.  The new
+        population carries no growth factor; :func:`replicator_step`
+        attaches one to the population it returns.
         """
         pop = cls.__new__(cls)
         pop._sales = sales
@@ -152,11 +160,11 @@ class Population:
 
     @property
     def total_sales(self) -> float:
-        return float(self._sales.sum())
+        return float(np.add.reduce(self._sales))
 
     @property
     def shares(self) -> np.ndarray:
-        total = self._sales.sum()
+        total = np.add.reduce(self._sales)
         if total <= 0:
             raise ValueError("shares are undefined for a zero-sales population")
         return self._sales / total
@@ -192,24 +200,36 @@ def replicator_step(
     fixed during the step (prices do not move here), so the step is
     exact: ``m_i e^{f_i dtau} / sum_j m_j e^{f_j dtau}``, scaled back to
     the total sales.  Any step size keeps every share in [0, 1].
+
+    The returned population carries the step's growth factor, and a next
+    step with the same prefactor, market and ``dtau`` reuses it instead
+    of recomputing the fitnesses.
     """
-    check_positive(dtau, "dtau")
+    dtau = check_positive(dtau, "dtau")
     total = pop.total_sales
     if total <= 0:
         raise ValueError("replicator dynamics need positive total sales")
-    # Exponents are taken relative to the fittest product with sales, so
-    # none overflows and the fittest weighs 1; a zero-sales product stays
-    # at zero whatever its fitness.
-    f = np.where(pop._sales > 0, population_fitness(pop, prefactor, market), -np.inf)
-    grown = pop._sales * np.exp((f - f.max()) * dtau)
-    return Population.from_arrays(
-        grown / grown.sum() * total,
+    key = (float(prefactor), market, dtau)
+    if pop._growth is not None and pop._growth[0] == key:
+        factor = pop._growth[1]
+    else:
+        # Exponents are taken relative to the fittest product with sales,
+        # so none overflows and the fittest weighs 1; a zero-sales product
+        # stays at zero whatever its fitness.  Both facts survive the step,
+        # so the factor recomputed on its result would be the same bits.
+        f = np.where(pop._sales > 0, population_fitness(pop, prefactor, market), -np.inf)
+        factor = np.exp((f - f.max()) * dtau)
+    grown = pop._sales * factor
+    new_pop = Population.from_arrays(
+        grown / np.add.reduce(grown) * total,
         pop._stocks,
         pop._prices,
         pop._preferences,
         pop._reproductions,
         pop.tau + dtau,
     )
+    new_pop._growth = (key, factor)
+    return new_pop
 
 
 def stationary_demand(
@@ -270,11 +290,11 @@ def micro_step(
     def rhs(_tau, s):
         ex = eta * s[:n]
         y = ex * s[n]
-        weight = ex.sum()
-        mu = (ex * prices).sum() / weight if weight > 0 else 0.0
+        weight = np.add.reduce(ex)
+        mu = np.add.reduce(ex * prices) / weight if weight > 0 else 0.0
         derivative = np.empty(n + 1)
         np.multiply(gamma, y, out=derivative[:n])
-        derivative[n] = q * market_volume(max(mu, 0.0), market) - y.sum()
+        derivative[n] = q * market_volume(max(mu, 0.0), market) - np.add.reduce(y)
         return derivative
 
     new_state = rk4_step(rhs, pop.tau, state, dtau)
@@ -297,7 +317,7 @@ def micro_step(
         first_purchase=demand.first_purchase,
         repurchase=repurchase,
         creation_rate=q,
-        prefactor=q / float((eta * new_stocks).sum()),
+        prefactor=q / float(np.add.reduce(eta * new_stocks)),
     )
     return new_pop, new_demand
 

@@ -163,6 +163,42 @@ class TestReplicatorStep:
         stepped = replicator_step(pop, 1.0, market, 0.1)
         assert stepped.sales[0] == 0.0
 
+    def test_carried_growth_factor_matches_a_fresh_population(self, market):
+        # a stepped population reuses its growth factor while prefactor,
+        # market and dtau stay; a fresh population recomputes it each step
+        equal_market = MarketStructure(market.upper_share, market.minimum_price, market.width)
+        other_market = MarketStructure(0.1, 0.2, 0.3)
+        schedule = (
+            [(1.0, market, 0.05)] * 5
+            + [(1.0, market, 0.2)] * 3  # new dtau
+            + [(2.5, market, 0.2)] * 3  # new prefactor
+            + [(2.5, equal_market, 0.2)] * 3
+            + [(2.5, other_market, 0.2)] * 3
+            # the least fit product underflows to zero on the third step,
+            # and the carried factor meets its zero sales on the fourth
+            + [(1.0, market, 800.0)] * 4
+        )
+        # the fittest product has no sales; the others have distinct fitnesses
+        pop = Population(
+            [
+                Product(0.0, 1.0, 0.05, 1.0, 0.9),
+                Product(0.5, 1.0, 0.05, 1.0, 0.3),
+                Product(0.3, 2.0, 0.4, 0.7, 0.2),
+                Product(0.2, 1.0, 0.9, 1.5, -0.1),
+            ]
+        )
+        fresh = pop
+        for prefactor, mkt, dtau in schedule:
+            pop = replicator_step(pop, prefactor, mkt, dtau)
+            rebuilt = Population.from_arrays(
+                fresh.sales, fresh.stocks, fresh.prices, fresh.preferences,
+                fresh.reproductions, fresh.tau,
+            )
+            fresh = replicator_step(rebuilt, prefactor, mkt, dtau)
+            assert pop.sales.tobytes() == fresh.sales.tobytes()
+            assert pop.tau == fresh.tau
+        assert pop.sales[0] == 0.0 and pop.sales[3] == 0.0 and pop.sales[1] > 0.0
+
 
 class TestMicroStep:
     def test_stationary_pool_value(self):

@@ -72,6 +72,30 @@ def test_evodyn_steps_reach_the_wrapped_step_layers(tracing):
     assert metrics["market.volume_calls"]["value"] == 4 + 1
 
 
+def test_replicator_steps_reuse_the_growth_factor(tracing):
+    # fitnesses are computed again only when prefactor, market or dtau change
+    market = MarketStructure(upper_share=0.02, minimum_price=0.05, width=0.5)
+    pop = evodyn.Population(
+        [evodyn.Product(0.5, 1.0, 0.3, 1.0, g) for g in (0.02, -0.02)]
+    )
+    tracer = tracing.Tracer()
+
+    def volume_calls():
+        return tracing.layer_metrics(tracer, {"evolve": 1})["market.volume_calls"]["value"]
+
+    try:
+        tracing.install(tracer)
+        with tracer.op("evolve"):
+            pop = evodyn.replicator_step(pop, 1.0, market, 0.01)
+            pop = evodyn.replicator_step(pop, 1.0, market, 0.01)
+        assert volume_calls() == 1
+        with tracer.op("evolve"):
+            evodyn.replicator_step(pop, 1.0, market, 0.02)
+        assert volume_calls() == 2
+    finally:
+        tracer.uninstall()
+
+
 def test_simulate_files_reach_the_wrapped_series_layers(tracing, tmp_path):
     # simulate must write through cli's write_series_csv and the reads go
     # through series.read_series_csv, or the series metrics read 0
