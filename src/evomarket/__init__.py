@@ -15,7 +15,6 @@ from .calibration import (
     FitResult,
     PriceDeclineFit,
     fit_two_wave,
-    price_function,
     synthesize,
     synthesize_share,
 )
@@ -37,7 +36,6 @@ from .errors import (
     EvomarketError,
     FitError,
     FormatError,
-    NotFittedError,
     NumericError,
     StepSizeError,
 )

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import FormatError, NotFittedError
+from .errors import FormatError
 
 
 def as_float_array(values, name: str) -> np.ndarray:
@@ -50,10 +50,3 @@ def uniform_grid_step(times: np.ndarray) -> float:
     if step <= 0 or not np.allclose(steps, step, rtol=1e-9, atol=1e-12):
         raise FormatError("times must be sampled on a uniform increasing grid")
     return float(step)
-
-
-def check_fitted(estimator, attribute: str) -> None:
-    if not hasattr(estimator, attribute):
-        raise NotFittedError(
-            f"{type(estimator).__name__} is not fitted yet; call fit() first"
-        )

@@ -36,9 +36,9 @@ The onset delay between introduction and the start of the price decline
 is analyst-supplied, never fitted.  Everything here is deterministic:
 fixed start lattices, seeded noise.
 
-Fitters follow the scikit-learn estimator protocol (``fit`` /
-``predict`` / ``get_params``); fitted attributes carry a trailing
-underscore.
+The two fitter classes store a fit's fixed inputs in their
+constructor; ``fit`` returns the fitter with its estimates in
+attributes that carry a trailing underscore.
 """
 
 from __future__ import annotations
@@ -49,8 +49,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import OptimizeResult, leastsq, lsq_linear
 
-from ._validation import as_float_array, check_fitted, check_positive
-from .base import BaseModel
+from ._validation import as_float_array, check_positive
 from .benchmarks import GoodParams, wave_params
 from .diffusion import BassParams, GompertzParams
 # not called here, but kept: the benchmark's tracer wraps these module attributes
@@ -64,7 +63,6 @@ __all__ = [
     "FitResult",
     "PriceDeclineFit",
     "FisherPryFit",
-    "price_function",
     "synthesize",
     "synthesize_share",
     "fit_two_wave",
@@ -155,45 +153,7 @@ def series_digest(series: TimeSeries) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _scaled_prices(series: TimeSeries, fit: PriceDeclineFit):
-    """Observation times on the decline clock and prices scaled to the start.
-
-    Nominal prices are deflated by the fit's income model when it has
-    one, then scaled by the (equally deflated) introduction price.
-    """
-    check_positive(fit.intro_price, "intro_price")
-    if fit.onset_delay < 0:
-        raise ValueError("onset_delay must be non-negative")
-    onset = fit.intro_year + fit.onset_delay
-    mask = series.years >= onset - 1e-9
-    years = series.years[mask]
-    prices = series.values[mask]
-    if fit.income is not None:
-        prices = prices / fit.income.at_year(years)
-        ref = fit.intro_price / fit.income.at_year(onset)
-    else:
-        ref = fit.intro_price
-    return years - onset, prices / ref
-
-
-def price_function(
-    series: TimeSeries, fit: PriceDeclineFit, floor_ratio: float
-) -> TimeSeries:
-    """Scaled price path ``(price - floor) / intro_price`` on the decline clock.
-
-    ``fit``, fitted or not, supplies the onset and the deflation.  The
-    result is the quantity whose log is linear in time under an
-    exponential decline.
-    """
-    if not 0.0 <= floor_ratio < 1.0:
-        raise ValueError("floor_ratio must lie in [0, 1)")
-    t_prime, scaled = _scaled_prices(series, fit)
-    if t_prime.size == 0:
-        raise FitError("no observations after the decline onset")
-    return TimeSeries(t_prime, scaled - floor_ratio, kind=None)
-
-
-class PriceDeclineFit(BaseModel):
+class PriceDeclineFit:
     """Estimate the price decline rate and floor ratio from nominal prices.
 
     The scaled price model ``amplitude * exp(-rate * t') + floor`` is
@@ -217,9 +177,6 @@ class PriceDeclineFit(BaseModel):
     ----------
     decline_rate_ : float
     floor_ratio_ : float
-    intercept_ : float
-        Log of the fitted amplitude at ``t' = 0`` (zero for an exactly
-        scaled series).
     sse_ : float
         Natural-scale residual sum of squares.
     residuals_ : numpy.ndarray
@@ -248,13 +205,25 @@ class PriceDeclineFit(BaseModel):
         self.income = income
 
     def fit(self, series: TimeSeries):
-        t_prime, scaled = _scaled_prices(series, self)
+        # nominal prices are deflated by the income model when there is
+        # one, then scaled by the (equally deflated) introduction price
+        check_positive(self.intro_price, "intro_price")
+        if self.onset_delay < 0:
+            raise ValueError("onset_delay must be non-negative")
+        onset = self.intro_year + self.onset_delay
+        mask = series.years >= onset - 1e-9
+        years = series.years[mask]
+        prices = series.values[mask]
+        ref = self.intro_price
+        if self.income is not None:
+            prices = prices / self.income.at_year(years)
+            ref = ref / self.income.at_year(onset)
+        t_prime, scaled = years - onset, prices / ref
         if t_prime.size < 4:
             raise FitError("price fit needs at least 4 observations after the onset")
         # the amplitude refers to the first observation, so a clock far
         # from zero does not scale the amplitude column out of reach
-        start = t_prime.min()
-        elapsed = t_prime - start
+        elapsed = t_prime - t_prime.min()
         ones = np.ones(t_prime.size)
         zeros = np.zeros(t_prime.size)
 
@@ -285,7 +254,6 @@ class PriceDeclineFit(BaseModel):
 
         self.decline_rate_ = float(np.exp(log_rate))
         self.floor_ratio_ = floor
-        self.intercept_ = float(np.log(amplitude) + self.decline_rate_ * start)
         self.residuals_ = scaled - best.design @ best.plateaus
         self.sse_ = float((self.residuals_**2).sum())
         self.converged_ = bool(best.success)
@@ -297,13 +265,6 @@ class PriceDeclineFit(BaseModel):
             np.exp(-self.decline_rate_ * elapsed[1]) >= _WEIGHT_FLOOR
         )
         return self
-
-    def predict(self, t_prime):
-        """Modeled scaled price (floor included) on the decline clock."""
-        check_fitted(self, "decline_rate_")
-        t = np.asarray(t_prime, dtype=float)
-        out = np.exp(self.intercept_ - self.decline_rate_ * t) + self.floor_ratio_
-        return float(out) if np.isscalar(t_prime) else out
 
 
 # ---------------------------------------------------------------------------
@@ -602,7 +563,7 @@ def _two_wave_model(known: GoodParams, t_pen, t_sales, rate):
 # ---------------------------------------------------------------------------
 
 
-class FisherPryFit(BaseModel):
+class FisherPryFit:
     """Fit the logistic substitution law to a market-share series.
 
     Linear regression of the log share ratio (logit) on time; the slope
@@ -637,11 +598,6 @@ class FisherPryFit(BaseModel):
         self.residuals_ = logits - (slope * t + icept)
         self.sse_ = float((self.residuals_**2).sum())
         return self
-
-    def predict(self, years):
-        check_fitted(self, "advantage_")
-        t = np.asarray(years, dtype=float) - self.origin_year
-        return fisher_pry_share(t, self.advantage_, self.intercept_)
 
 
 # ---------------------------------------------------------------------------

@@ -297,7 +297,10 @@ def read_fit_table(path) -> dict:
         if key == "good":
             table[key] = value or None
         else:
-            table[key] = float(value) if value else None
+            try:
+                table[key] = float(value) if value else None
+            except ValueError as exc:
+                raise FormatError(f"{path}:{lineno}: {key} is not a number") from exc
     return table
 
 
@@ -318,7 +321,11 @@ def _cmd_fit(args, config) -> int:
     if share is not None:
         share_fit = calibration.FisherPryFit(origin_year=good.intro_year).fit(share)
         result = dataclasses.replace(
-            result, advantage=share_fit.advantage_, intercept=share_fit.intercept_
+            result,
+            advantage=share_fit.advantage_,
+            intercept=share_fit.intercept_,
+            sse={**result.sse, "share": share_fit.sse_},
+            residuals={**result.residuals, "share": share_fit.residuals_},
         )
 
     out = args.out

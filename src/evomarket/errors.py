@@ -24,7 +24,3 @@ class NumericError(EvomarketError, ArithmeticError):
 
 class StepSizeError(NumericError):
     """An integration step was too large to keep the state admissible."""
-
-
-class NotFittedError(EvomarketError, AttributeError):
-    """An estimator was used before ``fit`` was called."""

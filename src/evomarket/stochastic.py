@@ -113,8 +113,8 @@ class ReproductionSimResult:
     long_window_standard_error: float
 
 
-def _reflected_steps(x, params: PriceNoiseParams, dt: float, steps: int, rng) -> None:
-    """Take ``steps`` exact steps of length ``dt`` of the deviations ``x``, in place.
+def _reflected_step(x, params: PriceNoiseParams, dt: float, rng) -> None:
+    """Take one exact step of length ``dt`` of the deviations ``x``, in place.
 
     ``|X|`` is a Brownian motion with drift ``-b`` reflected at zero, so
     from ``r = |x|`` the free end point is ``y = r - b*dt + sqrt(noise*dt)*z``
@@ -124,34 +124,33 @@ def _reflected_steps(x, params: PriceNoiseParams, dt: float, steps: int, rng) ->
     bridge stays above zero keeps its sign; one that touched zero leaves
     it with either sign, by symmetry, at even odds (Borodin & Salminen,
     *Handbook of Brownian Motion*, 2002; Beskos & Roberts, *Ann. Appl.
-    Probab.* 15, 2005).  Each step draws ``x.size`` normals, then as
+    Probab.* 15, 2005).  The step draws ``x.size`` normals, then as
     many exponentials, then as many uniforms.
     """
     spread = params.noise * dt
     r, y, low, gap = (np.empty_like(x) for _ in range(4))
-    for _ in range(steps):
-        np.abs(x, out=r)
-        rng.standard_normal(out=y)
-        y *= np.sqrt(spread)
-        y += r
-        y -= params.restoring * dt
-        # low <- 2m = r + y - sqrt((y - r)^2 + 2 spread E), E ~ Exp(1)
-        rng.standard_exponential(out=low)
-        low *= 2.0 * spread
-        np.subtract(y, r, out=gap)
-        gap *= gap
-        low += gap
-        np.sqrt(low, out=low)
-        r += y
-        np.subtract(r, low, out=low)
-        # the sign: x's where the bridge stayed above zero, else a coin
-        rng.random(out=gap)
-        gap -= 0.5
-        np.copyto(gap, x, where=low > 0.0)
-        np.minimum(low, 0.0, out=low)
-        low *= 0.5
-        y -= low
-        np.copysign(y, gap, out=x)
+    np.abs(x, out=r)
+    rng.standard_normal(out=y)
+    y *= np.sqrt(spread)
+    y += r
+    y -= params.restoring * dt
+    # low <- 2m = r + y - sqrt((y - r)^2 + 2 spread E), E ~ Exp(1)
+    rng.standard_exponential(out=low)
+    low *= 2.0 * spread
+    np.subtract(y, r, out=gap)
+    gap *= gap
+    low += gap
+    np.sqrt(low, out=low)
+    r += y
+    np.subtract(r, low, out=low)
+    # the sign: x's where the bridge stayed above zero, else a coin
+    rng.random(out=gap)
+    gap -= 0.5
+    np.copyto(gap, x, where=low > 0.0)
+    np.minimum(low, 0.0, out=low)
+    low *= 0.5
+    y -= low
+    np.copysign(y, gap, out=x)
 
 
 def langevin_price_sim(
@@ -164,7 +163,7 @@ def langevin_price_sim(
     """One path of the price deviation, stepped exactly.
 
     Takes the exact steps of :func:`langevin_price_ensemble` on one path
-    (:func:`_reflected_steps`), so it has no discretisation error at
+    (:func:`_reflected_step`), so it has no discretisation error at
     any ``dt``.  Returns the path including the start value (length
     ``steps + 1``); deterministic for a fixed seed.
     """
@@ -176,7 +175,7 @@ def langevin_price_sim(
     path[0] = start
     x = path[:1].copy()
     for i in range(1, steps + 1):
-        _reflected_steps(x, params, dt, 1, rng)
+        _reflected_step(x, params, dt, rng)
         path[i] = x[0]
     return path
 
@@ -197,7 +196,7 @@ def langevin_price_ensemble(
     ``n_paths * keep_steps`` of them, the states of all paths at the
     first kept step, then at the second, and so on.
 
-    Every step is exact (:func:`_reflected_steps`), so by
+    Every step is exact (:func:`_reflected_step`), so by
     Chapman-Kolmogorov one burn-in step draws from the same law as
     many shorter ones, and ``dt`` sets only the spacing of the kept
     states, never a discretisation error.  All paths draw from one
@@ -209,10 +208,10 @@ def langevin_price_ensemble(
     burn_in = 10.0 * params.noise / params.restoring**2
     rng = np.random.default_rng(seed)
     x = np.zeros(n_paths)
-    _reflected_steps(x, params, burn_in, 1, rng)
+    _reflected_step(x, params, burn_in, rng)
     kept = np.empty((keep_steps, n_paths))
     for row in kept:
-        _reflected_steps(x, params, dt, 1, rng)
+        _reflected_step(x, params, dt, rng)
         row[:] = x
     return kept.ravel()
 

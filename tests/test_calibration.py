@@ -13,7 +13,6 @@ from evomarket.calibration import (
     PriceDeclineFit,
     _separable_lm,
     fit_two_wave,
-    price_function,
     round_trip,
     synthesize,
     synthesize_share,
@@ -24,7 +23,7 @@ from evomarket.diffusion import (
     bass_penetration,
     gompertz_penetration,
 )
-from evomarket.errors import FitError, NotFittedError
+from evomarket.errors import FitError
 from evomarket.market import IncomeModel
 from evomarket.series import TimeSeries
 
@@ -61,33 +60,6 @@ def recorded_lm_runs(monkeypatch, fit):
     with monkeypatch.context() as patch:
         patch.setattr(calibration, "least_squares", recording_least_squares)
         return fit(), runs
-
-
-class TestPriceFunction:
-    def test_normalization_at_start(self):
-        series = price_series(0.2, 0.0)
-        out = price_function(series, PriceDeclineFit(), floor_ratio=0.0)
-        assert out.years[0] == 0.0
-        assert out.values[0] == pytest.approx(1.0)
-
-    def test_floor_maps_to_zero(self):
-        series = TimeSeries(np.arange(5.0), np.full(5, 0.33), "nominal_price")
-        out = price_function(series, PriceDeclineFit(), floor_ratio=0.33)
-        assert np.allclose(out.values, 0.0)
-
-    def test_exponential_synthetic_is_exact(self):
-        series = price_series(0.2, 0.1)
-        out = price_function(series, PriceDeclineFit(), floor_ratio=0.1)
-        assert np.allclose(out.values, np.exp(-0.2 * out.years), rtol=1e-12)
-
-    def test_income_deflation(self):
-        income = IncomeModel(mean_income=4400.0, growth=0.05, ref_year=1950.0)
-        t = np.arange(10.0)
-        nominal = income.at(t) * (0.8 * np.exp(-0.1 * t) + 0.0)
-        series = TimeSeries(1950.0 + t, nominal, "nominal_price")
-        fit = PriceDeclineFit(intro_year=1950.0, intro_price=nominal[0], income=income)
-        out = price_function(series, fit, floor_ratio=0.0)
-        assert np.allclose(out.values, np.exp(-0.1 * t), rtol=1e-12)
 
 
 class TestPriceDeclineFit:
@@ -160,24 +132,38 @@ class TestPriceDeclineFit:
         aligned = PriceDeclineFit(intro_year=1960.0).fit(series)
         assert shifted.decline_rate_ == pytest.approx(aligned.decline_rate_, rel=1e-9)
         assert shifted.floor_ratio_ == pytest.approx(aligned.floor_ratio_, abs=1e-9)
-        assert shifted.predict(1965.0) == pytest.approx(aligned.predict(5.0), rel=1e-9)
 
-    def test_price_function_at_the_fitted_floor_is_the_decline(self):
-        fit = PriceDeclineFit().fit(price_series(0.2, 0.33))
-        out = price_function(price_series(0.2, 0.33), fit, fit.floor_ratio_)
-        assert np.allclose(out.values, np.exp(-0.2 * out.years), atol=1e-6)
+    def test_observations_before_the_onset_are_ignored(self):
+        good = BENCHMARKS["fax"]
+        series = synthesize("nominal_price", good)
+        before = np.arange(good.intro_year, good.intro_year + good.onset_delay)
+        padded = TimeSeries(
+            np.concatenate([before, series.years]),
+            np.concatenate([np.full(before.size, 1.0), series.values]),
+            "nominal_price",
+        )
+        fits = [
+            PriceDeclineFit(intro_year=good.intro_year, onset_delay=good.onset_delay).fit(s)
+            for s in (series, padded)
+        ]
+        assert before.tolist() == [1977.0, 1978.0, 1979.0, 1980.0]
+        assert fits[1].decline_rate_ == fits[0].decline_rate_
+        assert fits[1].floor_ratio_ == fits[0].floor_ratio_
+        assert fits[1].residuals_.tobytes() == fits[0].residuals_.tobytes()
+        assert fits[1].nfev_ == fits[0].nfev_
 
-    def test_unfitted_predict_raises(self):
-        with pytest.raises(NotFittedError):
-            PriceDeclineFit().predict(1.0)
-
-    def test_get_set_params(self):
-        fit = PriceDeclineFit(onset_delay=4.0)
-        assert fit.get_params()["onset_delay"] == 4.0
-        fit.set_params(onset_delay=2.0)
-        assert fit.onset_delay == 2.0
-        with pytest.raises(ValueError):
-            fit.set_params(bogus=1)
+    @pytest.mark.parametrize(
+        ("option", "message"),
+        [
+            ({"intro_price": 0.0}, "intro_price must be positive"),
+            ({"intro_price": -1.0}, "intro_price must be positive"),
+            ({"onset_delay": -0.5}, "onset_delay must be non-negative"),
+        ],
+        ids=["zero_intro_price", "negative_intro_price", "negative_onset_delay"],
+    )
+    def test_invalid_inputs_raise(self, option, message):
+        with pytest.raises(ValueError, match=message):
+            PriceDeclineFit(**option).fit(price_series(0.2, 0.0))
 
 
 class TestFisherPryFit:

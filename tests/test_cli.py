@@ -1,4 +1,5 @@
 import configparser
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from evomarket.cli import (
 )
 from evomarket.calibration import FitResult
 from evomarket.diffusion import BassParams, bass_penetration, bass_rate
+from evomarket.errors import FormatError
 from evomarket.series import TimeSeries, read_series_csv, write_series_csv
 
 
@@ -345,6 +347,8 @@ sales_series = {data_dir}/sales.csv
         table = read_fit_table(out / "fit_table.csv")
         assert table["advantage"] == expected.advantage_
         assert table["intercept"] == expected.intercept_
+        meta = (out / "fit_meta.txt").read_text(encoding="utf-8").splitlines()
+        assert f"sse[share]: {expected.sse_!r}" in meta
 
     @pytest.mark.usefixtures("lm_stops_at_three_evaluations")
     def test_fit_stopped_by_the_evaluation_limit_reads_unconverged(self, tmp_path):
@@ -491,6 +495,21 @@ class TestFitTable:
             "advantage",
             "intercept",
         ]
+
+    @pytest.mark.parametrize(
+        ("text", "message"),
+        [
+            ("good,colour_tv\n", ": missing 'parameter,value' header"),
+            ("parameter,value\ngood,colour_tv\nshape\n", ":3: expected 'parameter,value'"),
+            ("parameter,value\nshape,abc\n", ":2: shape is not a number"),
+        ],
+        ids=["no_header", "no_comma", "not_a_number"],
+    )
+    def test_malformed_table_names_the_line(self, tmp_path, text, message):
+        path = tmp_path / "table.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(FormatError, match=re.escape(f"{path}{message}")):
+            read_fit_table(path)
 
 
 class TestDist:

@@ -85,10 +85,10 @@ class TestLangevinPriceEnsemble:
         # at any other dt: one burn-in step, then keep steps of dt
         x = np.zeros(1)
         rng = np.random.default_rng(seed)
-        stochastic._reflected_steps(x, params, burn_in, 1, rng)
+        stochastic._reflected_step(x, params, burn_in, rng)
         expected = []
         for _ in range(keep):
-            stochastic._reflected_steps(x, params, dt, 1, rng)
+            stochastic._reflected_step(x, params, dt, rng)
             expected.append(x[0])
         samples = langevin_price_ensemble(params, dt, 1, keep, seed)
         assert np.array_equal(samples, expected)
@@ -98,7 +98,7 @@ def exact_step_from(x0, h, n, seed, substeps=1):
     x = np.full(n, float(x0))
     rng = np.random.default_rng(seed)
     for _ in range(substeps):
-        stochastic._reflected_steps(x, UNIT_NOISE, h / substeps, 1, rng)
+        stochastic._reflected_step(x, UNIT_NOISE, h / substeps, rng)
     return x
 
 
