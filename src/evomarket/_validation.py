@@ -11,8 +11,6 @@ def as_float_array(values, name: str) -> np.ndarray:
     """Coerce to a 1-d float array, rejecting non-finite entries."""
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1:
-        arr = np.atleast_1d(arr.squeeze())
-    if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite values")

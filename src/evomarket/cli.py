@@ -363,12 +363,14 @@ def _cmd_synth(args, config) -> int:
     n_points = _get(config, "synth", "points", int, 30, low=2)
     noise = _get(config, "synth", "noise", float, 0.0, low=0.0)
     seed = args.seed if args.seed is not None else _get(config, "synth", "seed", int, 0, low=0)
+    kinds = [k.strip() for k in kinds.split(",")]
+    for kind in kinds:
+        if kind not in SERIES_KINDS:
+            raise UsageError(f"[synth] kinds: unknown series kind {kind!r}")
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
     written = []
-    for index, kind in enumerate(k.strip() for k in kinds.split(",")):
-        if kind not in SERIES_KINDS:
-            raise UsageError(f"[synth] unknown series kind {kind!r}")
+    for index, kind in enumerate(kinds):
         if kind == "share":
             series = calibration.synthesize_share(
                 VCR_FORMAT_CONTEST["advantage"],
@@ -397,6 +399,8 @@ def _cmd_dist(args, config) -> int:
     n_paths = _get(config, "dist", "paths", int, 200_000, low=1)
     keep = _get(config, "dist", "keep", int, 1, low=1)
     dt = _get(config, "dist", "dt", float, 0.5, low=0.0, strict=True)
+    if n_paths * keep < 2:
+        raise UsageError(f"[dist] paths * keep must be at least 2, got {n_paths} * {keep}")
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
 

@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from ._integrate import rk4_step
-from ._validation import as_float_array, check_nonnegative, check_positive
+from ._validation import check_nonnegative, check_positive
 from .errors import StepSizeError
 from .market import MarketStructure, market_volume, market_volume_gradient
 
@@ -70,28 +70,23 @@ class Product:
 
 @dataclass(frozen=True)
 class DemandState:
-    """Potential-adopter pool split into first-purchase and repurchase parts.
+    """Pool of potential buyers.
 
-    ``creation_rate`` is the mean rate at which repurchase decisions
-    create new potential buyers; ``prefactor`` is the stationary-pool
-    prefactor ``creation_rate / sum(preference * stock)`` for the
-    population the state was computed against.
+    ``potential`` is the pool's density; ``creation_rate`` is the mean
+    rate at which repurchase decisions create new potential buyers;
+    ``prefactor`` is the stationary-pool prefactor
+    ``creation_rate / sum(preference * stock)`` for the population the
+    state was computed against.
     """
 
-    first_purchase: float
-    repurchase: float
+    potential: float
     creation_rate: float
     prefactor: float
 
     def __post_init__(self):
-        check_nonnegative(self.first_purchase, "first_purchase")
-        check_nonnegative(self.repurchase, "repurchase")
+        check_nonnegative(self.potential, "potential")
         check_nonnegative(self.creation_rate, "creation_rate")
         check_nonnegative(self.prefactor, "prefactor")
-
-    @property
-    def potential(self) -> float:
-        return self.first_purchase + self.repurchase
 
 
 class Population:
@@ -250,12 +245,7 @@ def stationary_demand(
         (pop._preferences * pop._stocks * pop._prices).sum() / weight
     )
     psi = prefactor * market_volume(mu, market)
-    return DemandState(
-        first_purchase=0.0,
-        repurchase=psi,
-        creation_rate=creation_rate,
-        prefactor=prefactor,
-    )
+    return DemandState(potential=psi, creation_rate=creation_rate, prefactor=prefactor)
 
 
 def micro_step(
@@ -310,12 +300,8 @@ def micro_step(
         gamma,
         pop.tau + dtau,
     )
-    repurchase = new_psi - demand.first_purchase
-    if repurchase < 0:
-        raise StepSizeError("pool dropped below the first-purchase part")
     new_demand = DemandState(
-        first_purchase=demand.first_purchase,
-        repurchase=repurchase,
+        potential=new_psi,
         creation_rate=q,
         prefactor=q / float(np.add.reduce(eta * new_stocks)),
     )

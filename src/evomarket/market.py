@@ -19,9 +19,6 @@ import numpy as np
 
 from ._validation import check_nonnegative, check_positive, check_unit_interval
 
-# A real price is a plain float: nominal price divided by mean income.
-RealPrice = float
-
 
 @dataclass(frozen=True)
 class IncomeModel:
@@ -104,7 +101,7 @@ def income_pdf(income, mean_income):
     return float(out) if np.isscalar(income) else out
 
 
-def real_price(price, mean_income) -> RealPrice:
+def real_price(price, mean_income) -> float:
     """Scale a nominal price by the mean income."""
     check_positive(mean_income, "mean_income")
     p = np.asarray(price, dtype=float)
@@ -134,19 +131,14 @@ def market_volume(mu, market: MarketStructure):
         return market.upper_share + market.lower_share * math.exp(
             -(excess * excess) / (2.0 * market.width**2)
         )
-    out = np.array(mu, dtype=float)
-    if (out < 0).any():
+    mu_arr = np.asarray(mu, dtype=float)
+    if (mu_arr < 0).any():
         raise ValueError("real price must be non-negative")
-    out -= market.minimum_price
-    np.maximum(out, 0.0, out=out)
-    np.square(out, out=out)
-    np.negative(out, out=out)
-    out /= 2.0 * market.width**2
-    np.exp(out, out=out)
-    out *= market.lower_share
-    out += market.upper_share
-    # a 0-d array input gives a numpy scalar, as the ufuncs themselves would
-    return float(out) if np.isscalar(mu) else out[()]
+    excess = np.maximum(mu_arr - market.minimum_price, 0.0)
+    out = market.upper_share + market.lower_share * np.exp(
+        -(excess * excess) / (2.0 * market.width**2)
+    )
+    return float(out) if np.isscalar(mu) else out
 
 
 def market_volume_gradient(mu, market: MarketStructure):

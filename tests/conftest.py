@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
 
+# Hypothesis also draws the numeric literals of every loaded non-test
+# module, and the full suite loads evomarket.cli; loading it here gives a
+# test file run on its own the same draws as the full suite
+import evomarket.cli  # noqa: F401
 from evomarket import calibration
 from evomarket.market import MarketStructure
 

@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from evomarket import calibration
 from evomarket.benchmarks import BENCHMARKS, ROUND_TRIP_GOODS, VCR_FORMAT_CONTEST
 from evomarket.calibration import FisherPryFit, TWO_WAVE_STARTS, _REFINE_STARTS, synthesize
 from evomarket.cli import (
@@ -62,16 +63,19 @@ class TestUsageErrors:
         [
             ("simulate", "bw_tv", "[simulate]\nstep = 0"),
             ("simulate", "bw_tv", "[simulate]\nstep = -0.1"),
+            ("simulate", "bw_tv", "[simulate]\nstep = abc"),
             ("simulate", "bw_tv", "[simulate]\nhorizon = 0"),
             ("simulate", "bw_tv", "[simulate]\nhorizon = inf"),
             ("simulate", "bw_tv", "[simulate]\nechoes = 0"),
             ("simulate", "colour_tv", "[simulate]\nechoes = 0"),
             ("dist", "bw_tv", "[dist]\npaths = 0"),
             ("dist", "bw_tv", "[dist]\nkeep = 0"),
+            ("dist", "bw_tv", "[dist]\npaths = 1\nkeep = 1"),
             ("dist", "bw_tv", "[dist]\ndt = -1"),
             ("dist", "bw_tv", "[dist]\ndt = nan"),
             ("synth", "bw_tv", "[synth]\npoints = 1"),
             ("synth", "bw_tv", "[synth]\nnoise = -0.1"),
+            ("synth", "bw_tv", "[synth]\nkinds = penetration,volume"),
             ("replicate", "bw_tv", "[replicate]\nseeds = 0"),
             ("replicate", "bw_tv", "[replicate]\nnoise = -0.02"),
             ("simulate", "custom", "[good]\nshape = -2"),
@@ -82,6 +86,7 @@ class TestUsageErrors:
             ("dist", "bw_tv", "[dist]\nseed = -1"),
             ("replicate", "bw_tv", "[replicate]\nseed = -1"),
             ("fit", "bw_tv", "[fit]\nintro_price = 0"),
+            ("fit", "bw_tv", "[fit]\nprice_series = no_such_dir/price.csv"),
             ("fit", "bw_tv", "[fit]\nincome_mean = 0"),
             ("fit", "bw_tv", "[fit]\nincome_growth = -1\nincome_mean = 100"),
         ],
@@ -98,6 +103,15 @@ class TestUsageErrors:
         assert run(command, "--config", str(cfg), "--out", str(out)) == EXIT_USAGE
         option = setting.split("\n")[1].split(" =")[0]
         assert option in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", list(CUSTOM_GOOD))
+    def test_custom_good_without_a_required_key(self, tmp_path, capsys, key):
+        lines = [f"{k} = {v}\n" for k, v in CUSTOM_GOOD.items() if k != key]
+        cfg = write_config(tmp_path, "[good]\n" + "".join(lines))
+        out = tmp_path / "out"
+        assert run("simulate", "--config", str(cfg), "--out", str(out)) == EXIT_USAGE
+        assert f"'{key}'" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["synth", "dist", "replicate"])
@@ -565,6 +579,15 @@ class TestReplicate:
         assert (out_a / "replicate_matrix.csv").read_bytes() == (
             out_b / "replicate_matrix.csv"
         ).read_bytes()
+
+    def test_missed_tolerance_exits_with_fit_code(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setitem(calibration.ROUND_TRIP_TOLERANCES, "shape", 0.0)
+        cfg = write_config(tmp_path, "[replicate]\nseeds = 2\n")
+        out = tmp_path / "out"
+        assert run("replicate", "--config", str(cfg), "--out", str(out)) == EXIT_FIT
+        assert "missed its tolerance" in capsys.readouterr().err
+        matrix = (out / "replicate_matrix.csv").read_text(encoding="utf-8")
+        assert matrix.count("FAIL") == len(ROUND_TRIP_GOODS)
 
     def test_side_file_lists_every_good(self, tmp_path):
         cfg = write_config(tmp_path, "[replicate]\nseeds = 2\n")

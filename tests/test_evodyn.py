@@ -219,7 +219,7 @@ class TestMicroStep:
         demand = stationary_demand(pop, creation_rate=2.0, market=market)
         psi_s = demand.potential
         delta = 0.1 * psi_s
-        state = DemandState(0.0, psi_s + delta, 2.0, demand.prefactor)
+        state = DemandState(psi_s + delta, 2.0, demand.prefactor)
         decay_rate = float((pop.preferences * pop.stocks).sum())
         tau = 1.0
         steps = 100
@@ -236,7 +236,7 @@ class TestMicroStep:
         rate = float((pop.preferences * pop.stocks).sum())
         target = stationary_demand(pop, 1.5, market).potential
         for start in (1e-4, 5.0):
-            state = DemandState(0.0, start, 1.5, 1.0)
+            state = DemandState(start, 1.5, 1.0)
             p = pop
             horizon = 20.0 / rate
             steps = 400
@@ -282,17 +282,9 @@ class TestMicroStep:
 
     def test_negative_density_rejected(self, market):
         pop = Population([Product(1.0, 1.0, 0.05, 1.0, -50.0)])
-        state = DemandState(0.0, 1.0, 0.0, 1.0)
+        state = DemandState(1.0, 0.0, 1.0)
         with pytest.raises(StepSizeError):
             micro_step(pop, state, market, 5.0)
-
-    def test_pool_below_first_purchase_part_rejected(self, market):
-        # no creation: the pool decays from 0.6 to about 0.36, still
-        # non-negative but below its first-purchase part of 0.5
-        pop = Population([Product(1.0, 1.0, 0.05, 1.0, 0.0)])
-        state = DemandState(0.5, 0.1, 0.0, 1.0)
-        with pytest.raises(StepSizeError, match="first-purchase"):
-            micro_step(pop, state, market, 0.5)
 
 
 class TestFisherPryShare:

@@ -374,21 +374,35 @@ def test_two_wave_noiseless_recovery(good):
 @pytest.mark.xfail(
     strict=True,
     raises=AssertionError,
-    reason="the 4-start screen misses this draw, which the full 18-start lattice "
+    reason="the 4-start screen misses these draws, which the full 18-start lattice "
     "recovers (CHANGES.md, FOUND: _separable_lm's 4-start screen misses a "
     "noiseless two-wave draw)",
 )
-def test_two_wave_noiseless_recovery_of_a_draw_the_screen_misses():
-    assert_noiseless_recovery(
-        first_purchase_draw(
+@pytest.mark.parametrize(
+    "fields",
+    [
+        dict(
             innovation=0.001953125,
             imitation=1.0,
             shape=9.0,
             decline_rate=0.3125,
             evolutionary_plateau=0.875,
             spreading_plateau=0.03125,
-        )
-    )
+        ),
+        # found by test_two_wave_noiseless_recovery; fits shape 17.650 with
+        # converged True, and six or more refined starts recover it
+        dict(
+            innovation=0.001,
+            imitation=2.5,
+            shape=18.0,
+            decline_rate=0.125,
+            evolutionary_plateau=0.875,
+            spreading_plateau=0.125,
+        ),
+    ],
+)
+def test_two_wave_noiseless_recovery_of_a_draw_the_screen_misses(fields):
+    assert_noiseless_recovery(first_purchase_draw(**fields))
 
 
 @PROPERTY_SETTINGS

@@ -24,6 +24,11 @@ class TestTimeSeries:
         with pytest.raises(FormatError):
             TimeSeries(np.array([1950.0]), np.array([0.1]), "price_index")
 
+    @pytest.mark.parametrize("years", [np.array(1950.0), np.array([[1950.0, 1951.0]])])
+    def test_years_must_be_one_dimensional(self, years):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            TimeSeries(years, np.array([0.1, 0.2]))
+
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             TimeSeries(np.array([1950.0, 1951.0]), np.array([0.1, np.nan]))
@@ -73,6 +78,11 @@ class TestReadSeriesCsv:
     def test_missing_header(self, tmp_path):
         path = self.write(tmp_path, "1950,0.5\n1951,0.6\n")
         with pytest.raises(FormatError, match="header"):
+            read_series_csv(path)
+
+    def test_third_column_other_than_kind(self, tmp_path):
+        path = self.write(tmp_path, "year,value,note\n1950,0.5,a\n")
+        with pytest.raises(FormatError, match=":1: third column must be 'kind'"):
             read_series_csv(path)
 
     def test_mixed_kinds_rejected(self, tmp_path):
