@@ -51,7 +51,6 @@ from scipy.optimize import OptimizeResult, leastsq, lsq_linear
 
 from ._validation import as_float_array, check_positive
 from .benchmarks import GoodParams, wave_params
-from .diffusion import BassParams, GompertzParams
 # not called here, but kept: the benchmark's tracer wraps these module attributes
 from .diffusion import bass_penetration, bass_rate, gompertz_penetration, gompertz_rate
 from .errors import FitError, FormatError
@@ -622,9 +621,6 @@ def synthesize(
     """
     if n_points < 2:
         raise ValueError("n_points must be at least 2")
-    # the parameter checks of the closed forms, which the model skips
-    BassParams(good.innovation, good.imitation, good.spreading_plateau)
-    GompertzParams(good.evolutionary_plateau, good.shape, good.decline_rate)
     t = np.arange(n_points, dtype=float)
     if kind == "nominal_price":
         years = good.intro_year + good.onset_delay + t

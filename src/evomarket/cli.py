@@ -116,6 +116,18 @@ def _get(config, section, option, cast, default, low=None, strict=False):
 
 
 def _read_good(config) -> GoodParams:
+    """The benchmark that ``[good]`` names, or the good its keys spell out.
+
+    The keys are :class:`GoodParams`' fields; a field without a default
+    is required.  A key that is neither a field nor ``benchmark`` and a
+    good that fails its checks are usage errors.
+    """
+    fields = dataclasses.fields(GoodParams)
+    if config.has_section("good"):
+        known = {"benchmark", *(field.name for field in fields), *config.defaults()}
+        unknown = [key for key in config["good"] if key not in known]
+        if unknown:
+            raise UsageError(f"[good] unknown key {unknown[0]!r}")
     name = _get(config, "good", "benchmark", str, None)
     if name is not None:
         if name not in BENCHMARKS:
@@ -123,56 +135,18 @@ def _read_good(config) -> GoodParams:
                 f"unknown benchmark {name!r}; available: {', '.join(BENCHMARKS)}"
             )
         return BENCHMARKS[name]
-    required = (
-        "decline_rate",
-        "shape",
-        "evolutionary_plateau",
-        "spreading_plateau",
-        "innovation",
-        "imitation",
-    )
-    values = {}
-    for key in required:
-        value = _get(config, "good", key, float, None)
-        if value is None:
-            raise UsageError(f"[good] needs either 'benchmark' or '{key}'")
-        values[key] = value
-    values["onset_delay"] = _get(config, "good", "onset_delay", float, 0.0, low=0.0)
-    optional = {
-        "intro_year": 0.0,
-        "floor_ratio": None,
-        "spreading_replacement": None,
-        "spreading_multiple": None,
-        "evolutionary_replacement": None,
-        "evolutionary_multiple": None,
-        "spreading_lifetime": None,
-        "evolutionary_lifetime": None,
-        "market_potential_millions": None,
-    }
-    for key, default in optional.items():
-        values[key] = _get(config, "good", key, float, default)
-    return GoodParams(name=_get(config, "good", "name", str, "custom"), **values)
-
-
-def _good_from_config(config):
-    """``(good, bass, gompertz, wave_params(good))`` of the configured good.
-
-    A value that their constructors reject is a usage error naming the
-    ``[good]`` options that the failing constructor reads.
-    """
-    good = _read_good(config)
-    options = "innovation, imitation or spreading_plateau"
+    values = {"name": _get(config, "good", "name", str, "custom")}
+    # every field after the name is a number
+    for field in fields[1:]:
+        required = field.default is dataclasses.MISSING
+        value = _get(config, "good", field.name, float, None if required else field.default)
+        if value is None and required:
+            raise UsageError(f"[good] needs either 'benchmark' or '{field.name}'")
+        values[field.name] = value
     try:
-        bass = BassParams(good.innovation, good.imitation, good.spreading_plateau)
-        options = "evolutionary_plateau, shape or decline_rate"
-        gompertz = GompertzParams(good.evolutionary_plateau, good.shape, good.decline_rate)
-        options = (
-            "spreading_replacement, spreading_multiple, spreading_lifetime, "
-            "evolutionary_replacement, evolutionary_multiple or evolutionary_lifetime"
-        )
-        return good, bass, gompertz, wave_params(good)
+        return GoodParams(**values)
     except ValueError as exc:
-        raise UsageError(f"[good] {options}: {exc}") from exc
+        raise UsageError(f"[good] {exc}") from exc
 
 
 def _income_from_config(config) -> IncomeModel | None:
@@ -198,16 +172,19 @@ def _warn(messages):
 
 
 def _cmd_simulate(args, config) -> int:
-    good, bass, gomp, (spread_wave, evo_wave, warnings) = _good_from_config(config)
+    good = _read_good(config)
     horizon = _get(config, "simulate", "horizon", float, 30.0)
     step = _get(config, "simulate", "step", float, 0.1, low=0.0, strict=True)
     echoes = _get(config, "simulate", "echoes", int, 1, low=1)
     n_steps = int(round(horizon / step))
     if n_steps < 1:
         raise UsageError("[simulate] horizon must cover at least one step")
+    spread_wave, evo_wave, warnings = wave_params(good)
     _warn(warnings)
 
     grid = step * np.arange(n_steps + 1)
+    bass = BassParams(good.innovation, good.imitation, good.spreading_plateau)
+    gomp = GompertzParams(good.evolutionary_plateau, good.shape, good.decline_rate)
     bass_curve = AdoptionCurve(grid, bass_penetration(grid, bass), bass_rate(grid, bass))
     evo_curve = AdoptionCurve(
         grid, gompertz_penetration(grid, gomp), gompertz_rate(grid, gomp)
@@ -305,7 +282,7 @@ def read_fit_table(path) -> dict:
 
 
 def _cmd_fit(args, config) -> int:
-    good = _good_from_config(config)[0]
+    good = _read_good(config)
     income = _income_from_config(config)
     intro_price = _get(config, "fit", "intro_price", float, 1.0, low=0.0, strict=True)
     price = _fit_series(config, "price_series", "nominal_price")
@@ -358,7 +335,7 @@ def _cmd_fit(args, config) -> int:
 
 
 def _cmd_synth(args, config) -> int:
-    good = _good_from_config(config)[0]
+    good = _read_good(config)
     kinds = _get(config, "synth", "kinds", str, "nominal_price,penetration,sales")
     n_points = _get(config, "synth", "points", int, 30, low=2)
     noise = _get(config, "synth", "noise", float, 0.0, low=0.0)

@@ -1,4 +1,5 @@
 import configparser
+import dataclasses
 import re
 
 import numpy as np
@@ -12,6 +13,7 @@ from evomarket.cli import (
     EXIT_FORMAT,
     EXIT_OK,
     EXIT_USAGE,
+    _read_good,
     main,
     read_fit_table,
     write_fit_table,
@@ -82,6 +84,10 @@ class TestUsageErrors:
             ("simulate", "custom", "[good]\nonset_delay = -1"),
             ("simulate", "custom", "[good]\nspreading_replacement = 0.3"),
             ("synth", "custom", "[good]\nevolutionary_plateau = 0"),
+            ("simulate", "custom", "[good]\nfloor_ratio = -0.5"),
+            ("synth", "custom", "[good]\nfloor_ratio = 1"),
+            ("simulate", "custom", "[good]\nspreading_multple = 0.06"),
+            ("simulate", "bw_tv", "[good]\nspreading_multple = 0.06"),
             ("synth", "bw_tv", "[synth]\nseed = -1"),
             ("dist", "bw_tv", "[dist]\nseed = -1"),
             ("replicate", "bw_tv", "[replicate]\nseed = -1"),
@@ -114,6 +120,10 @@ class TestUsageErrors:
         assert f"'{key}'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_default_section_keys_are_not_good_keys(self, tmp_path):
+        cfg = write_config(tmp_path, "[DEFAULT]\nseed = 3\n[good]\nbenchmark = bw_tv\n")
+        assert run("synth", "--config", str(cfg), "--out", str(tmp_path / "out")) == EXIT_OK
+
     @pytest.mark.parametrize("command", ["synth", "dist", "replicate"])
     def test_negative_seed_flag(self, tmp_path, capsys, command):
         cfg = write_config(tmp_path, "[good]\nbenchmark = bw_tv\n")
@@ -122,6 +132,23 @@ class TestUsageErrors:
         assert code == EXIT_USAGE
         assert "--seed" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestReadGood:
+    @pytest.mark.parametrize("name", list(BENCHMARKS))
+    def test_benchmark_spelt_out_reads_back_equal(self, name):
+        good = BENCHMARKS[name]
+        config = configparser.ConfigParser()
+        config.read_dict(
+            {
+                "good": {
+                    field.name: str(getattr(good, field.name))
+                    for field in dataclasses.fields(good)
+                    if getattr(good, field.name) is not None
+                }
+            }
+        )
+        assert _read_good(config) == good
 
 
 class TestSimulate:
