@@ -51,13 +51,7 @@ from .evodyn import (
     sales_mean_price,
     stationary_demand,
 )
-from .lifecycle import (
-    WaveParams,
-    multiple_sales,
-    replacement_sales,
-    total_sales,
-    wave_sales,
-)
+from .lifecycle import WaveParams, total_sales, wave_sales
 from .market import (
     IncomeModel,
     MarketStructure,

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import FormatError
-
 
 def as_float_array(values, name: str) -> np.ndarray:
     """Coerce to a 1-d float array, rejecting non-finite entries."""
@@ -37,14 +35,3 @@ def check_unit_interval(value: float, name: str) -> float:
         raise ValueError(f"{name} must lie in [0, 1], got {value}")
     return value
 
-
-def uniform_grid_step(times: np.ndarray) -> float:
-    """Return the grid step, raising FormatError when sampling is not uniform."""
-    times = np.asarray(times, dtype=float)
-    if times.size < 2:
-        raise FormatError("times needs at least two samples")
-    steps = np.diff(times)
-    step = steps[0]
-    if step <= 0 or not np.allclose(steps, step, rtol=1e-9, atol=1e-12):
-        raise FormatError("times must be sampled on a uniform increasing grid")
-    return float(step)

@@ -47,7 +47,6 @@ from . import calibration, stochastic
 from ._svg import write_line_plot
 from .benchmarks import BENCHMARKS, GoodParams, ROUND_TRIP_GOODS, VCR_FORMAT_CONTEST, wave_params
 from .diffusion import (
-    AdoptionCurve,
     BassParams,
     GompertzParams,
     bass_penetration,
@@ -119,16 +118,20 @@ def _read_good(config) -> GoodParams:
     """The benchmark that ``[good]`` names, or the good its keys spell out.
 
     The keys are :class:`GoodParams`' fields; a field without a default
-    is required.  A key that is neither a field nor ``benchmark`` and a
-    good that fails its checks are usage errors.
+    is required.  A key that is neither a field nor ``benchmark``, a
+    field beside ``benchmark`` and a good that fails its checks are
+    usage errors.
     """
     fields = dataclasses.fields(GoodParams)
+    name = _get(config, "good", "benchmark", str, None)
     if config.has_section("good"):
-        known = {"benchmark", *(field.name for field in fields), *config.defaults()}
+        known = {"benchmark", *config.defaults()}
+        if name is None:
+            known.update(field.name for field in fields)
         unknown = [key for key in config["good"] if key not in known]
         if unknown:
-            raise UsageError(f"[good] unknown key {unknown[0]!r}")
-    name = _get(config, "good", "benchmark", str, None)
+            where = "unknown" if name is None else "not allowed beside 'benchmark'"
+            raise UsageError(f"[good] key {unknown[0]!r} is {where}")
     if name is not None:
         if name not in BENCHMARKS:
             raise UsageError(
@@ -185,16 +188,25 @@ def _cmd_simulate(args, config) -> int:
     grid = step * np.arange(n_steps + 1)
     bass = BassParams(good.innovation, good.imitation, good.spreading_plateau)
     gomp = GompertzParams(good.evolutionary_plateau, good.shape, good.decline_rate)
-    bass_curve = AdoptionCurve(grid, bass_penetration(grid, bass), bass_rate(grid, bass))
-    evo_curve = AdoptionCurve(
-        grid, gompertz_penetration(grid, gomp), gompertz_rate(grid, gomp)
+    # the lambdas look the closed forms up in this module at call time, where
+    # the benchmark's tracer wraps them
+    spreading = wave_sales(
+        grid,
+        lambda t: bass_penetration(t, bass),
+        lambda t: bass_rate(t, bass),
+        spread_wave,
+        echoes,
     )
-    spreading = wave_sales(bass_curve, spread_wave, echoes)
-    evolutionary = wave_sales(evo_curve, evo_wave, echoes)
-    # the evolutionary wave runs past the horizon by the onset delay; cut
-    # the sales to the penetration grid
-    sales = total_sales(spreading, evolutionary, step, shift=good.onset_delay)[: grid.size]
-    penetration = bass_curve.penetration + gompertz_penetration(
+    # the evolutionary wave starts at the onset delay
+    evolutionary = wave_sales(
+        grid - good.onset_delay,
+        lambda t: gompertz_penetration(t, gomp),
+        lambda t: gompertz_rate(t, gomp),
+        evo_wave,
+        echoes,
+    )
+    sales = total_sales(spreading, evolutionary)
+    penetration = bass_penetration(grid, bass) + gompertz_penetration(
         grid - good.onset_delay, gomp
     )
     price = np.exp(-good.decline_rate * grid) + (good.floor_ratio or 0.0)

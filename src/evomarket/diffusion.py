@@ -19,12 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._integrate import rk4_step
-from ._validation import (
-    as_float_array,
-    check_nonnegative,
-    check_positive,
-    uniform_grid_step,
-)
+from ._validation import as_float_array, check_nonnegative, check_positive
 from .errors import NumericError
 from .market import MarketStructure
 
@@ -124,10 +119,6 @@ class AdoptionCurve:
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "penetration", penetration)
         object.__setattr__(self, "rate", rate)
-
-    @property
-    def step(self) -> float:
-        return uniform_grid_step(self.times)
 
 
 def _check_nonneg_times(t):

@@ -1,14 +1,13 @@
 """Product life cycle: first purchase plus replacement and multiple purchase.
 
-Every unit fails exactly one product lifetime after purchase, so
-replacement demand is the first-purchase wave shifted by the lifetime on
-the grid, repeated with geometric damping; no convolution is needed.
-Multiple purchase scales with the installed base.  Summing both
+Every unit fails exactly one product lifetime after purchase, so the
+replacement demand at time ``t`` is the first-purchase rate at
+``t - lifetime``, again at ``t - 2 * lifetime`` and so on, damped
+geometrically; no convolution is needed.  Each echo is evaluated on the
+wave's closed form at its own time, so the lags are exact at any grid
+step.  Multiple purchase scales with the installed base.  Summing both
 repurchase channels over the spreading and the price-driven wave gives
 the aggregate unit sales and their multi-year periodicity.
-
-All series transforms are linear, operate on uniform grids and return
-new arrays.
 """
 
 from __future__ import annotations
@@ -18,15 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._validation import as_float_array, check_positive
-from .diffusion import AdoptionCurve
 
-__all__ = [
-    "WaveParams",
-    "replacement_sales",
-    "multiple_sales",
-    "wave_sales",
-    "total_sales",
-]
+__all__ = ["WaveParams", "wave_sales", "total_sales"]
 
 
 @dataclass(frozen=True)
@@ -48,104 +40,53 @@ class WaveParams:
             raise ValueError("replacement requires a product lifetime")
 
 
-def replacement_sales(
-    first_purchase,
-    step: float,
-    fraction: float,
-    lifetime: float,
-    echoes: int = 1,
-) -> np.ndarray:
-    """Replacement demand induced by a first-purchase sales series.
+def _from_zero(fn, t: np.ndarray) -> np.ndarray:
+    """``fn(t)`` where ``t >= 0`` and zero before."""
+    return np.where(t >= 0, fn(np.maximum(t, 0.0)), 0.0)
 
-    Every unit fails exactly ``lifetime`` years after purchase, and a
-    ``fraction`` of the failed units is bought again.  The first echo is
-    the source moved ``round(lifetime / step)`` cells later and scaled by
-    ``fraction``; each further echo replaces the previous one, giving
-    geometric damping.
+
+def wave_sales(t, penetration, rate, wave: WaveParams, echoes: int = 1) -> np.ndarray:
+    """Unit sales of one diffusion wave at ``t`` years on the wave's own clock.
+
+    The sales are first purchases, plus the multiple rate times the
+    installed base, plus the replacement echoes::
+
+        rate(t) + multiple_rate * clip(penetration(t), 0, 1)
+                + sum over k = 1..echoes of fraction**k * rate(t - k * lifetime)
+
+    Each echo is zero where ``t - k * lifetime < 0``, and the whole wave
+    is zero where ``t < 0``.  Echoes that start after the last time are
+    not evaluated, so a large ``echoes`` costs nothing.
 
     Parameters
     ----------
-    first_purchase : array_like
-        Sales series on a uniform grid of spacing ``step`` (years).
-    step : float
-    fraction : float
-        Fraction of previous sales that comes back for replacement.
-    lifetime : float
-        Product lifetime in years.
+    t : array_like
+        Years since the wave started; any spacing, negative allowed.
+    penetration, rate : callable
+        The wave's closed forms, called with non-negative times.
+    wave : WaveParams
     echoes : int
         Number of recurrent replacement waves to accumulate.
-
-    Returns
-    -------
-    numpy.ndarray
-        Sum of all echoes, zero before the first lag.
     """
-    source = as_float_array(first_purchase, "first_purchase")
-    check_positive(step, "step")
-    check_positive(lifetime, "lifetime")
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError("fraction must lie in [0, 1]")
+    t = as_float_array(t, "t")
     if echoes < 1:
         raise ValueError("echoes must be at least 1")
-    out = np.zeros_like(source)
-    if fraction == 0.0:
-        return out
-    lag = int(round(lifetime / step))
-    # echo k covers cells k * lag onward; it is echo k - 1 cut by one lag
-    echo = source
-    start = 0
-    for _ in range(echoes):
-        start += lag
-        if start >= source.size:
-            break
-        echo = fraction * echo[: echo.size - lag]
-        out[start:] += echo
-    return out
-
-
-def multiple_sales(penetration, rate: float) -> np.ndarray:
-    """Multiple-purchase sales: the installed base times the purchase rate."""
-    n = as_float_array(penetration, "penetration")
-    if np.any((n < 0) | (n > 1)):
-        raise ValueError("penetration values must lie in [0, 1]")
-    if rate < 0:
-        raise ValueError("rate must be non-negative")
-    return rate * n
-
-
-def wave_sales(curve: AdoptionCurve, wave: WaveParams, echoes: int = 1) -> np.ndarray:
-    """Unit sales of one diffusion wave: first + multiple + replacement."""
-    step = curve.step
-    out = curve.rate + multiple_sales(
-        np.clip(curve.penetration, 0.0, 1.0), wave.multiple_rate
+    out = _from_zero(rate, t) + wave.multiple_rate * np.clip(
+        _from_zero(penetration, t), 0.0, 1.0
     )
     if wave.replacement_fraction > 0:
-        out = out + replacement_sales(
-            curve.rate, step, wave.replacement_fraction, wave.lifetime, echoes
-        )
+        last = np.max(t, initial=0.0)
+        for k in range(1, echoes + 1):
+            if k * wave.lifetime > last:
+                break
+            out += wave.replacement_fraction**k * _from_zero(rate, t - k * wave.lifetime)
     return out
 
 
-def total_sales(
-    spreading_sales,
-    evolutionary_sales,
-    step: float,
-    shift: float = 0.0,
-) -> np.ndarray:
-    """Aggregate unit sales of both waves on the introduction clock.
-
-    The evolutionary wave starts ``shift`` years after introduction and
-    is added with that offset (rounded to the nearest grid cell); the
-    result covers the union of both supports, zero-padded.
-    """
-    bass = as_float_array(spreading_sales, "spreading_sales")
-    gomp = as_float_array(evolutionary_sales, "evolutionary_sales")
-    check_positive(step, "step")
-    if shift < 0:
-        raise ValueError("shift must be non-negative")
-    lag = int(round(shift / step))
-    n = max(bass.size, lag + gomp.size)
-    out = np.zeros(n)
-    out[: bass.size] += bass
-    out[lag : lag + gomp.size] += gomp
-    return out
+def total_sales(spreading_sales, evolutionary_sales) -> np.ndarray:
+    """Aggregate unit sales: the two waves' sales at the same times, summed."""
+    spreading = as_float_array(spreading_sales, "spreading_sales")
+    evolutionary = as_float_array(evolutionary_sales, "evolutionary_sales")
+    if spreading.size != evolutionary.size:
+        raise ValueError("spreading and evolutionary sales must have the same length")
+    return spreading + evolutionary

@@ -24,6 +24,7 @@ from evomarket.diffusion import (
     PriceDecline,
     bass_ode,
     bass_penetration,
+    bass_rate,
     gompertz_from_price,
     gompertz_penetration,
     gompertz_rate,
@@ -37,11 +38,7 @@ from evomarket.evodyn import (
     sales_mean_price,
     stationary_demand,
 )
-from evomarket.lifecycle import (
-    WaveParams,
-    replacement_sales,
-    wave_sales,
-)
+from evomarket.lifecycle import WaveParams, wave_sales
 from evomarket.market import MarketStructure, market_volume_gradient
 from evomarket.stochastic import (
     PriceNoiseParams,
@@ -406,36 +403,47 @@ def test_criterion_10_rejects_a_20pct_jump_error_and_an_unhalved_amortization():
 
 def test_criterion_11_lifecycle_echoes_and_periodicity(capsys):
     step = 0.1
+    params = BassParams(0.02, 2.5, 0.18)
+
+    def penetration(t):
+        return bass_penetration(t, params)
+
+    def rate(t):
+        return bass_rate(t, params)
+
+    def no_base(t):
+        return np.zeros_like(t)
+
+    def impulse(t):
+        return np.where(t == 0, 1.0, 0.0)
+
     with Stopwatch() as clock:
-        # geometric echo amplitudes, exactly, for the sharp lifetime
-        impulse = np.zeros(200)
-        impulse[0] = 1.0
-        echoes = replacement_sales(impulse, step, 0.5, 5.0, echoes=3)
+        # geometric echo amplitudes, exactly, for the sharp lifetime; whole
+        # tenths, so t - k * lifetime is exactly 0 where echo k starts
+        times = np.arange(200) / 10
+        sales = wave_sales(times, no_base, impulse, WaveParams(0.0, 0.5, 5.0), echoes=3)
+        echoes = sales - impulse(times)
         assert echoes[50] == 0.5 and echoes[100] == 0.25 and echoes[150] == 0.125
         assert np.count_nonzero(echoes) == 3
 
-        # mass balance against a zero-padded smooth source
-        params = BassParams(0.02, 2.5, 0.18)
-        source_curve = bass_ode(params, horizon=15.0, step=step)
-        padded = np.zeros(400)
-        padded[10 : 10 + source_curve.rate.size] = source_curve.rate
-        padded[10] = 0.0
-        replaced = replacement_sales(padded, step, 0.3, 5.0, echoes=1)
-        balance = np.trapezoid(replaced, dx=step) / (
-            0.3 * np.trapezoid(padded, dx=step)
-        )
+        # mass balance; the wave is zero before its start, which pads the
+        # source with zeros
+        times = np.arange(-10, 401) / 10
+        first = wave_sales(times, no_base, rate, WaveParams())
+        replaced = wave_sales(times, no_base, rate, WaveParams(0.0, 0.3, 5.0)) - first
+        balance = np.trapezoid(replaced, times) / (0.3 * np.trapezoid(first, times))
         assert abs(balance - 1.0) < 1e-9
 
         # benchmark configuration: sales peaks recur with the lifetime
-        curve = bass_ode(params, horizon=25.0, step=step)
+        times = step * np.arange(251)
         wave = WaveParams(
             multiple_rate=0.06,
             replacement_fraction=0.3,
             lifetime=9.2,
         )
-        sales = wave_sales(curve, wave, echoes=2)
+        sales = wave_sales(times, penetration, rate, wave, echoes=2)
         interior = (sales[1:-1] > sales[:-2]) & (sales[1:-1] > sales[2:])
-        peaks = curve.times[1:-1][interior]
+        peaks = times[1:-1][interior]
         spacings = np.diff(peaks)
         assert len(peaks) >= 3
         assert np.all(np.abs(spacings - 9.2) < 0.2)

@@ -88,6 +88,8 @@ class TestUsageErrors:
             ("synth", "custom", "[good]\nfloor_ratio = 1"),
             ("simulate", "custom", "[good]\nspreading_multple = 0.06"),
             ("simulate", "bw_tv", "[good]\nspreading_multple = 0.06"),
+            ("simulate", "bw_tv", "[good]\nshape = 3"),
+            ("simulate", "bw_tv", "[good]\nname = widget"),
             ("synth", "bw_tv", "[synth]\nseed = -1"),
             ("dist", "bw_tv", "[dist]\nseed = -1"),
             ("replicate", "bw_tv", "[replicate]\nseed = -1"),
@@ -197,16 +199,19 @@ class TestSimulate:
             *(name for name in BENCHMARKS if name != "bw_tv"),
         ],
     )
-    def test_sales_at_the_integer_years_are_the_fits_model(self, tmp_path, name):
-        # simulate's grid-shift sum with one echo against the model that
+    # at step 0.2 colour_tv's 0.5-year onset falls between grid cells
+    @pytest.mark.parametrize("step", [0.1, 0.2])
+    def test_sales_at_the_integer_years_are_the_fits_model(self, tmp_path, name, step):
+        # simulate's echo sum with one echo against the model that
         # synthesize samples and fit_two_wave fits
         cfg = write_config(
             tmp_path,
-            f"[good]\nbenchmark = {name}\n[simulate]\nhorizon = 30\nstep = 0.1\n",
+            f"[good]\nbenchmark = {name}\n[simulate]\nhorizon = 30\nstep = {step}\n",
         )
         out = tmp_path / "out"
         assert run("simulate", "--config", str(cfg), "--out", str(out)) == EXIT_OK
-        simulated = read_series_csv(out / "sales.csv").values[:300:10]
+        cells = round(1 / step)
+        simulated = read_series_csv(out / "sales.csv").values[: 30 * cells : cells]
         expected = synthesize("sales", BENCHMARKS[name], 30).values
         assert np.max(np.abs(simulated - expected)) <= 1e-9 * np.max(expected)
 

@@ -1,159 +1,136 @@
 import numpy as np
 import pytest
 
-from evomarket.diffusion import AdoptionCurve, BassParams, bass_ode
-from evomarket.lifecycle import (
-    WaveParams,
-    multiple_sales,
-    replacement_sales,
-    total_sales,
-    wave_sales,
-)
+from evomarket.diffusion import BassParams, bass_penetration, bass_rate
+from evomarket.lifecycle import WaveParams, total_sales, wave_sales
 
-STEP = 0.1
+BW_TV = BassParams(innovation=0.02, imitation=2.5, plateau=0.18)
 
 
-def impulse(n, index=0, value=1.0):
-    out = np.zeros(n)
-    out[index] = value
-    return out
+def none(t):
+    return np.zeros_like(t)
 
 
-class TestReplacementSales:
-    def test_delta_impulse_single_echo(self):
-        out = replacement_sales(impulse(200), STEP, 0.3, 9.2, echoes=1)
-        expected = np.zeros(200)
-        expected[92] = 0.3
-        assert np.array_equal(out, expected)
-
-    def test_zero_fraction(self):
-        out = replacement_sales(impulse(100), STEP, 0.0, 5.0, echoes=3)
-        assert np.all(out == 0.0)
-
-    def test_geometric_echo_decay(self):
-        out = replacement_sales(impulse(200), STEP, 0.5, 5.0, echoes=3)
-        expected = np.zeros(200)
-        expected[50] = 0.5
-        expected[100] = 0.25
-        expected[150] = 0.125
-        assert np.allclose(out, expected, atol=1e-15)
-        assert np.count_nonzero(out) == 3
-
-    def test_linearity(self, rng):
-        a = rng.uniform(0.0, 1.0, 300)
-        b = rng.uniform(0.0, 1.0, 300)
-
-        def op(series):
-            return replacement_sales(series, STEP, 0.4, 6.0, echoes=2)
-
-        assert np.max(np.abs(op(a + b) - (op(a) + op(b)))) < 1e-12
-        assert np.max(np.abs(op(2.5 * a) - 2.5 * op(a))) < 1e-12
-
-    @staticmethod
-    def _padded_source():
-        # zero at both ends so trapezoid sums see no boundary jump
-        params = BassParams(innovation=0.02, imitation=2.5, plateau=0.18)
-        curve = bass_ode(params, horizon=15.0, step=STEP)
-        padded = np.zeros(400)
-        padded[10 : 10 + curve.rate.size] = curve.rate
-        padded[10] = 0.0
-        return padded
-
-    def test_delta_mass_balance(self):
-        padded = self._padded_source()
-        replaced = replacement_sales(padded, STEP, 0.3, 5.0, echoes=1)
-        source_mass = np.trapezoid(padded, dx=STEP)
-        replaced_mass = np.trapezoid(replaced, dx=STEP)
-        assert replaced_mass == pytest.approx(0.3 * source_mass, rel=1e-9)
-
-    def test_nonnegative_output(self, rng):
-        series = rng.uniform(0.0, 1.0, 200)
-        assert np.all(replacement_sales(series, STEP, 0.7, 4.0, 2) >= 0.0)
+def impulse(t):
+    return np.where(t == 0, 1.0, 0.0)
 
 
-class TestMultipleSales:
-    def test_pointwise_product(self):
-        out = multiple_sales(np.array([0.5]), 0.06)
-        assert out[0] == pytest.approx(0.03)
+def bass_pen(t):
+    return bass_penetration(t, BW_TV)
 
-    def test_zero_rate(self):
-        assert np.all(multiple_sales(np.linspace(0, 1, 11), 0.0) == 0.0)
 
-    def test_constant_installed_base(self):
-        plateau = 0.18
-        out = multiple_sales(np.full(50, plateau), 0.06)
-        assert np.allclose(out, 0.06 * plateau)
-
-    def test_linearity_in_rate_scaling(self, rng):
-        n = rng.uniform(0.0, 1.0, 100)
-        assert np.allclose(multiple_sales(n, 0.5), 0.5 * multiple_sales(n, 1.0))
-
-    def test_out_of_range_penetration_rejected(self):
-        with pytest.raises(ValueError):
-            multiple_sales(np.array([1.2]), 0.1)
+def bass(t):
+    return bass_rate(t, BW_TV)
 
 
 class TestWaveSales:
-    def setup_method(self):
-        params = BassParams(innovation=0.02, imitation=2.5, plateau=0.18)
-        self.curve = bass_ode(params, horizon=25.0, step=STEP)
-
     def test_bare_first_purchase(self):
+        t = 0.1 * np.arange(251)
         wave = WaveParams(multiple_rate=0.0, replacement_fraction=0.0)
-        assert np.array_equal(wave_sales(self.curve, wave), self.curve.rate)
+        assert np.array_equal(wave_sales(t, bass_pen, bass, wave), bass(t))
 
-    def test_impulse_composition(self):
-        times = STEP * np.arange(200)
-        curve = AdoptionCurve(times, np.zeros(200), impulse(200))
-        wave = WaveParams(
-            multiple_rate=0.0,
-            replacement_fraction=0.3,
-            lifetime=9.2,
-        )
-        out = wave_sales(curve, wave)
-        assert out[0] == pytest.approx(1.0)
-        assert out[92] == pytest.approx(0.3)
-        assert np.count_nonzero(out) == 2
+    def test_geometric_echo_decay(self):
+        # whole tenths, so t - k * lifetime is exactly 0 where echo k starts
+        t = np.arange(200) / 10
+        wave = WaveParams(replacement_fraction=0.5, lifetime=5.0)
+        out = wave_sales(t, none, impulse, wave, echoes=3)
+        expected = np.zeros(200)
+        expected[[0, 50, 100, 150]] = [1.0, 0.5, 0.25, 0.125]
+        assert np.array_equal(out, expected)
+
+    def test_linearity_in_the_rate(self):
+        t = 0.1 * np.arange(301)
+        wave = WaveParams(replacement_fraction=0.4, lifetime=6.0)
+
+        def sales(rate):
+            return wave_sales(t, none, rate, wave, echoes=2)
+
+        def decay(s):
+            return np.exp(-s)
+
+        both = sales(lambda s: bass(s) + decay(s))
+        assert np.max(np.abs(both - (sales(bass) + sales(decay)))) < 1e-12
+        assert np.max(np.abs(sales(lambda s: 2.5 * bass(s)) - 2.5 * sales(bass))) < 1e-12
+
+    def test_delta_mass_balance(self):
+        # the wave is zero before its start, which pads the source with zeros
+        t = np.arange(-10, 401) / 10
+        first = wave_sales(t, none, bass, WaveParams())
+        with_echo = wave_sales(t, none, bass, WaveParams(0.0, 0.3, 5.0))
+        replaced = with_echo - first
+        balance = np.trapezoid(replaced, t) / (0.3 * np.trapezoid(first, t))
+        assert balance == pytest.approx(1.0, abs=1e-9)
+
+    def test_zero_before_the_start(self):
+        t = np.linspace(-3.0, 3.0, 61)
+        wave = WaveParams(multiple_rate=0.06, replacement_fraction=0.3, lifetime=1.0)
+        out = wave_sales(t, bass_pen, bass, wave, echoes=2)
+        assert np.all(out[t < 0] == 0.0)
+        assert np.all(out[t >= 0] > 0.0)
+
+    def test_multiple_purchase_scales_the_clipped_installed_base(self):
+        t = np.linspace(0.0, 5.0, 11)
+        wave = WaveParams(multiple_rate=0.06)
+        half = wave_sales(t, lambda s: np.full_like(s, 0.5), none, wave)
+        assert np.allclose(half, 0.03, rtol=1e-15)
+        over = wave_sales(t, lambda s: np.full_like(s, 1.2), none, wave)
+        assert np.array_equal(over, np.full(11, 0.06))
+
+    def test_echoes_past_the_last_time_are_not_evaluated(self):
+        t = 0.1 * np.arange(401)
+        calls = []
+
+        def rate(s):
+            calls.append(s)
+            return bass(s)
+
+        wave = WaveParams(replacement_fraction=0.3, lifetime=9.2)
+        wave_sales(t, none, rate, wave, echoes=10**6)
+        # the first purchases, then echoes at 9.2, 18.4, 27.6 and 36.8 years
+        assert len(calls) <= 1 + 4
+
+    def test_echoes_must_be_positive(self):
+        with pytest.raises(ValueError, match="echoes"):
+            wave_sales(np.zeros(3), none, none, WaveParams(), echoes=0)
 
     def test_bw_tv_peak_spacing(self):
+        t = 0.1 * np.arange(251)
         wave = WaveParams(
             multiple_rate=0.06,
             replacement_fraction=0.3,
             lifetime=9.2,
         )
-        out = wave_sales(self.curve, wave, echoes=2)
+        out = wave_sales(t, bass_pen, bass, wave, echoes=2)
         interior = (out[1:-1] > out[:-2]) & (out[1:-1] > out[2:])
-        peaks = self.curve.times[1:-1][interior]
+        peaks = t[1:-1][interior]
         spacings = np.diff(peaks)
         assert len(peaks) >= 3
         assert np.all(np.abs(spacings - 9.2) < 0.2)
 
+    def test_fax_installed_base_structure(self):
+        # high industrial multiple purchase, no replacement
+        params = BassParams(innovation=0.01, imitation=2.2, plateau=0.02)
+        t = 0.1 * np.arange(201)
+        wave = WaveParams(multiple_rate=2.5, replacement_fraction=0.0)
+        out = wave_sales(
+            t, lambda s: bass_penetration(s, params), lambda s: bass_rate(s, params), wave
+        )
+        # sales settle at the multiple-purchase level of the installed base
+        assert out[-1] == pytest.approx(2.5 * 0.02, rel=1e-3)
+        assert out[-1] > bass_rate(t[-1], params) * 100
+
 
 class TestTotalSales:
     def test_zero_evolutionary_wave(self):
-        bass = np.array([1.0, 2.0, 3.0])
-        out = total_sales(bass, np.zeros(3), STEP, shift=0.0)
-        assert np.array_equal(out, bass)
+        bass_sales = np.array([1.0, 2.0, 3.0])
+        assert np.array_equal(total_sales(bass_sales, np.zeros(3)), bass_sales)
 
-    def test_plain_sum_without_shift(self):
-        out = total_sales(np.ones(4), 2 * np.ones(4), STEP, shift=0.0)
-        assert np.array_equal(out, 3 * np.ones(4))
+    def test_plain_sum(self):
+        assert np.array_equal(total_sales(np.ones(4), 2 * np.ones(4)), 3 * np.ones(4))
 
-    def test_shift_placement_and_padding(self):
-        out = total_sales(impulse(5), impulse(5), STEP, shift=0.3)
-        assert out[0] == 1.0
-        assert out[3] == 1.0
-        assert out.size == 8
-
-    def test_fax_installed_base_structure(self):
-        # high industrial multiple purchase, no replacement on either wave
-        params = BassParams(innovation=0.01, imitation=2.2, plateau=0.02)
-        curve = bass_ode(params, horizon=20.0, step=STEP)
-        wave = WaveParams(multiple_rate=2.5, replacement_fraction=0.0)
-        out = wave_sales(curve, wave)
-        # sales settle at the multiple-purchase level of the installed base
-        assert out[-1] == pytest.approx(2.5 * 0.02, rel=1e-3)
-        assert out[-1] > curve.rate[-1] * 100
+    def test_lengths_must_match(self):
+        with pytest.raises(ValueError, match="same length"):
+            total_sales(np.ones(4), np.ones(5))
 
 
 class TestWaveParams:

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 from scipy.optimize import lsq_linear
 
 from evomarket import calibration
@@ -27,7 +26,6 @@ from evomarket.calibration import (
     synthesize,
 )
 from evomarket.diffusion import (
-    AdoptionCurve,
     BassParams,
     GompertzParams,
     bass_penetration,
@@ -35,7 +33,7 @@ from evomarket.diffusion import (
     gompertz_penetration,
     gompertz_rate,
 )
-from evomarket.lifecycle import WaveParams, replacement_sales, wave_sales
+from evomarket.lifecycle import WaveParams, wave_sales
 from evomarket.errors import FormatError
 from evomarket.series import TimeSeries, read_series_csv, write_series_csv
 
@@ -140,63 +138,27 @@ def test_price_fit_does_not_depend_on_the_intro_price_scale(rate, floor, scale, 
     assert scaled.sse_ == pytest.approx(unit.sse_, rel=1e-6)
 
 
-def convolved_echoes(source, step, fraction, lifetime, echoes):
-    """Replacement echoes as a grid convolution with a delta failure kernel."""
-    lag = round(lifetime / step)
-    kernel = np.zeros(lag + 1)
-    kernel[lag] = 1.0
-    out = np.zeros_like(source)
-    echo = source
-    for _ in range(echoes):
-        echo = fraction * np.convolve(echo, kernel)[: source.size]
-        out += echo
-    return out
-
-
-ECHO_STEP = 0.1
-
-
-@settings(derandomize=True, deadline=None, max_examples=200)
-@given(
-    source=arrays(float, st.integers(1, 300), elements=st.floats(-1e6, 1e6)),
-    scale=st.sampled_from([1.0, 1e-300]),
-    lifetime=st.floats(1e-3, 35.0),
-    fraction=st.floats(0.0, 1.0),
-    echoes=st.integers(1, 5),
-)
-# lags of 0, of exactly the series length, and past it
-@example(source=np.ones(50), scale=1.0, lifetime=0.01, fraction=0.5, echoes=5)
-@example(source=np.ones(50), scale=1.0, lifetime=5.0, fraction=0.5, echoes=3)
-@example(source=np.ones(50), scale=1.0, lifetime=30.0, fraction=0.5, echoes=1)
-def test_replacement_sales_is_the_delta_convolution(
-    source, scale, lifetime, fraction, echoes
-):
-    source = scale * source
-    out = replacement_sales(source, ECHO_STEP, fraction, lifetime, echoes)
-    expected = convolved_echoes(source, ECHO_STEP, fraction, lifetime, echoes)
-    assert np.array_equal(out, expected)
-
-
 @PROPERTY_SETTINGS
 @given(
     params=bass_params,
     multiple=spreading_multiples,
     fraction=st.floats(0.0, 1.0),
-    lifetime_cells=st.integers(20, 300),
+    lifetime=st.floats(1.0, 15.0),
     echoes=st.integers(1, 5),
 )
-def test_wave_sales_is_the_closed_form_echo_sum(
-    params, multiple, fraction, lifetime_cells, echoes
-):
-    step = 0.05
-    cells = np.arange(801)
-    grid = step * cells
-    curve = AdoptionCurve(grid, bass_penetration(grid, params), bass_rate(grid, params))
-    out = wave_sales(curve, WaveParams(multiple, fraction, lifetime_cells * step), echoes)
-    expected = curve.rate + multiple * curve.penetration
+def test_wave_sales_is_the_closed_form_echo_sum(params, multiple, fraction, lifetime, echoes):
+    grid = 0.05 * np.arange(801)
+    out = wave_sales(
+        grid,
+        lambda t: bass_penetration(t, params),
+        lambda t: bass_rate(t, params),
+        WaveParams(multiple, fraction, lifetime),
+        echoes,
+    )
+    expected = bass_rate(grid, params) + multiple * bass_penetration(grid, params)
     for k in range(1, echoes + 1):
-        # t - k * lifetime counted in whole cells, so it is exactly 0 where the echo starts
-        lag = step * (cells - k * lifetime_cells)
+        # the lifetime is drawn off the grid, so the echo starts between cells
+        lag = grid - k * lifetime
         echo = np.where(lag >= 0, bass_rate(np.maximum(lag, 0.0), params), 0.0)
         expected = expected + fraction**k * echo
     assert np.max(np.abs(out - expected)) <= 1e-12 * np.max(expected)

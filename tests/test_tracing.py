@@ -123,3 +123,23 @@ def test_simulate_files_reach_the_wrapped_series_layers(tracing, tmp_path):
         assert total["rows"] == 3 * grid
     metrics = tracing.layer_metrics(tracer, {"simulate": 1})
     assert metrics["series.rows"]["value"] == 6 * grid
+
+
+def test_simulate_reaches_the_wrapped_lifecycle_and_closed_form_layers(tracing, tmp_path):
+    # simulate must call wave_sales, total_sales and the closed forms
+    # through cli's namespace, or the lifecycle and diffusion metrics read 0
+    config = tmp_path / "run.ini"
+    config.write_text(
+        "[good]\nbenchmark = bw_tv\n[simulate]\nhorizon = 20\nstep = 0.1\nechoes = 3\n",
+        encoding="utf-8",
+    )
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer)
+        with tracer.op("simulate"):
+            assert cli.main(["simulate", "--config", str(config), "--out", str(tmp_path)]) == 0
+    finally:
+        tracer.uninstall()
+    assert sum(span[0] == "lifecycle.wave_sales" for span in tracer.spans) == 2
+    assert sum(span[0] == "lifecycle.total_sales" for span in tracer.spans) == 1
+    assert tracer.totals[("simulate", "diffusion.closed_form")]["calls"] > 0
