@@ -29,8 +29,9 @@ class GoodParams:
     ``None`` marks a quantity that was never established; consumers that
     need a number treat it as zero (the command line warns when it does
     so).  ``floor_ratio`` lies in [0, 1), the range the price fit can
-    return.  Nothing in the model reads ``market_potential_millions``; it
-    records the market sizes of the table.
+    return, and the two plateaus sum to at most 1.  Nothing in the model
+    reads ``market_potential_millions``; it records the market sizes of
+    the table.
 
     Construction runs every check a good gets, so a good that exists can
     be simulated: a bad value raises ``ValueError`` naming the fields
@@ -71,6 +72,9 @@ class GoodParams:
             wave_params(self)
         except ValueError as exc:
             raise ValueError(f"{fields}: {exc}") from exc
+        plateaus = self.spreading_plateau + self.evolutionary_plateau
+        if plateaus > 1.0:
+            raise ValueError(f"spreading_plateau + evolutionary_plateau = {plateaus} exceeds 1")
 
 
 def wave_params(good: GoodParams) -> tuple[WaveParams, WaveParams, list[str]]:

@@ -23,7 +23,7 @@ called through ``scipy.optimize.leastsq``, with the steps scaled by the
 Jacobian's column norms and an explicit limit of ``100 * n`` residual
 evaluations for ``n`` searched parameters.  It gets Kaufman's analytic
 variable-projection Jacobian, built from the derivatives of the model
-columns that lean raw-array kernels compute beside the columns, so no
+columns that ``diffusion``'s kernels compute beside the columns, so no
 finite differences are taken.  The search screens a fixed start lattice
 with one residual evaluation per start, then refines only the four best
 starts (the stage-1 filter of multistart scatter search, Ugray et al.
@@ -49,8 +49,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import OptimizeResult, leastsq, lsq_linear
 
-from ._validation import as_float_array, check_positive
+from ._validation import as_float_array, check_nonnegative, check_positive
 from .benchmarks import GoodParams, wave_params
+from .diffusion import PriceDecline, _bass_jets, _gompertz_jets, mean_price
 # not called here, but kept: the benchmark's tracer wraps these module attributes
 from .diffusion import bass_penetration, bass_rate, gompertz_penetration, gompertz_rate
 from .errors import FitError, FormatError
@@ -441,60 +442,8 @@ def least_squares(fun, x0, jac):
 
 
 # ---------------------------------------------------------------------------
-# design kernels
+# the two-wave model
 # ---------------------------------------------------------------------------
-#
-# Raw-array closed forms at unit plateau, and the one two-wave model that
-# ``fit_two_wave`` fits and ``synthesize`` samples from them.  Each kernel
-# returns jets: one row per time, the value in column 0 and its
-# derivatives by the searched log-parameters after it.  They evaluate the
-# expressions of the public closed forms in ``diffusion`` at unit
-# plateau; the parameter checks those run on every call are done once
-# per fit or per synthesized series instead.
-
-
-def _bass_jets(t, innovation, imitation):
-    """Bass penetration and rate jets by log innovation and log imitation.
-
-    ``t`` must be non-negative.  Returns two ``(t.size, 3)`` arrays.
-    """
-    a, b = innovation, imitation
-    s = a + b
-    decay = np.exp(-s * t)
-    denom = a + b * decay
-    rise = 1.0 - decay
-    pen = np.empty((t.size, 3))
-    rate = np.empty((t.size, 3))
-    pen[:, 0] = rise / (1.0 + (b / a) * decay)
-    rate[:, 0] = a * s**2 * decay / denom**2
-    scale = a * decay / denom**2
-    pen[:, 1] = scale * (a * s * t + b * rise)
-    pen[:, 2] = scale * b * (s * t - rise)
-    rate[:, 1] = rate[:, 0] * (
-        1.0 + 2.0 * a / s - a * t - 2.0 * a * (1.0 - b * t * decay) / denom
-    )
-    rate[:, 2] = rate[:, 0] * (
-        2.0 * b / s - b * t - 2.0 * b * decay * (1.0 - b * t) / denom
-    )
-    return pen, rate
-
-
-def _gompertz_jets(t_prime, shape, rate):
-    """Gompertz penetration and rate jets by log shape, on the all-real clock.
-
-    Zero where ``exp(-2 rate t')`` overflows.  Returns two
-    ``(t_prime.size, 2)`` arrays.
-    """
-    pen = np.empty((t_prime.size, 2))
-    out = np.empty((t_prime.size, 2))
-    with np.errstate(over="ignore", invalid="ignore"):
-        decay = np.exp(-2.0 * rate * t_prime)
-        pen[:, 0] = np.exp(-shape * decay)
-        live = pen[:, 0] > 0
-        pen[:, 1] = np.where(live, -shape * decay * pen[:, 0], 0.0)
-        out[:, 0] = np.where(live, 2.0 * rate * shape * decay * pen[:, 0], 0.0)
-        out[:, 1] = np.where(live, out[:, 0] * (1.0 - shape * decay), 0.0)
-    return pen, out
 
 
 def _two_wave_model(known: GoodParams, t_pen, t_sales, rate):
@@ -542,12 +491,14 @@ def _two_wave_model(known: GoodParams, t_pen, t_sales, rate):
 
     def model(innovation, imitation, shape):
         spreading = wave(
-            *_bass_jets(spread_times, innovation, imitation),
+            *_bass_jets(spread_times, innovation, imitation, 1.0),
             spread_wave.multiple_rate,
             spread_weight,
         )
         evolutionary = wave(
-            *_gompertz_jets(evo_times, shape, rate), evo_wave.multiple_rate, evo_weight
+            *_gompertz_jets(evo_times, 1.0, shape, rate),
+            evo_wave.multiple_rate,
+            evo_weight,
         )
         derivatives = np.zeros((n_pen + n_sales, 2, 3))
         derivatives[:, 0, :2] = spreading[:, 1:]
@@ -616,15 +567,17 @@ def synthesize(
     ``kind="nominal_price"`` samples the decline path from its onset;
     penetration and sales are sampled from the introduction year from
     the model that ``fit_two_wave`` fits, at the good's parameters: both
-    waves, the evolutionary one delayed by the onset.  Deterministic per
-    seed.
+    waves, the evolutionary one delayed by the onset.  ``noise`` must be
+    non-negative.  Deterministic per seed.
     """
     if n_points < 2:
         raise ValueError("n_points must be at least 2")
+    check_nonnegative(noise, "noise")
     t = np.arange(n_points, dtype=float)
     if kind == "nominal_price":
         years = good.intro_year + good.onset_delay + t
-        values = np.exp(-good.decline_rate * t) + (good.floor_ratio or 0.0)
+        decline = PriceDecline(1.0, good.floor_ratio or 0.0, good.decline_rate)
+        values = mean_price(t, decline)
     elif kind in ("penetration", "sales"):
         years = good.intro_year + t
         times = (t, np.empty(0)) if kind == "penetration" else (np.empty(0), t)
@@ -657,9 +610,11 @@ def synthesize_share(
     it is lognormal on the odds ``share / (1 - share)`` and the logit
     regression of :class:`FisherPryFit` stays unbiased however close the
     share comes to 0 or 1.  The clip to ``[1e-6, 1 - 1e-6]`` only guards
-    against floating-point saturation.  Deterministic per seed.
+    against floating-point saturation.  ``noise`` must be non-negative.
+    Deterministic per seed.
     """
     years = as_float_array(years, "years")
+    check_nonnegative(noise, "noise")
     offsets = intercept
     if noise > 0:
         rng = np.random.default_rng(seed)

@@ -49,10 +49,12 @@ from .benchmarks import BENCHMARKS, GoodParams, ROUND_TRIP_GOODS, VCR_FORMAT_CON
 from .diffusion import (
     BassParams,
     GompertzParams,
+    PriceDecline,
     bass_penetration,
     bass_rate,
     gompertz_penetration,
     gompertz_rate,
+    mean_price,
 )
 from .errors import FitError, FormatError, NumericError
 from .lifecycle import total_sales, wave_sales
@@ -188,28 +190,22 @@ def _cmd_simulate(args, config) -> int:
     grid = step * np.arange(n_steps + 1)
     bass = BassParams(good.innovation, good.imitation, good.spreading_plateau)
     gomp = GompertzParams(good.evolutionary_plateau, good.shape, good.decline_rate)
-    # the lambdas look the closed forms up in this module at call time, where
-    # the benchmark's tracer wraps them
-    spreading = wave_sales(
-        grid,
-        lambda t: bass_penetration(t, bass),
-        lambda t: bass_rate(t, bass),
-        spread_wave,
-        echoes,
-    )
     # the evolutionary wave starts at the onset delay
+    evo_grid = grid - good.onset_delay
+    spread_pen = bass_penetration(grid, bass)
+    evo_pen = gompertz_penetration(evo_grid, gomp)
+    # the calls and the lambdas look the closed forms up in this module at
+    # call time, where the benchmark's tracer wraps them
+    spreading = wave_sales(
+        grid, spread_pen, lambda t: bass_rate(t, bass), spread_wave, echoes
+    )
     evolutionary = wave_sales(
-        grid - good.onset_delay,
-        lambda t: gompertz_penetration(t, gomp),
-        lambda t: gompertz_rate(t, gomp),
-        evo_wave,
-        echoes,
+        evo_grid, evo_pen, lambda t: gompertz_rate(t, gomp), evo_wave, echoes
     )
     sales = total_sales(spreading, evolutionary)
-    penetration = bass_penetration(grid, bass) + gompertz_penetration(
-        grid - good.onset_delay, gomp
-    )
-    price = np.exp(-good.decline_rate * grid) + (good.floor_ratio or 0.0)
+    penetration = spread_pen + evo_pen
+    decline = PriceDecline(1.0, good.floor_ratio or 0.0, good.decline_rate)
+    price = mean_price(grid, decline)
 
     out = args.out
     out.mkdir(parents=True, exist_ok=True)

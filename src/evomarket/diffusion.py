@@ -77,7 +77,8 @@ class PriceDecline:
     def __post_init__(self):
         check_nonnegative(self.offset, "offset")
         check_nonnegative(self.floor, "floor")
-        check_positive(self.rate, "rate")
+        # rate zero freezes the price at offset + floor
+        check_nonnegative(self.rate, "rate")
 
 
 @dataclass(frozen=True)
@@ -128,6 +129,34 @@ def _check_nonneg_times(t):
     return t_arr
 
 
+def _bass_jets(t, innovation, imitation, plateau):
+    """Bass penetration and rate jets by log innovation and log imitation.
+
+    The package's one Bass expression: the public closed forms return
+    column 0, and the fit reads every column.  ``t`` must be non-negative.
+    Returns two ``t.shape + (3,)`` arrays, the value in ``[..., 0]``.
+    """
+    a, b = innovation, imitation
+    s = a + b
+    decay = np.exp(-s * t)
+    denom = a + b * decay
+    rise = 1.0 - decay
+    pen = np.empty(t.shape + (3,))
+    rate = np.empty(t.shape + (3,))
+    pen[..., 0] = plateau * rise / (1.0 + (b / a) * decay)
+    rate[..., 0] = plateau * a * s**2 * decay / denom**2
+    scale = plateau * a * decay / denom**2
+    pen[..., 1] = scale * (a * s * t + b * rise)
+    pen[..., 2] = scale * b * (s * t - rise)
+    rate[..., 1] = rate[..., 0] * (
+        1.0 + 2.0 * a / s - a * t - 2.0 * a * (1.0 - b * t * decay) / denom
+    )
+    rate[..., 2] = rate[..., 0] * (
+        2.0 * b / s - b * t - 2.0 * b * decay * (1.0 - b * t) / denom
+    )
+    return pen, rate
+
+
 def bass_penetration(t, params: BassParams):
     """Closed-form spreading penetration at ``t`` years after introduction.
 
@@ -135,10 +164,8 @@ def bass_penetration(t, params: BassParams):
     plateau.  Matches :func:`bass_ode` to integrator accuracy.
     """
     t_arr = _check_nonneg_times(t)
-    a, b = params.innovation, params.imitation
-    decay = np.exp(-(a + b) * t_arr)
-    out = params.plateau * (1.0 - decay) / (1.0 + (b / a) * decay)
-    return float(out) if np.isscalar(t) else out
+    pen, _ = _bass_jets(t_arr, params.innovation, params.imitation, params.plateau)
+    return float(pen[..., 0]) if np.isscalar(t) else pen[..., 0]
 
 
 def bass_rate(t, params: BassParams):
@@ -149,10 +176,8 @@ def bass_rate(t, params: BassParams):
     affordable potential is exhausted.
     """
     t_arr = _check_nonneg_times(t)
-    a, b = params.innovation, params.imitation
-    decay = np.exp(-(a + b) * t_arr)
-    out = params.plateau * a * (a + b) ** 2 * decay / (a + b * decay) ** 2
-    return float(out) if np.isscalar(t) else out
+    _, rate = _bass_jets(t_arr, params.innovation, params.imitation, params.plateau)
+    return float(rate[..., 0]) if np.isscalar(t) else rate[..., 0]
 
 
 def bass_ode(params: BassParams, horizon: float, step: float = 1e-3) -> AdoptionCurve:
@@ -201,11 +226,30 @@ def bass_ode(params: BassParams, horizon: float, step: float = 1e-3) -> Adoption
 def mean_price(t, decline: PriceDecline):
     """Mean real price ``t`` years after the decline sets in.
 
-    Strictly decreasing toward the floor.
+    Strictly decreasing toward the floor when the rate is positive.
     """
     t_arr = np.asarray(t, dtype=float)
     out = decline.offset * np.exp(-decline.rate * t_arr) + decline.floor
     return float(out) if np.isscalar(t) else out
+
+
+def _gompertz_jets(t_prime, plateau, shape, rate):
+    """Gompertz penetration and rate jets by log shape, on the all-real clock.
+
+    The package's one Gompertz expression, read like :func:`_bass_jets`.
+    Zero where ``exp(-2 rate t')`` overflows.  Returns two
+    ``t_prime.shape + (2,)`` arrays, the value in ``[..., 0]``.
+    """
+    pen = np.empty(t_prime.shape + (2,))
+    out = np.empty(t_prime.shape + (2,))
+    with np.errstate(over="ignore", invalid="ignore"):
+        decay = np.exp(-2.0 * rate * t_prime)
+        pen[..., 0] = plateau * np.exp(-shape * decay)
+        live = pen[..., 0] > 0
+        pen[..., 1] = np.where(live, -shape * decay * pen[..., 0], 0.0)
+        out[..., 0] = np.where(live, 2.0 * rate * shape * decay * pen[..., 0], 0.0)
+        out[..., 1] = np.where(live, out[..., 0] * (1.0 - shape * decay), 0.0)
+    return pen, out
 
 
 def gompertz_penetration(t_prime, params: GompertzParams):
@@ -216,9 +260,8 @@ def gompertz_penetration(t_prime, params: GompertzParams):
     where ``exp(-2 rate t')`` overflows.
     """
     t_arr = np.asarray(t_prime, dtype=float)
-    with np.errstate(over="ignore"):
-        out = params.plateau * np.exp(-params.shape * np.exp(-2.0 * params.rate * t_arr))
-    return float(out) if np.isscalar(t_prime) else out
+    pen, _ = _gompertz_jets(t_arr, params.plateau, params.shape, params.rate)
+    return float(pen[..., 0]) if np.isscalar(t_prime) else pen[..., 0]
 
 
 def gompertz_rate(t_prime, params: GompertzParams):
@@ -230,11 +273,8 @@ def gompertz_rate(t_prime, params: GompertzParams):
     where ``exp(-2 rate t')`` overflows.
     """
     t_arr = np.asarray(t_prime, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        decay = np.exp(-2.0 * params.rate * t_arr)
-        pen = gompertz_penetration(t_arr, params)
-        out = np.where(pen > 0, 2.0 * params.rate * params.shape * decay * pen, 0.0)
-    return float(out) if np.isscalar(t_prime) else out
+    _, rate = _gompertz_jets(t_arr, params.plateau, params.shape, params.rate)
+    return float(rate[..., 0]) if np.isscalar(t_prime) else rate[..., 0]
 
 
 def gompertz_from_price(

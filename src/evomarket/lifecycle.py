@@ -45,13 +45,13 @@ def _from_zero(fn, t: np.ndarray) -> np.ndarray:
     return np.where(t >= 0, fn(np.maximum(t, 0.0)), 0.0)
 
 
-def wave_sales(t, penetration, rate, wave: WaveParams, echoes: int = 1) -> np.ndarray:
+def wave_sales(t, installed, rate, wave: WaveParams, echoes: int = 1) -> np.ndarray:
     """Unit sales of one diffusion wave at ``t`` years on the wave's own clock.
 
     The sales are first purchases, plus the multiple rate times the
     installed base, plus the replacement echoes::
 
-        rate(t) + multiple_rate * clip(penetration(t), 0, 1)
+        rate(t) + multiple_rate * clip(installed, 0, 1)
                 + sum over k = 1..echoes of fraction**k * rate(t - k * lifetime)
 
     Each echo is zero where ``t - k * lifetime < 0``, and the whole wave
@@ -62,8 +62,11 @@ def wave_sales(t, penetration, rate, wave: WaveParams, echoes: int = 1) -> np.nd
     ----------
     t : array_like
         Years since the wave started; any spacing, negative allowed.
-    penetration, rate : callable
-        The wave's closed forms, called with non-negative times.
+    installed : array_like
+        The wave's penetration at ``t``; values at negative times are
+        ignored.
+    rate : callable
+        The wave's first-purchase rate, called with non-negative times.
     wave : WaveParams
     echoes : int
         Number of recurrent replacement waves to accumulate.
@@ -72,7 +75,7 @@ def wave_sales(t, penetration, rate, wave: WaveParams, echoes: int = 1) -> np.nd
     if echoes < 1:
         raise ValueError("echoes must be at least 1")
     out = _from_zero(rate, t) + wave.multiple_rate * np.clip(
-        _from_zero(penetration, t), 0.0, 1.0
+        np.where(t >= 0, installed, 0.0), 0.0, 1.0
     )
     if wave.replacement_fraction > 0:
         last = np.max(t, initial=0.0)

@@ -33,6 +33,7 @@ from evomarket.diffusion import (
 from evomarket.evodyn import (
     Population,
     Product,
+    mean_price_drift,
     micro_step,
     replicator_step,
     sales_mean_price,
@@ -273,6 +274,23 @@ def test_criterion_07_mean_price_drift(capsys):
     )
 
 
+def test_criterion_07_drift_law_is_evodyn_s_mean_price_drift():
+    # the criterion writes the drift law out; this holds evodyn's own
+    # statement of it to the replicator on the same populations
+    market = MarketStructure(upper_share=0.03, minimum_price=0.05, width=0.4)
+    h = 1e-3
+    for halvings in range(3):
+        pop = _gaussian_price_population(market, 0.01 * market.width / 2**halvings)
+        stepped1 = replicator_step(pop, 1.0, market, h)
+        stepped2 = replicator_step(stepped1, 1.0, market, h)
+        measured = (
+            4.0 * sales_mean_price(stepped1)
+            - 3.0 * sales_mean_price(pop)
+            - sales_mean_price(stepped2)
+        ) / (2.0 * h)
+        assert abs(measured / mean_price_drift(pop, 1.0, market) - 1.0) < 0.05
+
+
 def test_criterion_08_benchmark_round_trips(capsys):
     tolerances = dict(ROUND_TRIP_TOLERANCES)
     assert tolerances == {
@@ -405,14 +423,8 @@ def test_criterion_11_lifecycle_echoes_and_periodicity(capsys):
     step = 0.1
     params = BassParams(0.02, 2.5, 0.18)
 
-    def penetration(t):
-        return bass_penetration(t, params)
-
     def rate(t):
         return bass_rate(t, params)
-
-    def no_base(t):
-        return np.zeros_like(t)
 
     def impulse(t):
         return np.where(t == 0, 1.0, 0.0)
@@ -421,6 +433,7 @@ def test_criterion_11_lifecycle_echoes_and_periodicity(capsys):
         # geometric echo amplitudes, exactly, for the sharp lifetime; whole
         # tenths, so t - k * lifetime is exactly 0 where echo k starts
         times = np.arange(200) / 10
+        no_base = np.zeros_like(times)
         sales = wave_sales(times, no_base, impulse, WaveParams(0.0, 0.5, 5.0), echoes=3)
         echoes = sales - impulse(times)
         assert echoes[50] == 0.5 and echoes[100] == 0.25 and echoes[150] == 0.125
@@ -429,6 +442,7 @@ def test_criterion_11_lifecycle_echoes_and_periodicity(capsys):
         # mass balance; the wave is zero before its start, which pads the
         # source with zeros
         times = np.arange(-10, 401) / 10
+        no_base = np.zeros_like(times)
         first = wave_sales(times, no_base, rate, WaveParams())
         replaced = wave_sales(times, no_base, rate, WaveParams(0.0, 0.3, 5.0)) - first
         balance = np.trapezoid(replaced, times) / (0.3 * np.trapezoid(first, times))
@@ -441,7 +455,7 @@ def test_criterion_11_lifecycle_echoes_and_periodicity(capsys):
             replacement_fraction=0.3,
             lifetime=9.2,
         )
-        sales = wave_sales(times, penetration, rate, wave, echoes=2)
+        sales = wave_sales(times, bass_penetration(times, params), rate, wave, echoes=2)
         interior = (sales[1:-1] > sales[:-2]) & (sales[1:-1] > sales[2:])
         peaks = times[1:-1][interior]
         spacings = np.diff(peaks)

@@ -16,6 +16,7 @@ from evomarket.calibration import (
     round_trip,
     synthesize,
     synthesize_share,
+    vhs_round_trip,
 )
 from evomarket.diffusion import (
     BassParams,
@@ -238,6 +239,25 @@ class TestSynthesize:
         # a good is checked when it is made, so synthesize never sees one
         with pytest.raises(ValueError, match=field):
             dataclasses.replace(BENCHMARKS["bw_tv"], **{field: value})
+
+    def test_plateaus_summing_past_one_are_rejected(self):
+        # fax's plateaus sum to exactly 1, the largest sum a good may have
+        fax = BENCHMARKS["fax"]
+        assert fax.spreading_plateau + fax.evolutionary_plateau == 1.0
+        with pytest.raises(ValueError, match="exceeds 1"):
+            dataclasses.replace(fax, spreading_plateau=0.5, evolutionary_plateau=0.9)
+
+    def test_negative_noise_rejected(self):
+        good = BENCHMARKS["bw_tv"]
+        years = 1977.0 + np.arange(12.0)
+        for make in (
+            lambda: synthesize("sales", good, noise=-0.5, seed=1),
+            lambda: synthesize_share(0.22, 0.0, years, -0.5, 1),
+            lambda: round_trip(good, n_seeds=1, noise=-0.5),
+            lambda: vhs_round_trip(n_seeds=1, noise=-0.5),
+        ):
+            with pytest.raises(ValueError, match="noise"):
+                make()
 
     def test_zero_imitation_synthesizes_without_warnings(self):
         good = dataclasses.replace(BENCHMARKS["bw_tv"], imitation=0.0)

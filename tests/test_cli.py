@@ -84,6 +84,7 @@ class TestUsageErrors:
             ("simulate", "custom", "[good]\nonset_delay = -1"),
             ("simulate", "custom", "[good]\nspreading_replacement = 0.3"),
             ("synth", "custom", "[good]\nevolutionary_plateau = 0"),
+            ("simulate", "custom", "[good]\nevolutionary_plateau = 0.9"),
             ("simulate", "custom", "[good]\nfloor_ratio = -0.5"),
             ("synth", "custom", "[good]\nfloor_ratio = 1"),
             ("simulate", "custom", "[good]\nspreading_multple = 0.06"),
@@ -214,6 +215,14 @@ class TestSimulate:
         simulated = read_series_csv(out / "sales.csv").values[: 30 * cells : cells]
         expected = synthesize("sales", BENCHMARKS[name], 30).values
         assert np.max(np.abs(simulated - expected)) <= 1e-9 * np.max(expected)
+
+    def test_zero_decline_rate_freezes_the_price(self, tmp_path):
+        good = {**CUSTOM_GOOD, "decline_rate": "0", "floor_ratio": "0.2"}
+        lines = "".join(f"{key} = {value}\n" for key, value in good.items())
+        cfg = write_config(tmp_path, "[good]\n" + lines)
+        out = tmp_path / "out"
+        assert run("simulate", "--config", str(cfg), "--out", str(out)) == EXIT_OK
+        assert np.all(read_series_csv(out / "price.csv").values == 1.0 + 0.2)
 
     def test_does_not_mutate_inputs(self, tmp_path):
         cfg = write_config(tmp_path, "[good]\nbenchmark = colour_tv\n")

@@ -139,6 +139,12 @@ class TestMeanPrice:
         t = np.linspace(0.0, 50.0, 200)
         assert np.all(np.diff(mean_price(t, self.decline)) < 0)
 
+    def test_zero_rate_freezes_the_price(self):
+        frozen = PriceDecline(offset=0.8, floor=0.05, rate=0.0)
+        assert np.all(mean_price(np.linspace(0.0, 50.0, 11), frozen) == 0.8 + 0.05)
+        with pytest.raises(ValueError, match="rate"):
+            PriceDecline(offset=0.8, floor=0.05, rate=-0.1)
+
 
 class TestGompertz:
     colour = GompertzParams(plateau=0.97, shape=27.0, rate=0.103)
@@ -196,6 +202,23 @@ class TestGompertz:
         frozen = GompertzParams(plateau=0.9, shape=5.0, rate=0.0)
         t = np.linspace(-10, 10, 7)
         assert np.all(gompertz_rate(t, frozen) == 0.0)
+
+
+@pytest.mark.parametrize(
+    "closed_form, params",
+    [
+        (bass_penetration, BW_TV),
+        (bass_rate, BW_TV),
+        (gompertz_penetration, GompertzParams(0.77, 8.5, 0.2)),
+        (gompertz_rate, GompertzParams(0.77, 8.5, 0.2)),
+    ],
+)
+def test_closed_forms_keep_the_shape_of_their_times(closed_form, params):
+    t = np.linspace(0.0, 20.0, 12)
+    out = closed_form(t.reshape(3, 4), params)
+    assert out.shape == (3, 4)
+    assert np.array_equal(out.ravel(), closed_form(t, params))
+    assert isinstance(closed_form(2.0, params), float)
 
 
 class TestGompertzFromPrice:

@@ -27,13 +27,13 @@ class TestWaveSales:
     def test_bare_first_purchase(self):
         t = 0.1 * np.arange(251)
         wave = WaveParams(multiple_rate=0.0, replacement_fraction=0.0)
-        assert np.array_equal(wave_sales(t, bass_pen, bass, wave), bass(t))
+        assert np.array_equal(wave_sales(t, bass_pen(t), bass, wave), bass(t))
 
     def test_geometric_echo_decay(self):
         # whole tenths, so t - k * lifetime is exactly 0 where echo k starts
         t = np.arange(200) / 10
         wave = WaveParams(replacement_fraction=0.5, lifetime=5.0)
-        out = wave_sales(t, none, impulse, wave, echoes=3)
+        out = wave_sales(t, none(t), impulse, wave, echoes=3)
         expected = np.zeros(200)
         expected[[0, 50, 100, 150]] = [1.0, 0.5, 0.25, 0.125]
         assert np.array_equal(out, expected)
@@ -43,7 +43,7 @@ class TestWaveSales:
         wave = WaveParams(replacement_fraction=0.4, lifetime=6.0)
 
         def sales(rate):
-            return wave_sales(t, none, rate, wave, echoes=2)
+            return wave_sales(t, none(t), rate, wave, echoes=2)
 
         def decay(s):
             return np.exp(-s)
@@ -55,8 +55,8 @@ class TestWaveSales:
     def test_delta_mass_balance(self):
         # the wave is zero before its start, which pads the source with zeros
         t = np.arange(-10, 401) / 10
-        first = wave_sales(t, none, bass, WaveParams())
-        with_echo = wave_sales(t, none, bass, WaveParams(0.0, 0.3, 5.0))
+        first = wave_sales(t, none(t), bass, WaveParams())
+        with_echo = wave_sales(t, none(t), bass, WaveParams(0.0, 0.3, 5.0))
         replaced = with_echo - first
         balance = np.trapezoid(replaced, t) / (0.3 * np.trapezoid(first, t))
         assert balance == pytest.approx(1.0, abs=1e-9)
@@ -64,16 +64,18 @@ class TestWaveSales:
     def test_zero_before_the_start(self):
         t = np.linspace(-3.0, 3.0, 61)
         wave = WaveParams(multiple_rate=0.06, replacement_fraction=0.3, lifetime=1.0)
-        out = wave_sales(t, bass_pen, bass, wave, echoes=2)
+        # an installed base given at negative times is ignored there
+        installed = np.where(t < 0, 1.0, bass_pen(np.maximum(t, 0.0)))
+        out = wave_sales(t, installed, bass, wave, echoes=2)
         assert np.all(out[t < 0] == 0.0)
         assert np.all(out[t >= 0] > 0.0)
 
     def test_multiple_purchase_scales_the_clipped_installed_base(self):
         t = np.linspace(0.0, 5.0, 11)
         wave = WaveParams(multiple_rate=0.06)
-        half = wave_sales(t, lambda s: np.full_like(s, 0.5), none, wave)
+        half = wave_sales(t, np.full_like(t, 0.5), none, wave)
         assert np.allclose(half, 0.03, rtol=1e-15)
-        over = wave_sales(t, lambda s: np.full_like(s, 1.2), none, wave)
+        over = wave_sales(t, np.full_like(t, 1.2), none, wave)
         assert np.array_equal(over, np.full(11, 0.06))
 
     def test_echoes_past_the_last_time_are_not_evaluated(self):
@@ -85,13 +87,13 @@ class TestWaveSales:
             return bass(s)
 
         wave = WaveParams(replacement_fraction=0.3, lifetime=9.2)
-        wave_sales(t, none, rate, wave, echoes=10**6)
+        wave_sales(t, none(t), rate, wave, echoes=10**6)
         # the first purchases, then echoes at 9.2, 18.4, 27.6 and 36.8 years
         assert len(calls) <= 1 + 4
 
     def test_echoes_must_be_positive(self):
         with pytest.raises(ValueError, match="echoes"):
-            wave_sales(np.zeros(3), none, none, WaveParams(), echoes=0)
+            wave_sales(np.zeros(3), np.zeros(3), none, WaveParams(), echoes=0)
 
     def test_bw_tv_peak_spacing(self):
         t = 0.1 * np.arange(251)
@@ -100,7 +102,7 @@ class TestWaveSales:
             replacement_fraction=0.3,
             lifetime=9.2,
         )
-        out = wave_sales(t, bass_pen, bass, wave, echoes=2)
+        out = wave_sales(t, bass_pen(t), bass, wave, echoes=2)
         interior = (out[1:-1] > out[:-2]) & (out[1:-1] > out[2:])
         peaks = t[1:-1][interior]
         spacings = np.diff(peaks)
@@ -113,7 +115,7 @@ class TestWaveSales:
         t = 0.1 * np.arange(201)
         wave = WaveParams(multiple_rate=2.5, replacement_fraction=0.0)
         out = wave_sales(
-            t, lambda s: bass_penetration(s, params), lambda s: bass_rate(s, params), wave
+            t, bass_penetration(t, params), lambda s: bass_rate(s, params), wave
         )
         # sales settle at the multiple-purchase level of the installed base
         assert out[-1] == pytest.approx(2.5 * 0.02, rel=1e-3)

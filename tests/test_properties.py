@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import lsq_linear
 
-from evomarket import calibration
+from evomarket import calibration, diffusion
 from evomarket.benchmarks import BENCHMARKS, GoodParams, wave_params
 from evomarket.calibration import (
     TWO_WAVE_STARTS,
@@ -31,7 +31,6 @@ from evomarket.diffusion import (
     bass_penetration,
     bass_rate,
     gompertz_penetration,
-    gompertz_rate,
 )
 from evomarket.lifecycle import WaveParams, wave_sales
 from evomarket.errors import FormatError
@@ -73,7 +72,7 @@ def gompertz_design(rate):
     """One Gompertz penetration column on ``T_EVOLVE`` and its log-shape derivative."""
 
     def design(log_shape):
-        pen, _ = calibration._gompertz_jets(T_EVOLVE, np.exp(log_shape[0]), rate)
+        pen, _ = diffusion._gompertz_jets(T_EVOLVE, 1.0, np.exp(log_shape[0]), rate)
         return pen[:, :1], pen[:, None, 1:]
 
     return design
@@ -138,6 +137,29 @@ def test_price_fit_does_not_depend_on_the_intro_price_scale(rate, floor, scale, 
     assert scaled.sse_ == pytest.approx(unit.sse_, rel=1e-6)
 
 
+# The Bass and Gompertz curves written out here rather than taken from
+# ``diffusion``, so the echo sums are checked against an oracle that shares
+# no code with the kernels the sums run on.
+
+
+def bass_oracle(t, params):
+    """Penetration and rate of the spreading wave at non-negative ``t``."""
+    a, b = params.innovation, params.imitation
+    decay = np.exp(-(a + b) * t)
+    pen = params.plateau * (1.0 - decay) / (1.0 + (b / a) * decay)
+    rate = params.plateau * a * (a + b) ** 2 * decay / (a + b * decay) ** 2
+    return pen, rate
+
+
+def gompertz_oracle(t, params):
+    """Penetration and rate of the price-driven wave, zero where they underflow."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        decay = np.exp(-2.0 * params.rate * t)
+        pen = params.plateau * np.exp(-params.shape * decay)
+        rate = np.where(pen > 0, 2.0 * params.rate * params.shape * decay * pen, 0.0)
+    return pen, rate
+
+
 @PROPERTY_SETTINGS
 @given(
     params=bass_params,
@@ -150,16 +172,17 @@ def test_wave_sales_is_the_closed_form_echo_sum(params, multiple, fraction, life
     grid = 0.05 * np.arange(801)
     out = wave_sales(
         grid,
-        lambda t: bass_penetration(t, params),
+        bass_penetration(grid, params),
         lambda t: bass_rate(t, params),
         WaveParams(multiple, fraction, lifetime),
         echoes,
     )
-    expected = bass_rate(grid, params) + multiple * bass_penetration(grid, params)
+    pen, rate = bass_oracle(grid, params)
+    expected = rate + multiple * pen
     for k in range(1, echoes + 1):
         # the lifetime is drawn off the grid, so the echo starts between cells
         lag = grid - k * lifetime
-        echo = np.where(lag >= 0, bass_rate(np.maximum(lag, 0.0), params), 0.0)
+        echo = np.where(lag >= 0, bass_oracle(np.maximum(lag, 0.0), params)[1], 0.0)
         expected = expected + fraction**k * echo
     assert np.max(np.abs(out - expected)) <= 1e-12 * np.max(expected)
 
@@ -203,7 +226,7 @@ def two_wave_goods(draw):
 
 
 def one_echo_sum(kind, good, t):
-    """Penetration or sales of both waves from ``diffusion``'s public closed forms.
+    """Penetration or sales of both waves from the oracle curves.
 
     A sale is first purchases, plus multiple purchase in proportion to
     the penetration, plus one replacement echo a lifetime behind.
@@ -212,21 +235,25 @@ def one_echo_sum(kind, good, t):
     bass = BassParams(good.innovation, good.imitation, good.spreading_plateau)
     gompertz = GompertzParams(good.evolutionary_plateau, good.shape, good.decline_rate)
     t_evo = t - good.onset_delay
+    bass_pen, bass_rate_t = bass_oracle(t, bass)
+    gompertz_pen, gompertz_rate_t = gompertz_oracle(t_evo, gompertz)
     if kind == "penetration":
-        return bass_penetration(t, bass) + gompertz_penetration(t_evo, gompertz)
+        return bass_pen + gompertz_pen
     # the spreading echo is zero less than one lifetime after the introduction
     spreading_echo = np.zeros_like(t)
     if spreading.replacement_fraction > 0:
         aged = t >= spreading.lifetime
-        spreading_echo[aged] = bass_rate(t[aged] - spreading.lifetime, bass)
+        spreading_echo[aged] = bass_oracle(t[aged] - spreading.lifetime, bass)[1]
     # the evolutionary echo runs on the all-real clock and is never cut off
-    evolutionary_echo = gompertz_rate(t_evo - (evolutionary.lifetime or 0.0), gompertz)
+    _, evolutionary_echo = gompertz_oracle(
+        t_evo - (evolutionary.lifetime or 0.0), gompertz
+    )
     return (
-        bass_rate(t, bass)
-        + spreading.multiple_rate * bass_penetration(t, bass)
+        bass_rate_t
+        + spreading.multiple_rate * bass_pen
         + spreading.replacement_fraction * spreading_echo
-        + gompertz_rate(t_evo, gompertz)
-        + evolutionary.multiple_rate * gompertz_penetration(t_evo, gompertz)
+        + gompertz_rate_t
+        + evolutionary.multiple_rate * gompertz_pen
         + evolutionary.replacement_fraction * evolutionary_echo
     )
 
