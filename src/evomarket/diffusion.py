@@ -209,13 +209,14 @@ def bass_ode(params: BassParams, horizon: float, step: float = 1e-3) -> Adoption
 
     a, b = params.innovation, params.imitation
 
-    def rhs(_t, n):
-        return (a + b * n / plateau) * (plateau - n)
+    def rhs(_t, state):
+        n = state[0]
+        return [(a + b * n / plateau) * (plateau - n)]
 
     penetration = np.empty_like(times)
     n = penetration[0] = 0.0
     for i in range(1, times.size):
-        n = rk4_step(rhs, times[i - 1], n, step)
+        (n,) = rk4_step(rhs, times[i - 1], [n], step)
         if not math.isfinite(n):
             raise NumericError(f"integration diverged at t={times[i]:g}")
         penetration[i] = n

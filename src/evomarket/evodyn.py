@@ -7,8 +7,10 @@ law-of-mass-action between buyers and available stock, and the slow
 residual dynamics of the sales shares is a replicator equation driven
 by each model's fitness: preference times reproduction coefficient
 times demand prefactor times affordable market volume at its price.
-The micro-dynamics is stepped with fourth-order Runge–Kutta; the
-replicator, whose fitnesses are fixed within a step, is stepped exactly.
+The micro-dynamics is stepped with fourth-order Runge–Kutta on Python
+floats, its sums taken in numpy's order (left to right below 8
+products), so it gives the bits of the same step on arrays; the replicator, whose fitnesses are fixed within a step, is
+stepped exactly.
 A replicator-stepped population carries the step's growth factor, so a
 run of steps with the same prefactor, market and step size computes its
 fitnesses once.
@@ -20,6 +22,7 @@ Populations are value-semantic; stepping returns new objects.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -248,6 +251,31 @@ def stationary_demand(
     return DemandState(potential=psi, creation_rate=creation_rate, prefactor=prefactor)
 
 
+def _numpy_sum(values: list) -> float:
+    """Sum of a list of floats in the order ``np.add.reduce`` takes it.
+
+    Left to right below 8 elements; from 8 on, numpy's eight interleaved
+    partial sums, which numpy splits in halves past 128 elements and
+    this sum does not.  The built-in ``sum`` compensates its rounding
+    from Python 3.12 on, so its bits would differ.
+    """
+    n = len(values)
+    if n < 8:
+        total = -0.0
+        for value in values:
+            total += value
+        return total
+    r = values[:8]
+    stop = n - n % 8
+    for i in range(8, stop, 8):
+        for j in range(8):
+            r[j] += values[i + j]
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for value in values[stop:]:
+        total += value
+    return total
+
+
 def micro_step(
     pop: Population,
     demand: DemandState,
@@ -268,42 +296,40 @@ def micro_step(
     and the demand state with the pool and prefactor updated.
     """
     check_positive(dtau, "dtau")
-    n = len(pop)
-    state = np.empty(n + 1)
-    state[:n] = pop._stocks
-    state[n] = demand.potential
-    eta = pop._preferences
-    gamma = pop._reproductions
-    prices = pop._prices
+    eta = pop._preferences.tolist()
+    gamma = pop._reproductions.tolist()
+    prices = pop._prices.tolist()
     q = demand.creation_rate
 
     def rhs(_tau, s):
-        ex = eta * s[:n]
-        y = ex * s[n]
-        weight = np.add.reduce(ex)
-        mu = np.add.reduce(ex * prices) / weight if weight > 0 else 0.0
-        derivative = np.empty(n + 1)
-        np.multiply(gamma, y, out=derivative[:n])
-        derivative[n] = q * market_volume(max(mu, 0.0), market) - np.add.reduce(y)
+        ex = [e * x for e, x in zip(eta, s)]
+        y = [x * s[-1] for x in ex]
+        weight = _numpy_sum(ex)
+        mu = _numpy_sum([x * p for x, p in zip(ex, prices)]) / weight if weight > 0 else 0.0
+        derivative = [g * sold for g, sold in zip(gamma, y)]
+        derivative.append(q * market_volume(max(mu, 0.0), market) - _numpy_sum(y))
         return derivative
 
-    new_state = rk4_step(rhs, pop.tau, state, dtau)
-    if (new_state < 0).any():
-        raise StepSizeError("micro step produced a negative density; reduce dtau")
-    new_stocks, new_psi = new_state[:n], float(new_state[n])
-    new_sales = eta * new_stocks * new_psi
+    new_state = rk4_step(rhs, pop.tau, pop._stocks.tolist() + [demand.potential], dtau)
+    if not all(0.0 <= x < math.inf for x in new_state):
+        raise StepSizeError(
+            "micro step produced a negative or non-finite density; reduce dtau"
+        )
+    new_psi = new_state.pop()
+    new_stocks = np.array(new_state)
+    weighted = pop._preferences * new_stocks
     new_pop = Population.from_arrays(
-        new_sales,
+        weighted * new_psi,
         new_stocks,
-        prices,
-        eta,
-        gamma,
+        pop._prices,
+        pop._preferences,
+        pop._reproductions,
         pop.tau + dtau,
     )
     new_demand = DemandState(
         potential=new_psi,
         creation_rate=q,
-        prefactor=q / float(np.add.reduce(eta * new_stocks)),
+        prefactor=q / float(np.add.reduce(weighted)),
     )
     return new_pop, new_demand
 

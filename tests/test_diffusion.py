@@ -78,6 +78,26 @@ class TestBassRate:
         assert np.allclose(bass_rate(t, BW_TV), numeric, rtol=1e-6)
 
 
+def scalar_bass_ode(params, horizon, step):
+    """Penetration and rate of ``bass_ode``'s RK4 loop written on scalars."""
+    a, b, plateau = params.innovation, params.imitation, params.plateau
+
+    def rhs(n):
+        return (a + b * n / plateau) * (plateau - n)
+
+    times = step * np.arange(int(round(horizon / step)) + 1)
+    penetration = np.empty_like(times)
+    n = penetration[0] = 0.0
+    for i in range(1, times.size):
+        k1 = rhs(n)
+        k2 = rhs(n + 0.5 * step * k1)
+        k3 = rhs(n + 0.5 * step * k2)
+        k4 = rhs(n + step * k3)
+        n = n + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        penetration[i] = n
+    return penetration, (a + b * penetration / plateau) * (plateau - penetration)
+
+
 class TestBassOde:
     def test_no_word_of_mouth_reduces_to_relaxation(self):
         params = BassParams(innovation=0.3, imitation=0.0, plateau=0.6)
@@ -102,6 +122,13 @@ class TestBassOde:
         curve = bass_ode(params, horizon=20.0, step=1e-3)
         closed = bass_penetration(curve.times, params)
         assert np.max(np.abs(closed - curve.penetration)) < 1e-6
+
+    @pytest.mark.parametrize("params", [BW_TV, COLOUR_TV, FAX])
+    def test_bit_identical_to_a_scalar_rk4_loop(self, params):
+        curve = bass_ode(params, horizon=20.0, step=0.01)
+        penetration, rate = scalar_bass_ode(params, horizon=20.0, step=0.01)
+        assert np.array_equal(curve.penetration, penetration)
+        assert np.array_equal(curve.rate, rate)
 
     def test_random_params_within_rate_bound(self, rng):
         for _ in range(3):

@@ -286,6 +286,16 @@ class TestMicroStep:
         with pytest.raises(StepSizeError):
             micro_step(pop, state, market, 5.0)
 
+    def test_overflowing_step_rejected(self, market):
+        # the stages overflow to inf and then NaN; the step must say so,
+        # not hand back a NaN population
+        pop = Population([Product(0.0, 1e300, 0.05, 1e10, 50.0)])
+        state = DemandState(1e300, 1e300, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StepSizeError):
+                micro_step(pop, state, market, 1e10)
+
 
 class TestFisherPryShare:
     def test_symmetric_start(self):
@@ -393,6 +403,35 @@ def plain_micro_rk4(stocks, pool, preferences, reproductions, prices, creation_r
     return s[:n], s[n]
 
 
+def array_micro_step(stocks, pool, preferences, reproductions, prices, creation_rate, market, dtau):
+    """The micro step written on numpy arrays, summed with ``np.add.reduce``.
+
+    Returns the stepped stocks and pool and the sales and prefactor the
+    library computes from them.
+    """
+    n = stocks.size
+
+    def rhs(s):
+        ex = preferences * s[:n]
+        y = ex * s[n]
+        weight = np.add.reduce(ex)
+        mu = np.add.reduce(ex * prices) / weight if weight > 0 else 0.0
+        derivative = np.empty(n + 1)
+        np.multiply(reproductions, y, out=derivative[:n])
+        derivative[n] = creation_rate * market_volume(max(mu, 0.0), market) - np.add.reduce(y)
+        return derivative
+
+    s = np.append(stocks, pool)
+    k1 = rhs(s)
+    k2 = rhs(s + 0.5 * dtau * k1)
+    k3 = rhs(s + 0.5 * dtau * k2)
+    k4 = rhs(s + dtau * k3)
+    s = s + (dtau / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    stocks, pool = s[:n], float(s[n])
+    sales = preferences * stocks * pool
+    return stocks, pool, sales, creation_rate / float(np.add.reduce(preferences * stocks))
+
+
 def plain_replicator(sales, fitnesses, tau):
     """Sales a time ``tau`` after ``sales`` on the exact replicator solution, same total."""
     grown = sales * np.exp(fitnesses * tau)
@@ -468,3 +507,32 @@ class TestStepsMatchPlainRk4:
         micro_gap, replicator_gap = step_both_ways(pop, pop, market, 3.0, 0.01, 300)
         assert micro_gap < 1e-13
         assert replicator_gap < 1e-13
+
+    @pytest.mark.parametrize("n", list(range(1, 9)) + [12, 20])
+    def test_random_prices_bit_identical_to_the_array_step(self, market, n):
+        # the float step sums in numpy's order; the built-in sum, which
+        # compensates its rounding from Python 3.12 on, would fail here
+        rng = np.random.default_rng(1900 + n)
+        pop = Population(
+            [
+                Product(
+                    sales=0.0,
+                    stock=rng.uniform(0.5, 1.5),
+                    price=rng.uniform(0.0, 1.5),
+                    preference=rng.uniform(0.5, 2.0),
+                    reproduction=rng.uniform(-0.05, 0.05),
+                )
+                for _ in range(n)
+            ]
+        )
+        demand = stationary_demand(pop, 3.0, market)
+        stocks, pool = pop.stocks, demand.potential
+        for _ in range(300):
+            pop, demand = micro_step(pop, demand, market, 0.01)
+            stocks, pool, sales, prefactor = array_micro_step(
+                stocks, pool, pop.preferences, pop.reproductions, pop.prices, 3.0, market, 0.01
+            )
+            assert np.array_equal(pop.stocks, stocks)
+            assert demand.potential == pool
+            assert np.array_equal(pop.sales, sales)
+            assert demand.prefactor == prefactor
