@@ -29,9 +29,7 @@ class GoodParams:
     ``None`` marks a quantity that was never established; consumers that
     need a number treat it as zero (the command line warns when it does
     so).  ``floor_ratio`` lies in [0, 1), the range the price fit can
-    return, and the two plateaus sum to at most 1.  Nothing in the model
-    reads ``market_potential_millions``; it records the market sizes of
-    the table.
+    return, and the two plateaus sum to at most 1.
 
     Construction runs every check a good gets, so a good that exists can
     be simulated: a bad value raises ``ValueError`` naming the fields
@@ -54,7 +52,6 @@ class GoodParams:
     evolutionary_multiple: float | None = None
     spreading_lifetime: float | None = None
     evolutionary_lifetime: float | None = None
-    market_potential_millions: float | None = None
 
     def __post_init__(self):
         check_nonnegative(self.onset_delay, "onset_delay")
@@ -152,7 +149,6 @@ BENCHMARKS: dict[str, GoodParams] = {
         evolutionary_multiple=0.06,
         spreading_lifetime=9.2,
         evolutionary_lifetime=10.2,
-        market_potential_millions=53.0,
     ),
     "clothes_dryer": GoodParams(
         name="clothes_dryer",
@@ -168,7 +164,6 @@ BENCHMARKS: dict[str, GoodParams] = {
         spreading_multiple=0.06,
         evolutionary_replacement=0.0,
         evolutionary_multiple=0.35,
-        market_potential_millions=35.0,
     ),
     "air_conditioner": GoodParams(
         name="air_conditioner",
@@ -184,7 +179,6 @@ BENCHMARKS: dict[str, GoodParams] = {
         spreading_multiple=0.02,
         evolutionary_replacement=0.0,
         evolutionary_multiple=0.33,
-        market_potential_millions=45.0,
     ),
     "vcr": GoodParams(
         name="vcr",
@@ -199,7 +193,6 @@ BENCHMARKS: dict[str, GoodParams] = {
         imitation=1.0,
         spreading_multiple=0.3,
         evolutionary_multiple=0.0,
-        market_potential_millions=96.0,
     ),
 }
 

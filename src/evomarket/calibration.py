@@ -110,7 +110,6 @@ class FitResult:
 
     ``sse`` maps fit stages (``price``, ``penetration``, ``sales``,
     ``share``) to their natural-scale residual sums of squares;
-    ``residuals`` holds the corresponding residual arrays;
     ``provenance`` records series digests, so results can be traced to
     their inputs, and how the fit was reached (convergence flags,
     evaluation count).
@@ -133,7 +132,6 @@ class FitResult:
     advantage: float | None = None
     intercept: float | None = None
     sse: dict = field(default_factory=dict)
-    residuals: dict = field(default_factory=dict)
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -179,8 +177,6 @@ class PriceDeclineFit:
     floor_ratio_ : float
     sse_ : float
         Natural-scale residual sum of squares.
-    residuals_ : numpy.ndarray
-        Natural-scale residuals.
     converged_ : bool
         Whether the winning Levenberg–Marquardt run met its tolerances.
     nfev_ : int
@@ -254,8 +250,8 @@ class PriceDeclineFit:
 
         self.decline_rate_ = float(np.exp(log_rate))
         self.floor_ratio_ = floor
-        self.residuals_ = scaled - best.design @ best.plateaus
-        self.sse_ = float((self.residuals_**2).sum())
+        resid = scaled - best.design @ best.plateaus
+        self.sse_ = float((resid**2).sum())
         self.converged_ = bool(best.success)
         self.nfev_ = int(best.nfev)
         # once the model falls below the weight floor between the first two
@@ -545,8 +541,8 @@ class FisherPryFit:
         icept = float(logits.mean() - slope * t_bar)
         self.advantage_ = slope
         self.intercept_ = icept
-        self.residuals_ = logits - (slope * t + icept)
-        self.sse_ = float((self.residuals_**2).sum())
+        resid = logits - (slope * t + icept)
+        self.sse_ = float((resid**2).sum())
         return self
 
 
@@ -665,9 +661,9 @@ def fit_two_wave(
       Levenberg–Marquardt its analytic Jacobian.
 
     The lowest weighted cost of the refined runs wins, ties going to the
-    earliest start.  ``sse`` and ``residuals`` report each series on its
-    natural scale.  ``provenance["converged"]``, ``provenance["nfev"]``
-    and ``provenance["njev"]`` (its Jacobian evaluations) describe the
+    earliest start.  ``sse`` reports each series on its natural scale.
+    ``provenance["converged"]``, ``provenance["nfev"]`` and
+    ``provenance["njev"]`` (its Jacobian evaluations) describe the
     winning Levenberg–Marquardt run, so a fit that stopped on its
     evaluation limit says so, and ``price_converged`` does the same for
     the price fit.  ``provenance["nfev_refined"]`` counts the residual
@@ -750,11 +746,6 @@ def fit_two_wave(
             "price": price_fit.sse_,
             "penetration": float((pen_resid**2).sum()),
             "sales": float((sales_resid**2).sum()),
-        },
-        residuals={
-            "price": price_fit.residuals_,
-            "penetration": pen_resid,
-            "sales": sales_resid,
         },
         provenance={
             "price_digest": series_digest(price),

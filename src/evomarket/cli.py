@@ -255,13 +255,13 @@ def write_fit_table(result: calibration.FitResult, path: Path) -> None:
     """Write a fit result as a ``parameter,value`` CSV table.
 
     One row per field of :class:`~evomarket.calibration.FitResult`, in
-    field order, leaving out ``sse``, ``residuals`` and ``provenance``.
+    field order, leaving out ``sse`` and ``provenance``.
     """
     lines = ["parameter,value", f"good,{result.good or ''}"]
     lines += [
         f"{item.name},{_format_float(getattr(result, item.name))}"
         for item in dataclasses.fields(result)
-        if item.name not in ("good", "sse", "residuals", "provenance")
+        if item.name not in ("good", "sse", "provenance")
     ]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -310,7 +310,6 @@ def _cmd_fit(args, config) -> int:
             advantage=share_fit.advantage_,
             intercept=share_fit.intercept_,
             sse={**result.sse, "share": share_fit.sse_},
-            residuals={**result.residuals, "share": share_fit.residuals_},
         )
 
     out = args.out

@@ -326,11 +326,10 @@ def micro_step(
         pop._reproductions,
         pop.tau + dtau,
     )
-    new_demand = DemandState(
-        potential=new_psi,
-        creation_rate=q,
-        prefactor=q / float(np.add.reduce(weighted)),
-    )
+    weight = float(np.add.reduce(weighted))
+    if weight <= 0:
+        raise ValueError("stationary demand needs positive preference-weighted stock")
+    new_demand = DemandState(potential=new_psi, creation_rate=q, prefactor=q / weight)
     return new_pop, new_demand
 
 

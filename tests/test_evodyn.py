@@ -296,6 +296,16 @@ class TestMicroStep:
             with pytest.raises(StepSizeError):
                 micro_step(pop, state, market, 1e10)
 
+    def test_zero_stock_is_the_stationary_demand_error(self, market):
+        # no stock to buy from, so the prefactor creation_rate / sum(preference * stock)
+        # is undefined after the step as before it
+        pop = Population([Product(0.0, 0.0, 0.05, 1.0, 0.0) for _ in range(2)])
+        message = "stationary demand needs positive preference-weighted stock"
+        with pytest.raises(ValueError, match=message):
+            stationary_demand(pop, 3.0, market)
+        with pytest.raises(ValueError, match=message):
+            micro_step(pop, DemandState(1.0, 3.0, 1.0), market, 0.01)
+
 
 class TestFisherPryShare:
     def test_symmetric_start(self):
