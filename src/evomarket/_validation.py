@@ -24,7 +24,7 @@ def check_positive(value: float, name: str) -> float:
 
 def check_nonnegative(value: float, name: str) -> float:
     value = float(value)
-    if value < 0:
+    if not value >= 0:
         raise ValueError(f"{name} must be non-negative, got {value}")
     return value
 

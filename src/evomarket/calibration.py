@@ -136,8 +136,7 @@ class FitResult:
 
     def __post_init__(self):
         for stage, value in self.sse.items():
-            if value < 0:
-                raise ValueError(f"sse[{stage!r}] must be non-negative")
+            check_nonnegative(value, f"sse[{stage!r}]")
 
 
 def series_digest(series: TimeSeries) -> str:
@@ -204,8 +203,7 @@ class PriceDeclineFit:
         # nominal prices are deflated by the income model when there is
         # one, then scaled by the (equally deflated) introduction price
         check_positive(self.intro_price, "intro_price")
-        if self.onset_delay < 0:
-            raise ValueError("onset_delay must be non-negative")
+        check_nonnegative(self.onset_delay, "onset_delay")
         onset = self.intro_year + self.onset_delay
         mask = series.years >= onset - 1e-9
         years = series.years[mask]

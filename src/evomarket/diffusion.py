@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._integrate import rk4_step
-from ._validation import as_float_array, check_nonnegative, check_positive
+from ._validation import as_float_array, check_nonnegative, check_positive, check_unit_interval
 from .errors import NumericError
 from .market import MarketStructure
 
@@ -62,8 +62,7 @@ class BassParams:
     def __post_init__(self):
         check_positive(self.innovation, "innovation")
         check_nonnegative(self.imitation, "imitation")
-        if not 0.0 <= self.plateau <= 1.0:
-            raise ValueError(f"plateau must lie in [0, 1], got {self.plateau}")
+        check_unit_interval(self.plateau, "plateau")
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,8 @@ residual dynamics of the sales shares is a replicator equation driven
 by each model's fitness: preference times reproduction coefficient
 times demand prefactor times affordable market volume at its price.
 The micro-dynamics is stepped with fourth-order Runge–Kutta on Python
-floats, its sums taken in numpy's order (left to right below 8
-products), so it gives the bits of the same step on arrays; the replicator, whose fitnesses are fixed within a step, is
+floats, each stage one pass over the products with its sums taken left
+to right; the replicator, whose fitnesses are fixed within a step, is
 stepped exactly.
 A replicator-stepped population carries the step's growth factor, so a
 run of steps with the same prefactor, market and step size computes its
@@ -251,31 +251,6 @@ def stationary_demand(
     return DemandState(potential=psi, creation_rate=creation_rate, prefactor=prefactor)
 
 
-def _numpy_sum(values: list) -> float:
-    """Sum of a list of floats in the order ``np.add.reduce`` takes it.
-
-    Left to right below 8 elements; from 8 on, numpy's eight interleaved
-    partial sums, which numpy splits in halves past 128 elements and
-    this sum does not.  The built-in ``sum`` compensates its rounding
-    from Python 3.12 on, so its bits would differ.
-    """
-    n = len(values)
-    if n < 8:
-        total = -0.0
-        for value in values:
-            total += value
-        return total
-    r = values[:8]
-    stop = n - n % 8
-    for i in range(8, stop, 8):
-        for j in range(8):
-            r[j] += values[i + j]
-    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for value in values[stop:]:
-        total += value
-    return total
-
-
 def micro_step(
     pop: Population,
     demand: DemandState,
@@ -302,12 +277,18 @@ def micro_step(
     q = demand.creation_rate
 
     def rhs(_tau, s):
-        ex = [e * x for e, x in zip(eta, s)]
-        y = [x * s[-1] for x in ex]
-        weight = _numpy_sum(ex)
-        mu = _numpy_sum([x * p for x, p in zip(ex, prices)]) / weight if weight > 0 else 0.0
-        derivative = [g * sold for g, sold in zip(gamma, y)]
-        derivative.append(q * market_volume(max(mu, 0.0), market) - _numpy_sum(y))
+        pool = s[-1]
+        weight = priced = sold = -0.0
+        derivative = []
+        for e, g, p, x in zip(eta, gamma, prices, s):
+            ex = e * x
+            y = ex * pool
+            weight += ex
+            priced += ex * p
+            sold += y
+            derivative.append(g * y)
+        mu = priced / weight if weight > 0 else 0.0
+        derivative.append(q * market_volume(max(mu, 0.0), market) - sold)
         return derivative
 
     new_state = rk4_step(rhs, pop.tau, pop._stocks.tolist() + [demand.potential], dtau)

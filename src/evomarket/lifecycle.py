@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._validation import as_float_array, check_positive
+from ._validation import as_float_array, check_nonnegative, check_positive, check_unit_interval
 
 __all__ = ["WaveParams", "wave_sales", "total_sales"]
 
@@ -30,10 +30,8 @@ class WaveParams:
     lifetime: float | None = None
 
     def __post_init__(self):
-        if self.multiple_rate < 0:
-            raise ValueError("multiple_rate must be non-negative")
-        if not 0.0 <= self.replacement_fraction <= 1.0:
-            raise ValueError("replacement_fraction must lie in [0, 1]")
+        check_nonnegative(self.multiple_rate, "multiple_rate")
+        check_unit_interval(self.replacement_fraction, "replacement_fraction")
         if self.lifetime is not None:
             check_positive(self.lifetime, "lifetime")
         if self.replacement_fraction > 0 and self.lifetime is None:

@@ -40,7 +40,7 @@ class IncomeModel:
 
     def __post_init__(self):
         check_positive(self.mean_income, "mean_income")
-        if self.growth <= -1.0:
+        if not self.growth > -1.0:
             raise ValueError(f"growth must exceed -1, got {self.growth}")
 
     def at(self, years_since_ref):

@@ -379,6 +379,8 @@ def reproduction_param_sim(
     check_positive(dt, "dt")
     if steps < 1:
         raise ValueError("steps must be at least 1")
+    if n_short_windows < 1:
+        raise ValueError(f"n_short_windows must be at least 1, got {n_short_windows}")
     if dt * params.compensation >= 0.5:
         raise StepSizeError("dt * compensation must stay below 0.5")
 

@@ -208,33 +208,69 @@ def test_criterion_05_replicator_fisher_pry(capsys):
     )
 
 
-def test_criterion_06_micro_macro_equivalence(capsys):
-    market = MarketStructure(upper_share=0.02, minimum_price=0.05, width=0.5)
-    gammas = (0.02, 0.0, -0.02)
-    micro_pop = Population(
-        [Product(0.0, 1.0, market.minimum_price, 1.0, g) for g in gammas]
-    )
+CRITERION_06_MARKET = MarketStructure(upper_share=0.02, minimum_price=0.05, width=0.5)
+CRITERION_06_GAMMAS = (0.02, 0.0, -0.02)
+
+
+def micro_macro_shares(micro_gammas, macro_gammas):
+    """Share trajectories of the micro cycle and the replicator, tau in (0, 10].
+
+    Three products with unit stocks and preferences at the minimum
+    price and the given reproduction coefficients; the micro pool starts
+    stationary, and the replicator steps with its prefactor.
+    """
+    market = CRITERION_06_MARKET
+    price = market.minimum_price
+    micro_pop = Population([Product(0.0, 1.0, price, 1.0, g) for g in micro_gammas])
     demand = stationary_demand(micro_pop, creation_rate=3.0, market=market)
-    macro_pop = Population(
-        [Product(1.0 / 3.0, 1.0, market.minimum_price, 1.0, g) for g in gammas]
-    )
+    macro_pop = Population([Product(1.0 / 3.0, 1.0, price, 1.0, g) for g in macro_gammas])
     prefactor = demand.prefactor
     dtau = 0.002
-    steps = 5000  # tau from 0 (pool already stationary) to 10
-    worst = 0.0
+    micro_shares, macro_shares = [], []
+    for _ in range(5000):  # tau from 0 (pool already stationary) to 10
+        micro_pop, demand = micro_step(micro_pop, demand, market, dtau)
+        macro_pop = replicator_step(macro_pop, prefactor, market, dtau)
+        micro_shares.append(micro_pop.shares)
+        macro_shares.append(macro_pop.shares)
+    return np.array(micro_shares), np.array(macro_shares)
+
+
+def micro_macro_measures(micro_shares, macro_shares):
+    """Sup share difference and how far the first micro share moved from 1/3."""
+    worst = float(np.max(np.abs(micro_shares - macro_shares)))
+    return worst, abs(float(micro_shares[-1, 0]) - 1.0 / 3.0)
+
+
+def micro_macro_verdict(micro_shares, macro_shares):
+    """Criterion 6's verdict on the two share trajectories: (close ok, moved ok).
+
+    The move shows that the comparison covered real share dynamics.
+    """
+    worst, moved = micro_macro_measures(micro_shares, macro_shares)
+    return worst < 1e-3, moved > 0.04
+
+
+def test_criterion_06_micro_macro_equivalence(capsys):
     with Stopwatch() as clock:
-        for _ in range(steps):
-            micro_pop, demand = micro_step(micro_pop, demand, market, dtau)
-            macro_pop = replicator_step(macro_pop, prefactor, market, dtau)
-            worst = max(worst, float(np.max(np.abs(micro_pop.shares - macro_pop.shares))))
-        moved = abs(micro_pop.shares[0] - 1.0 / 3.0)
-    assert worst < 1e-3
-    assert moved > 0.04  # the comparison covered real share dynamics
+        micro, macro = micro_macro_shares(CRITERION_06_GAMMAS, CRITERION_06_GAMMAS)
+        close_ok, moved_ok = micro_macro_verdict(micro, macro)
+    assert close_ok
+    assert moved_ok
+    worst, moved = micro_macro_measures(micro, macro)
     report(
         capsys, 6, "micro purchase cycle reproduces the replicator",
         f"sup share diff {worst:.2e} over tau in [0,10], share moved {moved:.3f}",
         clock.elapsed, 10.0,
     )
+
+
+def test_criterion_06_rejects_10pct_too_large_reproduction_and_a_still_population():
+    # every micro coefficient 10% too large: sup share difference near 6.6e-3
+    heavy = tuple(1.1 * g for g in CRITERION_06_GAMMAS)
+    assert micro_macro_verdict(*micro_macro_shares(heavy, CRITERION_06_GAMMAS))[0] is False
+    # every coefficient 0: no share moves
+    still = (0.0, 0.0, 0.0)
+    assert micro_macro_verdict(*micro_macro_shares(still, still)) == (True, False)
 
 
 def _gaussian_price_population(market, sigma):

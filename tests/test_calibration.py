@@ -9,6 +9,7 @@ from evomarket.benchmarks import BENCHMARKS
 from evomarket import calibration
 from evomarket.calibration import (
     FisherPryFit,
+    FitResult,
     TWO_WAVE_STARTS,
     PriceDeclineFit,
     _separable_lm,
@@ -25,7 +26,9 @@ from evomarket.diffusion import (
     gompertz_penetration,
 )
 from evomarket.errors import FitError
-from evomarket.market import IncomeModel
+from evomarket.evodyn import DemandState, Product
+from evomarket.lifecycle import WaveParams
+from evomarket.market import IncomeModel, MarketStructure
 from evomarket.series import TimeSeries
 
 import test_properties
@@ -602,3 +605,36 @@ class TestFitTwoWave:
         report = round_trip(BENCHMARKS["fax"], n_seeds=3)
         assert len(fits) == 3
         assert report["nfev_refined"] == sum(f.provenance["nfev_refined"] for f in fits)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: BassParams(0.01, NAN, 0.5),
+        lambda: dataclasses.replace(BENCHMARKS["bw_tv"], decline_rate=NAN),
+        lambda: dataclasses.replace(BENCHMARKS["bw_tv"], imitation=NAN),
+        lambda: dataclasses.replace(BENCHMARKS["bw_tv"], onset_delay=NAN),
+        lambda: dataclasses.replace(BENCHMARKS["bw_tv"], spreading_multiple=NAN),
+        lambda: Product(sales=0.0, stock=NAN, price=0.5, preference=1.0, reproduction=0.0),
+        lambda: DemandState(NAN, 1.0, 1.0),
+        lambda: MarketStructure(upper_share=0.02, minimum_price=NAN, width=0.5),
+        lambda: synthesize("sales", BENCHMARKS["bw_tv"], noise=NAN),
+        lambda: WaveParams(multiple_rate=NAN),
+        lambda: IncomeModel(1.0, growth=NAN),
+        lambda: PriceDeclineFit(onset_delay=NAN).fit(price_series(0.2, 0.0)),
+        lambda: FitResult(good=None, sse={"price": NAN}),
+    ],
+    ids=[
+        "bass_imitation", "good_decline_rate", "good_imitation", "good_onset_delay",
+        "good_spreading_multiple", "product_stock", "demand_potential",
+        "market_minimum_price", "synthesize_noise", "wave_multiple_rate",
+        "income_growth", "price_fit_onset_delay", "fit_result_sse",
+    ],
+)
+def test_nan_is_rejected_where_a_value_must_not_be_negative(make):
+    # every comparison is written so that NaN fails it: not value >= 0
+    with pytest.raises(ValueError):
+        make()

@@ -413,8 +413,15 @@ def plain_micro_rk4(stocks, pool, preferences, reproductions, prices, creation_r
     return s[:n], s[n]
 
 
+def left_to_right(values):
+    total = -0.0
+    for value in values:
+        total += value
+    return total
+
+
 def array_micro_step(stocks, pool, preferences, reproductions, prices, creation_rate, market, dtau):
-    """The micro step written on numpy arrays, summed with ``np.add.reduce``.
+    """The micro step written on numpy arrays, each sum taken left to right.
 
     Returns the stepped stocks and pool and the sales and prefactor the
     library computes from them.
@@ -424,11 +431,11 @@ def array_micro_step(stocks, pool, preferences, reproductions, prices, creation_
     def rhs(s):
         ex = preferences * s[:n]
         y = ex * s[n]
-        weight = np.add.reduce(ex)
-        mu = np.add.reduce(ex * prices) / weight if weight > 0 else 0.0
+        weight = left_to_right(ex)
+        mu = left_to_right(ex * prices) / weight if weight > 0 else 0.0
         derivative = np.empty(n + 1)
         np.multiply(reproductions, y, out=derivative[:n])
-        derivative[n] = creation_rate * market_volume(max(mu, 0.0), market) - np.add.reduce(y)
+        derivative[n] = creation_rate * market_volume(max(mu, 0.0), market) - left_to_right(y)
         return derivative
 
     s = np.append(stocks, pool)
@@ -440,6 +447,21 @@ def array_micro_step(stocks, pool, preferences, reproductions, prices, creation_
     stocks, pool = s[:n], float(s[n])
     sales = preferences * stocks * pool
     return stocks, pool, sales, creation_rate / float(np.add.reduce(preferences * stocks))
+
+
+def assert_steps_match_the_array_step(pop, demand, market, dtau, steps):
+    """Step ``pop`` with ``micro_step`` and the array step, comparing every bit."""
+    stocks, pool = pop.stocks, demand.potential
+    for _ in range(steps):
+        pop, demand = micro_step(pop, demand, market, dtau)
+        stocks, pool, sales, prefactor = array_micro_step(
+            stocks, pool, pop.preferences, pop.reproductions, pop.prices,
+            demand.creation_rate, market, dtau,
+        )
+        assert np.array_equal(pop.stocks, stocks)
+        assert demand.potential == pool
+        assert np.array_equal(pop.sales, sales)
+        assert demand.prefactor == prefactor
 
 
 def plain_replicator(sales, fitnesses, tau):
@@ -520,8 +542,6 @@ class TestStepsMatchPlainRk4:
 
     @pytest.mark.parametrize("n", list(range(1, 9)) + [12, 20])
     def test_random_prices_bit_identical_to_the_array_step(self, market, n):
-        # the float step sums in numpy's order; the built-in sum, which
-        # compensates its rounding from Python 3.12 on, would fail here
         rng = np.random.default_rng(1900 + n)
         pop = Population(
             [
@@ -535,14 +555,15 @@ class TestStepsMatchPlainRk4:
                 for _ in range(n)
             ]
         )
-        demand = stationary_demand(pop, 3.0, market)
-        stocks, pool = pop.stocks, demand.potential
-        for _ in range(300):
-            pop, demand = micro_step(pop, demand, market, 0.01)
-            stocks, pool, sales, prefactor = array_micro_step(
-                stocks, pool, pop.preferences, pop.reproductions, pop.prices, 3.0, market, 0.01
-            )
-            assert np.array_equal(pop.stocks, stocks)
-            assert demand.potential == pool
-            assert np.array_equal(pop.sales, sales)
-            assert demand.prefactor == prefactor
+        assert_steps_match_the_array_step(
+            pop, stationary_demand(pop, 3.0, market), market, 0.01, 300
+        )
+
+    def test_sums_that_round_bit_identical_to_the_left_to_right_step(self, market):
+        # 1e16 + 1 + 1 sums to 1e16 left to right and to 1e16 + 2 exactly,
+        # so a compensated or exact sum (math.fsum, or the built-in sum from
+        # Python 3.12 on) moves the pool; the step from a pool of 1 is
+        # stable, since the pool relaxes at the rate 1e16 + 2
+        pop = Population([Product(0.0, stock, 0.05, 1.0, 0.0) for stock in (1e16, 1.0, 1.0)])
+        demand = DemandState(1.0, 3.0, stationary_demand(pop, 3.0, market).prefactor)
+        assert_steps_match_the_array_step(pop, demand, market, 1e-16, 20)

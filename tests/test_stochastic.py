@@ -372,6 +372,13 @@ class TestReproductionParamSim:
         with pytest.raises(StepSizeError):
             reproduction_param_sim(self.params, dt=0.06, steps=10, seed=0)
 
+    @pytest.mark.parametrize("n_short_windows", [0, -1])
+    def test_no_short_windows_rejected(self, n_short_windows):
+        # 1000 steps hold nine windows after the burn-in, so only the
+        # argument is at fault
+        with pytest.raises(ValueError, match="n_short_windows must be at least 1"):
+            reproduction_param_sim(self.params, 0.01, 1000, seed=4, n_short_windows=n_short_windows)
+
     @pytest.mark.parametrize("start", [0.0, 0.7])
     @pytest.mark.parametrize("compensation, dt, amortization, steps", PATH_CASES)
     def test_path_is_the_plain_recurrence(
