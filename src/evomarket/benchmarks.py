@@ -9,6 +9,7 @@ what was never established for its good.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from ._validation import check_nonnegative
@@ -55,6 +56,9 @@ class GoodParams:
 
     def __post_init__(self):
         check_nonnegative(self.onset_delay, "onset_delay")
+        for name in ("intro_year", "onset_delay"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.floor_ratio is not None and not 0 <= self.floor_ratio < 1:
             raise ValueError(f"floor_ratio must lie in [0, 1), got {self.floor_ratio}")
         fields = "innovation, imitation or spreading_plateau"

@@ -25,12 +25,14 @@ evaluations for ``n`` searched parameters.  It gets Kaufman's analytic
 variable-projection Jacobian, built from the derivatives of the model
 columns that ``diffusion``'s kernels compute beside the columns, so no
 finite differences are taken.  The search screens a fixed start lattice
-with one residual evaluation per start, then refines only the four best
-starts (the stage-1 filter of multistart scatter search, Ugray et al.
-2007).  The price fit and the two-wave fit divide their residuals by the
-observations, matching multiplicative noise, so the penetration and
-sales series weigh in on the same scale.  Only the logistic substitution
-fit (:class:`FisherPryFit`) is a closed-form regression.
+in one batched evaluation, the model columns of every start from one
+call and their bounded plateaus and costs from one exact two-column
+solve, then refines only the four best starts (the stage-1 filter of
+multistart scatter search, Ugray et al. 2007).  The price fit and the
+two-wave fit divide their residuals by the observations, matching
+multiplicative noise, so the penetration and sales series weigh in on
+the same scale.  Only the logistic substitution fit
+(:class:`FisherPryFit`) is a closed-form regression.
 
 The onset delay between introduction and the start of the price decline
 is analyst-supplied, never fitted.  Everything here is deterministic:
@@ -94,9 +96,9 @@ _TWO_WAVE_LOG_LO = np.log([1e-5, 1e-6, 1e-2])
 _TWO_WAVE_LOG_HI = np.log([1.0, 10.0, 1e6])
 
 # Starts refined by Levenberg–Marquardt once every start of a lattice has
-# been screened by the cost of one residual evaluation.  Fewer refined
-# starts miss the full lattice's optimum on noiseless goods with low
-# imitation and shape (tests/test_properties.py).
+# been screened by its cost there.  Fewer refined starts miss the full
+# lattice's optimum on noiseless goods with low imitation and shape
+# (tests/test_properties.py).
 _REFINE_STARTS = 4
 
 # Observations below this fraction of a series' maximum are weighted as
@@ -218,14 +220,15 @@ class PriceDeclineFit:
         # the amplitude refers to the first observation, so a clock far
         # from zero does not scale the amplitude column out of reach
         elapsed = t_prime - t_prime.min()
-        ones = np.ones(t_prime.size)
-        zeros = np.zeros(t_prime.size)
 
         def design(log_rate):
-            rate = np.exp(log_rate[0])
+            # a log rate of shape (1,) gives one start's rows, (k, 1) k starts'
+            rate = np.exp(log_rate)
             decay = np.exp(-rate * elapsed)
-            columns = np.column_stack([decay, ones])
-            derivatives = np.column_stack([-rate * elapsed * decay, zeros])[:, :, None]
+            columns = np.ones(decay.shape + (2,))
+            columns[..., 0] = decay
+            derivatives = np.zeros(decay.shape + (2, 1))
+            derivatives[..., 0, 0] = -rate * elapsed * decay
             return columns, derivatives
 
         best = _separable_lm(
@@ -288,11 +291,14 @@ def _relative_weights(values: np.ndarray, name: str) -> np.ndarray:
 def _separable_lm(design, observed, weights, starts, log_lo, log_hi, upper=1.0):
     """Levenberg–Marquardt over log-parameters with linear plateaus solved inside.
 
-    The model is ``columns @ plateaus``.  ``design`` maps log-parameters,
-    clipped to ``[log_lo, log_hi]``, to ``(columns, derivatives)``: the
-    model columns at unit plateau, one row per observation, and
-    ``derivatives[i, j, k]``, the derivative of column ``j`` at
-    observation ``i`` with respect to log-parameter ``k``.  At every
+    The model is ``columns @ plateaus``, with one or two columns.
+    ``design`` maps log-parameters, clipped to ``[log_lo, log_hi]``, to
+    ``(columns, derivatives)``: the model columns at unit plateau, one
+    row per observation, and ``derivatives[i, j, k]``, the derivative of
+    column ``j`` at observation ``i`` with respect to log-parameter
+    ``k``.  Given a ``(k, p)`` batch of log-parameters, ``design``
+    returns both arrays with a leading axis of ``k``, each row with the
+    bits of its own one-point call.  At every
     point the plateaus are the weighted linear least-squares solution,
     bounded to ``[0, upper]`` (``upper`` is one bound or one per column)
     through BVLS when the unbounded solution leaves the box.  Residuals
@@ -312,11 +318,14 @@ def _separable_lm(design, observed, weights, starts, log_lo, log_hi, upper=1.0):
     the cost itself.  The residuals and the Jacobian at one point share
     one plateau solve.
 
-    The search runs in two stages.  The screen evaluates the residuals
-    once at every start (given on the natural scale) and drops the
-    starts where they are not finite.  The refinement ranks the rest by
+    The search runs in two stages.  The screen evaluates every start
+    (given on the natural scale) in one batched ``design`` call, solves
+    every start's bounded plateaus and cost at once with
+    :func:`_bounded_two_column`, and drops the starts whose weighted
+    columns or cost are not finite.  The refinement ranks the rest by
     cost, ties going to the earlier start, and runs Levenberg–Marquardt
-    only from the ``_REFINE_STARTS`` best of them, in lattice order.
+    only from the ``_REFINE_STARTS`` best of them, in lattice order,
+    each from its start rather than from the screen's plateaus.
 
     Returns the refined run of lowest cost, ties going to the earliest
     start, with ``log_params`` (clipped), ``design`` (the unweighted
@@ -373,19 +382,18 @@ def _separable_lm(design, observed, weights, starts, log_lo, log_hi, upper=1.0):
         slope[:, (log_params < log_lo) | (log_params > log_hi)] = 0.0
         return -slope
 
-    # screen: one residual evaluation per start
-    screened = []
-    for index, start in enumerate(starts):
-        resid = weighted_residuals(np.log(start))
-        if np.all(np.isfinite(resid)):
-            screened.append((float(resid @ resid), index))
-    if not screened:
+    # screen: every start in one design call and one batched plateau solve
+    columns, _ = design(np.clip(np.log(np.asarray(starts, dtype=float)), log_lo, log_hi))
+    _, cost = _bounded_two_column(weights[:, None] * columns, weighted_observed, upper)
+    screened = np.flatnonzero(np.isfinite(cost))
+    if not screened.size:
         raise FitError("no start gave finite residuals")
 
     # refine: Levenberg–Marquardt from the best screened starts, in lattice order
+    best_starts = screened[np.argsort(cost[screened], kind="stable")[:_REFINE_STARTS]]
     runs = [
         least_squares(weighted_residuals, np.log(starts[index]), jac=jacobian)
-        for index in sorted(index for _, index in sorted(screened)[:_REFINE_STARTS])
+        for index in np.sort(best_starts)
     ]
     best = min(runs, key=lambda run: run.cost)
 
@@ -395,6 +403,71 @@ def _separable_lm(design, observed, weights, starts, log_lo, log_hi, upper=1.0):
     best.starts_refined = len(runs)
     best.nfev_refined = sum(run.nfev for run in runs)
     return best
+
+
+def _bounded_two_column(columns, observed, upper):
+    """Bounded linear least squares of a batch of one- or two-column problems.
+
+    ``columns`` is ``(k, n, c)``, k problems of ``n`` rows and ``c`` of
+    1 or 2 columns that share ``observed`` (``n`` values); each
+    coefficient lies in ``[0, upper]``, with ``upper`` one bound or one
+    per column, possibly infinite.  A single column is solved as two,
+    the second zero.  The solve is exact, as BVLS is on two variables:
+    it keeps the unbounded solution, from a QR factorization and back
+    substitution, when that lies in the box and the ratio of ``R``'s
+    singular values exceeds ``max(n, 2)`` machine epsilons (``lstsq``'s
+    default rank cutoff); otherwise the optimum lies on the box's
+    boundary, and the cheapest of its at most four edges wins, each
+    edge one coefficient at a finite bound and the other the clipped
+    one-column solution.
+
+    Each problem's sums run along its own rows, so its result does not
+    depend on the others in the batch.  Returns ``(coefficients,
+    cost)``: ``(k, c)`` and the residual sums of squares ``(k,)``, where
+    a problem whose columns or cost are not finite gets cost ``inf``.
+    """
+    k, n, c = columns.shape
+    finite = np.all(np.isfinite(columns), axis=(1, 2))
+    a = np.zeros((k, 2, n))
+    a[:, :c] = np.swapaxes(columns, 1, 2)
+    a[~finite] = 0.0
+    hi = np.zeros(2)
+    hi[:c] = upper
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        q, r = np.linalg.qr(np.swapaxes(a, 1, 2))
+        qty = np.add.reduce(np.ascontiguousarray(np.swapaxes(q, 1, 2)) * observed, axis=-1)
+        r00, r01, r11 = r[:, 0, 0], r[:, 0, 1], r[:, 1, 1]
+        interior = np.empty((k, 2))
+        interior[:, 1] = qty[:, 1] / r11
+        interior[:, 0] = (qty[:, 0] - r01 * interior[:, 1]) / r00
+        well = np.abs(r00 * r11) > max(n, 2) * np.finfo(float).eps * (
+            r00 * r00 + r01 * r01 + r11 * r11
+        )
+        inside = well & np.all((interior >= 0) & (interior <= hi), axis=1)
+
+        # the edges: one coefficient at a bound, the other solved and clipped
+        aty = np.add.reduce(a * observed, axis=-1)
+        gram = np.add.reduce(a[:, :, None] * a[:, None, :], axis=-1)
+        candidates = [interior]
+        for fixed, free in ((0, 1), (1, 0)):
+            norm = gram[:, free, free]
+            for bound in (0.0, hi[fixed]):
+                if bound == np.inf:  # no edge at an infinite bound
+                    continue
+                edge = np.empty((k, 2))
+                edge[:, fixed] = bound
+                solved = (aty[:, free] - bound * gram[:, fixed, free]) / norm
+                edge[:, free] = np.where(norm > 0, np.clip(solved, 0.0, hi[free]), 0.0)
+                candidates.append(edge)
+        coef = np.stack(candidates)
+        resid = observed - coef[..., :1] * a[:, 0] - coef[..., 1:] * a[:, 1]
+        cost = np.add.reduce(resid * resid, axis=-1)
+    # the interior where it lies in the box, else the cheapest edge, ties to the first
+    pick = np.where(inside, 0, 1 + np.argmin(cost[1:], axis=0))
+    rows = np.arange(k)
+    coef, cost = coef[pick, rows], cost[pick, rows]
+    cost[~(finite & np.isfinite(cost))] = np.inf
+    return coef[:, :c], cost
 
 
 def least_squares(fun, x0, jac):
@@ -457,8 +530,10 @@ def _two_wave_model(known: GoodParams, t_pen, t_sales, rate):
     Returns ``model(innovation, imitation, shape) -> (columns,
     derivatives)``: the spreading and evolutionary columns at unit
     plateau, and ``derivatives[i, j, k]``, the derivative of column
-    ``j`` at row ``i`` by the log of parameter ``k``.  The model assumes
-    valid parameters and does not check them.
+    ``j`` at row ``i`` by the log of parameter ``k``.  Parameters given
+    as ``(k, 1)`` arrays evaluate k parameter sets at once, with a
+    leading axis of k on both results.  The model assumes valid
+    parameters and does not check them.
     """
     spread_wave, evo_wave, _ = wave_params(known)
     n_pen, n_sales = t_pen.size, t_sales.size
@@ -478,9 +553,12 @@ def _two_wave_model(known: GoodParams, t_pen, t_sales, rate):
         """Penetration-then-sales jets of one wave from its kernel jets."""
         return np.concatenate(
             [
-                pen[:n_pen],
-                out[sales] + multiple * pen[sales] + echo_weight[:, None] * out[echo],
-            ]
+                pen[..., :n_pen, :],
+                out[..., sales, :]
+                + multiple * pen[..., sales, :]
+                + echo_weight[:, None] * out[..., echo, :],
+            ],
+            axis=-2,
         )
 
     def model(innovation, imitation, shape):
@@ -494,10 +572,10 @@ def _two_wave_model(known: GoodParams, t_pen, t_sales, rate):
             evo_wave.multiple_rate,
             evo_weight,
         )
-        derivatives = np.zeros((n_pen + n_sales, 2, 3))
-        derivatives[:, 0, :2] = spreading[:, 1:]
-        derivatives[:, 1, 2] = evolutionary[:, 1]
-        return np.column_stack([spreading[:, 0], evolutionary[:, 0]]), derivatives
+        derivatives = np.zeros(spreading.shape[:-1] + (2, 3))
+        derivatives[..., 0, :2] = spreading[..., 1:]
+        derivatives[..., 1, 2] = evolutionary[..., 1]
+        return np.stack([spreading[..., 0], evolutionary[..., 0]], axis=-1), derivatives
 
     return model
 
@@ -647,9 +725,10 @@ def fit_two_wave(
       maximum-likelihood weighting under multiplicative noise and puts
       both series on the same relative scale; the weighted penetration
       and sales residuals are stacked into one vector;
-    * every start of ``TWO_WAVE_STARTS`` is screened with one residual
-      evaluation, and Levenberg–Marquardt searches log innovation, log
-      imitation and log shape from the four starts of lowest cost;
+    * every start of ``TWO_WAVE_STARTS`` is screened by its cost, all in
+      one batched evaluation, and Levenberg–Marquardt searches log
+      innovation, log imitation and log shape from the four starts of
+      lowest cost;
     * inside every residual evaluation the spreading and evolutionary
       plateaus are the weighted linear least-squares solution, bounded
       to [0, 1];
@@ -705,8 +784,14 @@ def fit_two_wave(
     )
 
     model = _two_wave_model(known, t_pen, t_sales, rate)
+
+    def design(log_params):
+        # one start as scalars; k starts as (k, 1) parameter columns
+        params = np.exp(log_params)
+        return model(*(params.T[..., None] if params.ndim > 1 else params))
+
     best = _separable_lm(
-        lambda log_params: model(*np.exp(log_params)),
+        design,
         observed,
         weights,
         TWO_WAVE_STARTS,

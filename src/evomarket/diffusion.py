@@ -133,17 +133,23 @@ def _bass_jets(t, innovation, imitation, plateau):
 
     The package's one Bass expression: the public closed forms return
     column 0, and the fit reads every column.  ``t`` must be non-negative.
-    Returns two ``t.shape + (3,)`` arrays, the value in ``[..., 0]``.
+    The parameters may be arrays that broadcast against ``t``, such as a
+    ``(k, 1)`` column of k parameter sets.  Returns two arrays of the
+    broadcast shape plus ``(3,)``, the value in ``[..., 0]``.
     """
     a, b = innovation, imitation
     s = a + b
+    # ``**`` on a numpy scalar is libm's pow, which rounds apart from
+    # ``s * s`` about once in a thousand; an array of parameter sets is
+    # squared the same way, set by set, so each keeps its one-set bits
+    s2 = s**2 if np.ndim(s) == 0 else np.reshape([v**2 for v in s.flat], np.shape(s))
     decay = np.exp(-s * t)
     denom = a + b * decay
     rise = 1.0 - decay
-    pen = np.empty(t.shape + (3,))
-    rate = np.empty(t.shape + (3,))
+    pen = np.empty(np.shape(decay) + (3,))
+    rate = np.empty(np.shape(decay) + (3,))
     pen[..., 0] = plateau * rise / (1.0 + (b / a) * decay)
-    rate[..., 0] = plateau * a * s**2 * decay / denom**2
+    rate[..., 0] = plateau * a * s2 * decay / denom**2
     scale = plateau * a * decay / denom**2
     pen[..., 1] = scale * (a * s * t + b * rise)
     pen[..., 2] = scale * b * (s * t - rise)
@@ -236,16 +242,18 @@ def mean_price(t, decline: PriceDecline):
 def _gompertz_jets(t_prime, plateau, shape, rate):
     """Gompertz penetration and rate jets by log shape, on the all-real clock.
 
-    The package's one Gompertz expression, read like :func:`_bass_jets`.
-    Zero where ``exp(-2 rate t')`` overflows.  Returns two
-    ``t_prime.shape + (2,)`` arrays, the value in ``[..., 0]``.
+    The package's one Gompertz expression, read like :func:`_bass_jets`,
+    whose parameters broadcast the same way.  Zero where
+    ``exp(-2 rate t')`` overflows.  Returns two arrays of the broadcast
+    shape plus ``(2,)``, the value in ``[..., 0]``.
     """
-    pen = np.empty(t_prime.shape + (2,))
-    out = np.empty(t_prime.shape + (2,))
     with np.errstate(over="ignore", invalid="ignore"):
         decay = np.exp(-2.0 * rate * t_prime)
-        pen[..., 0] = plateau * np.exp(-shape * decay)
-        live = pen[..., 0] > 0
+        value = plateau * np.exp(-shape * decay)
+        pen = np.empty(np.shape(value) + (2,))
+        out = np.empty(np.shape(value) + (2,))
+        pen[..., 0] = value
+        live = value > 0
         pen[..., 1] = np.where(live, -shape * decay * pen[..., 0], 0.0)
         out[..., 0] = np.where(live, 2.0 * rate * shape * decay * pen[..., 0], 0.0)
         out[..., 1] = np.where(live, out[..., 0] * (1.0 - shape * decay), 0.0)

@@ -276,7 +276,8 @@ class TestSynthesize:
 class TestSeparableLm:
     def test_no_finite_start_is_fit_error(self):
         def design(log_params):
-            return np.full((3, 1), np.inf), np.zeros((3, 1, 1))
+            batch = log_params.shape[:-1]
+            return np.full(batch + (3, 1), np.inf), np.zeros(batch + (3, 1, 1))
 
         with pytest.raises(FitError, match="no start gave finite residuals"):
             _separable_lm(
@@ -288,11 +289,11 @@ class TestSeparableLm:
         observed = np.exp(-0.5 * t)
 
         def design(log_rate):
-            rate = np.exp(log_rate[0])
-            if 8.0 < rate < 50.0:  # an infeasible band of the box
-                return np.full((t.size, 1), np.inf), np.zeros((t.size, 1, 1))
+            rate = np.exp(log_rate)
             decay = np.exp(-rate * t)
-            return decay[:, None], (-rate * t * decay)[:, None, None]
+            infeasible = (8.0 < rate) & (rate < 50.0)  # a band of the box
+            columns = np.where(infeasible, np.inf, decay)
+            return columns[..., None], (-rate * t * decay)[..., None, None]
 
         rates = [10.0, 0.01, 0.6, 20.0, 3.0, 0.45, 30.0, 1.2]
         refined_rates = []
@@ -343,10 +344,10 @@ class TestSeparableLm:
         t = cls.WAVE_T
 
         def design(log_frequency):
-            frequency = np.exp(log_frequency[0])
+            frequency = np.exp(log_frequency)
             column = (1.0 + np.sin(frequency * t)) / 2.0
             derivative = frequency * t * np.cos(frequency * t) / 2.0
-            return column[:, None], derivative[:, None, None]
+            return column[..., None], derivative[..., None, None]
 
         observed = 0.8 * (1.0 + np.sin(0.5 * t)) / 2.0
         return _separable_lm(
@@ -378,6 +379,129 @@ class TestSeparableLm:
             np.testing.assert_allclose(permuted.log_params, forward.log_params, rtol=1e-9)
             np.testing.assert_allclose(permuted.plateaus, forward.plateaus, rtol=1e-9)
             assert permuted.cost == pytest.approx(forward.cost, abs=1e-20)
+
+
+def bvls_cost(columns, observed, upper):
+    """The residual sum of squares of scipy's BVLS solution on ``[0, upper]``."""
+    x = scipy.optimize.lsq_linear(columns, observed, bounds=(0.0, upper), method="bvls").x
+    resid = observed - columns @ x
+    return float(resid @ resid)
+
+
+def bounded_problems(rng):
+    """Seeded two-column problems ``(name, columns, observed, upper)`` that
+    put BVLS's solution inside the box, on each edge and in each corner,
+    below an infinite upper bound, and on zero, collinear and nearly
+    collinear columns."""
+    n = 30
+    t = np.arange(n, dtype=float)
+    problems = []
+    for c0 in (-0.5, 0.5, 1.5):
+        for c1 in (-0.5, 0.5, 1.5):
+            for draw in range(5):
+                columns = rng.random((n, 2))
+                observed = columns @ [c0, c1] + 0.05 * rng.standard_normal(n)
+                problems.append((f"box{c0},{c1}#{draw}", columns, observed, 1.0))
+    # the price fit's amplitude and floor: [0, inf) and [0, 1]
+    for amplitude in (-1.0, 0.5, 50.0):
+        for floor in (-0.2, 0.3, 1.4):
+            columns = np.column_stack([np.exp(-0.3 * t), np.ones(n)])
+            observed = columns @ [amplitude, floor] + 0.01 * rng.standard_normal(n)
+            problems.append((f"price{amplitude},{floor}", columns, observed, [np.inf, 1.0]))
+    base = rng.random(n)
+    observed = 0.7 * base + 0.05 * rng.standard_normal(n)
+    zero = np.zeros(n)
+    # a direction orthogonal to base, for a condition number near 1e12
+    other = rng.standard_normal(n)
+    other -= (other @ base) / (base @ base) * base
+    other *= 1e-12 * np.linalg.norm(base) / np.linalg.norm(other)
+    for name, pair in {
+        "zero first": (zero, base),
+        "zero second": (base, zero),
+        "both zero": (zero, zero),
+        "collinear": (base, 2.0 * base),
+        "opposite": (base, -base),
+        "nearly collinear": (base, base + other),
+    }.items():
+        for upper in (1.0, [np.inf, 1.0], [1.0, np.inf]):
+            problems.append((f"{name} {upper}", np.column_stack(pair), observed, upper))
+            problems.append((f"{name} {upper} far", np.column_stack(pair), 5.0 * observed, upper))
+    return problems
+
+
+BOUNDED_PROBLEMS = bounded_problems(np.random.default_rng(2029))
+
+
+class TestBoundedTwoColumn:
+    """``calibration._bounded_two_column`` against scipy's BVLS."""
+
+    @staticmethod
+    def solve(columns, observed, upper):
+        coef, cost = calibration._bounded_two_column(columns[None], observed, upper)
+        return coef[0], cost[0]
+
+    @pytest.mark.parametrize(
+        "columns, observed, upper",
+        [pytest.param(*problem[1:], id=problem[0]) for problem in BOUNDED_PROBLEMS],
+    )
+    def test_cost_is_bvls_cost(self, columns, observed, upper):
+        coef, cost = self.solve(columns, observed, upper)
+        assert np.all((coef >= 0.0) & (coef <= upper))
+        resid = observed - columns @ coef
+        assert cost == pytest.approx(float(resid @ resid), rel=1e-12)
+        expected = bvls_cost(columns, observed, upper)
+        assert abs(cost - expected) <= 1e-12 * expected + 1e-14 * (observed @ observed)
+
+    def test_problems_cover_the_interior_every_edge_and_every_corner(self):
+        places = set()
+        for name, columns, observed, _ in BOUNDED_PROBLEMS:
+            if not name.startswith("box"):
+                continue
+            x = scipy.optimize.lsq_linear(columns, observed, bounds=(0.0, 1.0), method="bvls").x
+            places.add(tuple(-1 if v == 0.0 else 1 if v == 1.0 else 0 for v in x))
+        assert places == {(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1)}
+
+    def test_nearly_collinear_columns_have_condition_near_1e12(self):
+        (columns,) = [c for name, c, *_ in BOUNDED_PROBLEMS if name == "nearly collinear 1.0"]
+        assert 1e11 < np.linalg.cond(columns) < 1e13
+
+    @pytest.mark.parametrize("upper", [1.0, np.array([np.inf])])
+    def test_one_column_is_the_clipped_one_column_solution(self, upper):
+        rng = np.random.default_rng(7)
+        for scale in (-1.0, 0.4, 3.0):
+            column = rng.random(20)
+            observed = scale * column + 0.05 * rng.standard_normal(20)
+            coef, cost = self.solve(column[:, None], observed, upper)
+            assert coef.shape == (1,)
+            expected = bvls_cost(column[:, None], observed, upper)
+            assert cost == pytest.approx(expected, rel=1e-12, abs=1e-14 * (observed @ observed))
+
+    def test_non_finite_columns_are_dropped_and_each_row_is_solved_alone(self):
+        rng = np.random.default_rng(11)
+        observed = rng.random(30)
+        batch = rng.standard_normal((25, 30, 2)) * rng.choice([1e-3, 1.0, 1e3], (25, 1, 2))
+        batch[3, 7, 0] = np.nan
+        batch[8, 0, 1] = np.inf
+        batch[9, 29, 0] = -np.inf
+        coef, cost = calibration._bounded_two_column(batch, observed, 1.0)
+        dropped = np.zeros(25, dtype=bool)
+        dropped[[3, 8, 9]] = True
+        assert np.all(np.isinf(cost[dropped]))
+        assert np.all(np.isfinite(cost[~dropped]))
+        for row in range(25):
+            alone_coef, alone_cost = self.solve(batch[row], observed, 1.0)
+            assert alone_cost.tobytes() == cost[row].tobytes()
+            if not dropped[row]:
+                assert alone_coef.tobytes() == coef[row].tobytes()
+                expected = bvls_cost(batch[row], observed, 1.0)
+                assert abs(cost[row] - expected) <= 1e-12 * expected + 1e-14 * (observed @ observed)
+
+    def test_no_runtime_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _, columns, observed, upper in BOUNDED_PROBLEMS:
+                self.solve(columns, observed, upper)
+            calibration._bounded_two_column(np.full((2, 5, 2), np.nan), np.ones(5), 1.0)
 
 
 class TestLeastSquares:
@@ -638,3 +762,17 @@ def test_nan_is_rejected_where_a_value_must_not_be_negative(make):
     # every comparison is written so that NaN fails it: not value >= 0
     with pytest.raises(ValueError):
         make()
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("intro_year", NAN),
+        ("intro_year", float("inf")),
+        ("intro_year", float("-inf")),
+        ("onset_delay", float("inf")),
+    ],
+)
+def test_good_rejects_a_non_finite_intro_year_or_onset_delay(field, value):
+    with pytest.raises(ValueError, match=field):
+        dataclasses.replace(BENCHMARKS["bw_tv"], **{field: value})

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
+from evomarket import diffusion
 from evomarket.diffusion import (
     AdoptionCurve,
     BassParams,
@@ -314,3 +315,35 @@ class TestAdoptionCurve:
     def test_grid_mismatch_rejected(self):
         with pytest.raises(ValueError):
             AdoptionCurve(np.arange(3.0), np.zeros(3), np.zeros(2))
+
+
+class TestJetsOverParameterSets:
+    """The kernels evaluate a ``(k, 1)`` column of parameter sets at once,
+    each row with the bits of its own scalar call."""
+
+    T = np.arange(12.0) * 0.75
+
+    def test_bass_rows_keep_their_scalar_bits(self):
+        # about one draw in a thousand squares innovation + imitation
+        # differently through libm's pow than through a multiplication
+        rng = np.random.default_rng(3)
+        a = np.exp(rng.uniform(np.log(1e-5), 0.0, 4000))
+        b = np.exp(rng.uniform(np.log(1e-6), np.log(10.0), 4000))
+        assert np.count_nonzero((a + b) ** 2 != np.array([s**2 for s in (a + b).tolist()])) > 0
+        pen, rate = diffusion._bass_jets(self.T, a[:, None], b[:, None], 1.0)
+        assert pen.shape == rate.shape == (a.size, self.T.size, 3)
+        for i in range(a.size):
+            one_pen, one_rate = diffusion._bass_jets(self.T, a[i], b[i], 1.0)
+            assert pen[i].tobytes() == one_pen.tobytes()
+            assert rate[i].tobytes() == one_rate.tobytes()
+
+    def test_gompertz_rows_keep_their_scalar_bits(self):
+        rng = np.random.default_rng(4)
+        shape = np.exp(rng.uniform(np.log(1e-2), np.log(1e6), 500))
+        t_prime = self.T - 4.0
+        pen, out = diffusion._gompertz_jets(t_prime, 1.0, shape[:, None], 0.3)
+        assert pen.shape == out.shape == (shape.size, t_prime.size, 2)
+        for i in range(shape.size):
+            one_pen, one_out = diffusion._gompertz_jets(t_prime, 1.0, shape[i], 0.3)
+            assert pen[i].tobytes() == one_pen.tobytes()
+            assert out[i].tobytes() == one_out.tobytes()

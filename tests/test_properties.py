@@ -80,8 +80,8 @@ def gompertz_design(rate):
     """One Gompertz penetration column on ``T_EVOLVE`` and its log-shape derivative."""
 
     def design(log_shape):
-        pen, _ = diffusion._gompertz_jets(T_EVOLVE, 1.0, np.exp(log_shape[0]), rate)
-        return pen[:, :1], pen[:, None, 1:]
+        pen, _ = diffusion._gompertz_jets(T_EVOLVE, 1.0, np.exp(log_shape), rate)
+        return pen[..., :1], pen[..., None, 1:]
 
     return design
 
@@ -468,6 +468,68 @@ def test_screened_two_wave_fit_matches_the_full_lattice(good, seed):
         full = fit_draw(good, noise=0.02, seed=seed)
     assert full.provenance["starts_refined"] == screened.provenance["starts_screened"]
     assert_same_fit(screened, full)
+
+
+def per_start_screen(design, observed, weights, starts, log_lo, log_hi, upper=1.0):
+    """The starts the per-start screen refines, in lattice order.
+
+    A copy of the screen the batched solve replaced: each start's columns
+    from a design call of its own, its plateaus by ``lstsq``, then by BVLS
+    when they leave ``[0, upper]``, and its cost ``resid @ resid``.
+    """
+    weighted_observed = weights * observed
+    screened = []
+    for index, start in enumerate(starts):
+        columns, _ = design(np.clip(np.log(start), log_lo, log_hi))
+        weighted = weights[:, None] * columns
+        if not np.all(np.isfinite(weighted)):
+            continue
+        coef = np.linalg.lstsq(weighted, weighted_observed, rcond=None)[0]
+        if np.any((coef < 0) | (coef > upper)):
+            coef = lsq_linear(
+                weighted, weighted_observed, bounds=(0.0, upper), method="bvls"
+            ).x
+        resid = weighted_observed - weighted @ coef
+        if np.all(np.isfinite(resid)):
+            screened.append((float(resid @ resid), index))
+    return sorted(index for _, index in sorted(screened)[: calibration._REFINE_STARTS])
+
+
+SCREEN_FITS = [
+    *(
+        pytest.param(good, noise, seed, id=f"{name}-{noise}")
+        for seed, (name, good) in enumerate(BENCHMARKS.items())
+        for noise in (0.0, 0.02)
+    ),
+    *(
+        pytest.param(row.good, noise, row.seed, id=f"draw{i}-{noise}")
+        for i, row in enumerate(FIT_DRAWS)
+        for noise in (0.0, 0.02)
+    ),
+]
+
+
+@pytest.mark.parametrize("good, noise, seed", SCREEN_FITS)
+def test_batched_screen_refines_the_starts_of_the_per_start_screen(good, noise, seed):
+    calls = recorded_calls(
+        lambda: fit_draw(good, noise, seed), "_separable_lm", "least_squares"
+    )
+    expected = []
+    for (design, *problem), kwargs in calls["_separable_lm"]:
+        observed, weights, starts, log_lo, log_hi = problem
+        # every row of the batched design call has the bits of its start's own call
+        batch = design(np.clip(np.log(np.asarray(starts, dtype=float)), log_lo, log_hi))
+        for index, start in enumerate(starts):
+            single = design(np.clip(np.log(start), log_lo, log_hi))
+            for rows, alone in zip(batch, single):
+                assert rows[index].shape == alone.shape
+                assert rows[index].tobytes() == alone.tobytes()
+        chosen = per_start_screen(design, *problem, **kwargs)
+        expected += [np.log(starts[index]) for index in chosen]
+    refined = [args[1] for args, _ in calls["least_squares"]]
+    assert len(refined) == len(expected)
+    for x0, start in zip(refined, expected):
+        assert x0.tobytes() == start.tobytes()
 
 
 def recorded_calls(fit, *names):
