@@ -18,16 +18,17 @@ only the decline rate, the innovation rate, the imitation rate and the
 shape constant are searched nonlinearly (separable least squares, Golub
 & Pereyra 1973): Levenberg–Marquardt over their logs, with the linear
 coefficients solved inside every residual evaluation by bounded linear
-least squares.  Levenberg–Marquardt is MINPACK's ``lmder`` (Moré 1978)
+least squares: ``lstsq``, or one exact two-column solve where that leaves
+the bounds.  Levenberg–Marquardt is MINPACK's ``lmder`` (Moré 1978)
 called through ``scipy.optimize.leastsq``, with the steps scaled by the
 Jacobian's column norms and an explicit limit of ``100 * n`` residual
 evaluations for ``n`` searched parameters.  It gets Kaufman's analytic
 variable-projection Jacobian, built from the derivatives of the model
 columns that ``diffusion``'s kernels compute beside the columns, so no
 finite differences are taken.  The search screens a fixed start lattice
-in one batched evaluation, the model columns of every start from one
-call and their bounded plateaus and costs from one exact two-column
-solve, then refines only the four best starts (the stage-1 filter of
+in one batched evaluation, every start's model columns from one call
+and their bounded plateaus and costs from the same two-column solve,
+then refines only the four best starts (the stage-1 filter of
 multistart scatter search, Ugray et al. 2007).  The price fit and the
 two-wave fit divide their residuals by the observations, matching
 multiplicative noise, so the penetration and sales series weigh in on
@@ -49,12 +50,13 @@ import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import OptimizeResult, leastsq, lsq_linear
+from scipy.optimize import OptimizeResult, leastsq
 
 from ._validation import as_float_array, check_nonnegative, check_positive
 from .benchmarks import GoodParams, wave_params
 from .diffusion import PriceDecline, _bass_jets, _gompertz_jets, mean_price
 # not called here, but kept: the benchmark's tracer wraps these module attributes
+from scipy.optimize import lsq_linear
 from .diffusion import bass_penetration, bass_rate, gompertz_penetration, gompertz_rate
 from .errors import FitError, FormatError
 from .evodyn import fisher_pry_share
@@ -298,11 +300,11 @@ def _separable_lm(design, observed, weights, starts, log_lo, log_hi, upper=1.0):
     column ``j`` at observation ``i`` with respect to log-parameter
     ``k``.  Given a ``(k, p)`` batch of log-parameters, ``design``
     returns both arrays with a leading axis of ``k``, each row with the
-    bits of its own one-point call.  At every
-    point the plateaus are the weighted linear least-squares solution,
-    bounded to ``[0, upper]`` (``upper`` is one bound or one per column)
-    through BVLS when the unbounded solution leaves the box.  Residuals
-    are ``weights * (observed - model)``.
+    bits of its own one-point call.  At every point the plateaus are the
+    weighted linear least-squares solution, bounded to ``[0, upper]``
+    (``upper`` is one bound or one per column) through
+    :func:`_bounded_two_column` when ``lstsq``'s solution leaves the box.
+    Residuals are ``weights * (observed - model)``.
 
     Each Levenberg–Marquardt run is MINPACK's ``lmder`` called through
     ``scipy.optimize.leastsq`` by :func:`least_squares`, with
@@ -344,9 +346,7 @@ def _separable_lm(design, observed, weights, starts, log_lo, log_hi, upper=1.0):
     def plateaus(weighted_design: np.ndarray) -> np.ndarray:
         coef = np.linalg.lstsq(weighted_design, weighted_observed, rcond=None)[0]
         if np.any((coef < 0) | (coef > upper)):
-            coef = lsq_linear(
-                weighted_design, weighted_observed, bounds=(0.0, upper), method="bvls"
-            ).x
+            (coef,), _ = _bounded_two_column(weighted_design[None], weighted_observed, upper)
         return coef
 
     last = None  # (log_params, columns, derivatives, plateaus, residuals)

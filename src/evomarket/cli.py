@@ -348,9 +348,11 @@ def _cmd_synth(args, config) -> int:
     noise = _get(config, "synth", "noise", float, 0.0, low=0.0)
     seed = args.seed if args.seed is not None else _get(config, "synth", "seed", int, 0, low=0)
     kinds = [k.strip() for k in kinds.split(",")]
-    for kind in kinds:
+    for index, kind in enumerate(kinds):
         if kind not in SERIES_KINDS:
             raise UsageError(f"[synth] kinds: unknown series kind {kind!r}")
+        if kind in kinds[:index]:
+            raise UsageError(f"[synth] kinds: series kind {kind!r} is repeated")
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
     written = []

@@ -139,10 +139,7 @@ def _bass_jets(t, innovation, imitation, plateau):
     """
     a, b = innovation, imitation
     s = a + b
-    # ``**`` on a numpy scalar is libm's pow, which rounds apart from
-    # ``s * s`` about once in a thousand; an array of parameter sets is
-    # squared the same way, set by set, so each keeps its one-set bits
-    s2 = s**2 if np.ndim(s) == 0 else np.reshape([v**2 for v in s.flat], np.shape(s))
+    s2 = s * s
     decay = np.exp(-s * t)
     denom = a + b * decay
     rise = 1.0 - decay

@@ -503,6 +503,43 @@ class TestBoundedTwoColumn:
                 self.solve(columns, observed, upper)
             calibration._bounded_two_column(np.full((2, 5, 2), np.nan), np.ones(5), 1.0)
 
+    def test_refine_falls_back_to_it_on_the_fits_own_problems(self, monkeypatch):
+        # the refine solves a point's plateaus here only when lstsq's solution
+        # leaves the box; record those one-problem calls, not the screen's
+        calls, refining = [], []
+        solve, least_squares = calibration._bounded_two_column, calibration.least_squares
+
+        def recording_solve(columns, observed, upper):
+            coef, cost = solve(columns, observed, upper)
+            if refining:
+                calls.append((columns[0], observed, upper, coef[0], cost[0]))
+            return coef, cost
+
+        def refining_least_squares(*args, **kwargs):
+            refining.append(True)
+            try:
+                return least_squares(*args, **kwargs)
+            finally:
+                refining.pop()
+
+        monkeypatch.setattr(calibration, "_bounded_two_column", recording_solve)
+        monkeypatch.setattr(calibration, "least_squares", refining_least_squares)
+        for name in ("bw_tv", "colour_tv"):
+            fit_two_wave(*noisy_draw(name))
+        PriceDeclineFit().fit(price_series(0.103, 0.0, noise=0.02, seed=2))
+
+        # both problems: the two-wave plateaus in [0, 1], the price's in [0, inf) x [0, 1]
+        assert {np.ndim(upper) for *_, upper, _, _ in calls} == {0, 1}
+        for columns, observed, upper, coef, cost in calls:
+            assert cost == pytest.approx(bvls_cost(columns, observed, upper), rel=1e-12)
+            x = scipy.optimize.lsq_linear(columns, observed, bounds=(0.0, upper), method="bvls").x
+            bounds = np.broadcast_to(upper, coef.shape)
+            held = (x == 0.0) | (x == bounds)
+            assert np.any(held)
+            assert np.all(coef[held] == x[held])
+            # so Kaufman's projection treats the held coefficient as fixed
+            assert not np.all((coef > 0) & (coef < upper))
+
 
 class TestLeastSquares:
     """``calibration.least_squares`` takes the iterates of scipy's

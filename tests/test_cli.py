@@ -78,6 +78,7 @@ class TestUsageErrors:
             ("synth", "bw_tv", "[synth]\npoints = 1"),
             ("synth", "bw_tv", "[synth]\nnoise = -0.1"),
             ("synth", "bw_tv", "[synth]\nkinds = penetration,volume"),
+            ("synth", "bw_tv", "[synth]\nkinds = sales, sales"),
             ("replicate", "bw_tv", "[replicate]\nseeds = 0"),
             ("replicate", "bw_tv", "[replicate]\nnoise = -0.02"),
             ("simulate", "custom", "[good]\nshape = -2"),

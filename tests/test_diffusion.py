@@ -324,13 +324,20 @@ class TestJetsOverParameterSets:
     T = np.arange(12.0) * 0.75
 
     def test_bass_rows_keep_their_scalar_bits(self):
-        # about one draw in a thousand squares innovation + imitation
-        # differently through libm's pow than through a multiplication
         rng = np.random.default_rng(3)
         a = np.exp(rng.uniform(np.log(1e-5), 0.0, 4000))
         b = np.exp(rng.uniform(np.log(1e-6), np.log(10.0), 4000))
-        assert np.count_nonzero((a + b) ** 2 != np.array([s**2 for s in (a + b).tolist()])) > 0
         pen, rate = diffusion._bass_jets(self.T, a[:, None], b[:, None], 1.0)
+        # about one draw in a thousand, libm's pow squares innovation +
+        # imitation apart from a multiplication; the kernel multiplies
+        s = a + b
+        apart = [i for i, v in enumerate(s.tolist()) if v**2 != v * v]
+        assert apart
+        for i in apart:
+            decay = np.exp(-s[i] * self.T)
+            denom = a[i] + b[i] * decay
+            expected = 1.0 * a[i] * (s[i] * s[i]) * decay / denom**2
+            assert rate[i, :, 0].tobytes() == expected.tobytes()
         assert pen.shape == rate.shape == (a.size, self.T.size, 3)
         for i in range(a.size):
             one_pen, one_rate = diffusion._bass_jets(self.T, a[i], b[i], 1.0)
