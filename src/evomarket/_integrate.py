@@ -6,8 +6,9 @@ stages in the textbook order, so the step gives the same bits as the
 same arithmetic on a float or a numpy array.  The step is an explicit
 parameter and no adaptivity is involved, so repeated runs are
 bit-identical.  Callers keep their own loop and divergence check:
-``evodyn.micro_step`` steps the product stocks and the buyer pool, and
-``diffusion.bass_ode`` steps a one-element penetration.
+``evodyn.micro_step`` steps the product stocks and the buyer pool.
+``diffusion.bass_ode`` takes the same stages on its one scalar itself,
+which is faster than a one-element list.
 """
 
 from __future__ import annotations

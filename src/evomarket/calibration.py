@@ -29,7 +29,11 @@ finite differences are taken.  The search screens a fixed start lattice
 in one batched evaluation, every start's model columns from one call
 and their bounded plateaus and costs from the same two-column solve,
 then refines only the four best starts (the stage-1 filter of
-multistart scatter search, Ugray et al. 2007).  The price fit and the
+multistart scatter search, Ugray et al. 2007), cheapest first.  A run
+that comes close to the end of an earlier run at no lower cost is
+stopped there as merged, since it has reached a basin already refined
+(the distance filter of multi-level single linkage, Rinnooy Kan &
+Timmer 1987, and of scatter search).  The price fit and the
 two-wave fit divide their residuals by the observations, matching
 multiplicative noise, so the penetration and sales series weigh in on
 the same scale.  Only the logistic substitution fit
@@ -102,6 +106,12 @@ _TWO_WAVE_LOG_HI = np.log([1.0, 10.0, 1e6])
 # lattice's optimum on noiseless goods with low imitation and shape
 # (tests/test_properties.py).
 _REFINE_STARTS = 4
+
+# A refined run is stopped as merged at the first point it evaluates that
+# lies closer than this (max-norm, log-parameters) to the end of a run that
+# finished earlier in the same fit, at a cost not below that run's: it has
+# reached a basin already refined.  Zero runs every start to its end.
+_MERGE_DISTANCE = 1e-2
 
 # Observations below this fraction of a series' maximum are weighted as
 # if they sat at it, so exact zeros (before an onset) keep a finite weight.
@@ -325,15 +335,21 @@ def _separable_lm(design, observed, weights, starts, log_lo, log_hi, upper=1.0):
     every start's bounded plateaus and cost at once with
     :func:`_bounded_two_column`, and drops the starts whose weighted
     columns or cost are not finite.  The refinement ranks the rest by
-    cost, ties going to the earlier start, and runs Levenberg–Marquardt
-    only from the ``_REFINE_STARTS`` best of them, in lattice order,
-    each from its start rather than from the screen's plateaus.
+    cost, ties going to the smaller coordinates (so the order of
+    ``starts`` does not matter), and runs Levenberg–Marquardt only from
+    the ``_REFINE_STARTS`` best of them, cheapest first, each from its
+    start rather than from the screen's plateaus.  A run is stopped as
+    merged at the first point it evaluates that lies closer than
+    ``_MERGE_DISTANCE`` (max-norm) to the end of an earlier run that was
+    not merged, at a cost not below that run's final cost.
 
-    Returns the refined run of lowest cost, ties going to the earliest
-    start, with ``log_params`` (clipped), ``design`` (the unweighted
-    columns there), ``plateaus``, ``starts_screened`` (the starts with
-    finite residuals), ``starts_refined`` and ``nfev_refined`` (the
-    residual evaluations of all refined runs) added.
+    Returns the refined run of lowest cost that was not merged, ties
+    going to the earliest, with ``log_params`` (clipped), ``design`` (the
+    unweighted columns there), ``plateaus``, ``starts_screened`` (the
+    starts with finite residuals), ``starts_refined``, ``starts_merged``
+    (the refined runs stopped as merged) and ``nfev_refined`` (the
+    residual evaluations of all refined runs, merged ones included)
+    added.
 
     Raises
     ------
@@ -383,24 +399,37 @@ def _separable_lm(design, observed, weights, starts, log_lo, log_hi, upper=1.0):
         return -slope
 
     # screen: every start in one design call and one batched plateau solve
-    columns, _ = design(np.clip(np.log(np.asarray(starts, dtype=float)), log_lo, log_hi))
+    points = np.asarray(starts, dtype=float)
+    columns, _ = design(np.clip(np.log(points), log_lo, log_hi))
     _, cost = _bounded_two_column(weights[:, None] * columns, weighted_observed, upper)
     screened = np.flatnonzero(np.isfinite(cost))
     if not screened.size:
         raise FitError("no start gave finite residuals")
 
-    # refine: Levenberg–Marquardt from the best screened starts, in lattice order
-    best_starts = screened[np.argsort(cost[screened], kind="stable")[:_REFINE_STARTS]]
-    runs = [
-        least_squares(weighted_residuals, np.log(starts[index]), jac=jacobian)
-        for index in np.sort(best_starts)
-    ]
-    best = min(runs, key=lambda run: run.cost)
+    # refine: Levenberg–Marquardt from the best screened starts, cheapest
+    # first, ties going to the smaller coordinates
+    order = np.lexsort((*points[screened].T[::-1], cost[screened]))
+    ends = []  # (x, cost) of each run that reached its end
+
+    def merged(x, x_cost):
+        return any(
+            x_cost >= end_cost and np.max(np.abs(x - end)) < _MERGE_DISTANCE
+            for end, end_cost in ends
+        )
+
+    runs = []
+    for index in screened[order[:_REFINE_STARTS]]:
+        x0 = np.log(starts[index])
+        runs.append(least_squares(weighted_residuals, x0, jac=jacobian, merged=merged))
+        if not runs[-1].merged:
+            ends.append((runs[-1].x, runs[-1].cost))
+    best = min((run for run in runs if not run.merged), key=lambda run: run.cost)
 
     best.log_params = np.clip(best.x, log_lo, log_hi)
     _, best.design, _, best.plateaus, _ = solve(best.x)
     best.starts_screened = len(screened)
     best.starts_refined = len(runs)
+    best.starts_merged = len(runs) - len(ends)
     best.nfev_refined = sum(run.nfev for run in runs)
     return best
 
@@ -470,7 +499,15 @@ def _bounded_two_column(columns, observed, upper):
     return coef[:, :c], cost
 
 
-def least_squares(fun, x0, jac):
+class _Merged(Exception):
+    """Stops a Levenberg–Marquardt run at the point ``x`` of cost ``cost``."""
+
+    def __init__(self, x, cost):
+        super().__init__()
+        self.x, self.cost = x, cost
+
+
+def least_squares(fun, x0, jac, merged=None):
     """One Levenberg–Marquardt run: MINPACK's ``lmder`` (Moré 1978) through
     ``scipy.optimize.leastsq``.
 
@@ -481,28 +518,60 @@ def least_squares(fun, x0, jac):
     passed explicitly, since ``leastsq``'s own default with a Jacobian is
     ``100 * (x0.size + 1)``.
 
+    ``merged(x, cost)``, when given, is asked at every point the run
+    evaluates; the run stops at the first point where it holds, and
+    returns that point.  It does not change the iterates before.
+
     Returns the end point ``x``, ``cost`` (half the squared norm of its
     residuals), the residual and Jacobian evaluations ``nfev`` and
-    ``njev``, MINPACK's return code ``status`` and ``success``: whether
-    a tolerance was met (codes 1 to 4) rather than the evaluation limit
-    (5) or a tolerance too small to reach (6 to 8).
+    ``njev`` (None for a merged run), ``merged`` (whether ``merged``
+    stopped the run), MINPACK's return code ``status`` (None for a merged
+    run) and ``success``: whether a tolerance was met (codes 1 to 4)
+    rather than the evaluation limit (5) or a tolerance too small to
+    reach (6 to 8).
     """
-    x, _, info, _, status = leastsq(
-        fun,
-        x0,
-        Dfun=jac,
-        full_output=True,
-        xtol=1e-12,
-        ftol=1e-12,
-        gtol=1e-12,
-        maxfev=100 * x0.size,
-    )
+    # leastsq evaluates x0 more than once before its first step, so a
+    # stopped run counts its points, each repeat once
+    nfev, last = 0, None
+
+    def residuals(x):
+        nonlocal nfev, last
+        resid = fun(x)
+        if merged is not None and (point := x.tobytes()) != last:
+            nfev, last = nfev + 1, point
+            cost = 0.5 * np.dot(resid, resid)
+            if merged(x, cost):
+                raise _Merged(x.copy(), cost)
+        return resid
+
+    try:
+        x, _, info, _, status = leastsq(
+            residuals,
+            x0,
+            Dfun=jac,
+            full_output=True,
+            xtol=1e-12,
+            ftol=1e-12,
+            gtol=1e-12,
+            maxfev=100 * x0.size,
+        )
+    except _Merged as stop:
+        return OptimizeResult(
+            x=stop.x,
+            cost=stop.cost,
+            nfev=nfev,
+            njev=None,
+            merged=True,
+            status=None,
+            success=False,
+        )
     resid = info["fvec"]
     return OptimizeResult(
         x=x,
         cost=0.5 * np.dot(resid, resid),
         nfev=info["nfev"],
         njev=info["njev"],
+        merged=False,
         status=status,
         success=status in (1, 2, 3, 4),
     )
@@ -728,7 +797,8 @@ def fit_two_wave(
     * every start of ``TWO_WAVE_STARTS`` is screened by its cost, all in
       one batched evaluation, and Levenberg–Marquardt searches log
       innovation, log imitation and log shape from the four starts of
-      lowest cost;
+      lowest cost, cheapest first, stopping a run that reaches the
+      optimum of an earlier one (see :func:`_separable_lm`);
     * inside every residual evaluation the spreading and evolutionary
       plateaus are the weighted linear least-squares solution, bounded
       to [0, 1];
@@ -737,21 +807,23 @@ def fit_two_wave(
       shift) that the model computes once per fit, and give
       Levenberg–Marquardt its analytic Jacobian.
 
-    The lowest weighted cost of the refined runs wins, ties going to the
-    earliest start.  ``sse`` reports each series on its natural scale.
+    The lowest weighted cost of the refined runs that were not merged
+    wins, ties going to the earliest.  ``sse`` reports each series on its
+    natural scale.
     ``provenance["converged"]``, ``provenance["nfev"]`` and
     ``provenance["njev"]`` (its Jacobian evaluations) describe the
     winning Levenberg–Marquardt run, so a fit that stopped on its
     evaluation limit says so, and ``price_converged`` does the same for
     the price fit.  ``provenance["nfev_refined"]`` counts the residual
-    evaluations of all refined runs together.  ``provenance["at_bound"]``
-    names those of innovation, imitation and shape whose log value ended
-    within 1e-9 of the search box's edge, where the fit cannot move
-    them.  ``price_rate_identified`` is False when the price collapsed
+    evaluations of all refined runs together, merged ones included.
+    ``provenance["at_bound"]`` names those of innovation, imitation and
+    shape whose log value ended within 1e-9 of the search box's edge,
+    where the fit cannot move them.  ``price_rate_identified`` is False when the price collapsed
     below the weight floor by its second observation, so the decline
     rate is only a lower bound.  ``provenance["starts_screened"]`` counts
-    the starts with finite residuals at the screen and
-    ``provenance["starts_refined"]`` the runs refined from them.
+    the starts with finite residuals at the screen,
+    ``provenance["starts_refined"]`` the runs refined from them and
+    ``provenance["starts_merged"]`` those of the runs stopped as merged.
 
     Raises
     ------
@@ -841,6 +913,7 @@ def fit_two_wave(
             "at_bound": at_bound,
             "starts_screened": best.starts_screened,
             "starts_refined": best.starts_refined,
+            "starts_merged": best.starts_merged,
             "price_converged": price_fit.converged_,
             "price_rate_identified": price_fit.rate_identified_,
             "analyst_warnings": warnings,

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._integrate import rk4_step
 from ._validation import as_float_array, check_nonnegative, check_positive, check_unit_interval
 from .errors import NumericError
 from .market import MarketStructure
@@ -210,18 +209,23 @@ def bass_ode(params: BassParams, horizon: float, step: float = 1e-3) -> Adoption
         return AdoptionCurve(times, zeros, zeros)
 
     a, b = params.innovation, params.imitation
+    half, sixth = 0.5 * step, step / 6.0
 
-    def rhs(_t, state):
-        n = state[0]
-        return [(a + b * n / plateau) * (plateau - n)]
+    def rhs(n):
+        return (a + b * n / plateau) * (plateau - n)
 
-    penetration = np.empty_like(times)
-    n = penetration[0] = 0.0
+    # the stages of _integrate.rk4_step, on the scalar itself
+    n, path = 0.0, [0.0]
     for i in range(1, times.size):
-        (n,) = rk4_step(rhs, times[i - 1], [n], step)
+        k1 = rhs(n)
+        k2 = rhs(n + half * k1)
+        k3 = rhs(n + half * k2)
+        k4 = rhs(n + step * k3)
+        n = n + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not math.isfinite(n):
             raise NumericError(f"integration diverged at t={times[i]:g}")
-        penetration[i] = n
+        path.append(n)
+    penetration = np.array(path)
     rate = (a + b * penetration / plateau) * (plateau - penetration)
     return AdoptionCurve(times, penetration, rate)
 

@@ -284,7 +284,7 @@ class TestSeparableLm:
                 design, np.ones(3), np.ones(3), [(1.0,), (2.0,)], np.log([0.1]), np.log([10])
             )
 
-    def test_refines_only_the_best_feasible_starts_in_lattice_order(self, monkeypatch):
+    def test_refines_only_the_best_feasible_starts_in_cost_order(self, monkeypatch):
         t = np.arange(20.0)
         observed = np.exp(-0.5 * t)
 
@@ -324,20 +324,23 @@ class TestSeparableLm:
             return float(((observed - plateau * decay) ** 2).sum())
 
         costs = {rate: screen_cost(rate) for rate in rates if not 8.0 < rate < 50.0}
-        best_feasible = sorted(costs, key=costs.get)[: calibration._REFINE_STARTS]
-        expected = [rate for rate in rates if rate in best_feasible]
+        expected = sorted(costs, key=costs.get)[: calibration._REFINE_STARTS]
         assert len(expected) < len(costs)
         assert refined_rates == pytest.approx(expected, rel=1e-12)
         assert all(callable(jac) for jac in jacobians)
         assert best.cost == min(run.cost for run in runs)
         assert best.starts_screened == len(costs)
         assert best.starts_refined == len(refined_rates)
+        assert best.starts_merged == sum(run.merged for run in runs)
         assert np.exp(best.log_params[0]) == pytest.approx(0.5, rel=1e-9)
 
     # a wave of unknown frequency: the cost has a local minimum near every
     # start, so the refined runs end at different costs
     WAVE_T = np.linspace(0.0, 20.0, 81)
     WAVE_STARTS = [(w,) for w in (2.3, 1.1, 2.9, 0.15, 4.0, 0.52, 1.7, 0.8)]
+    # starts whose fourth-cheapest at the screen is the only refined one in
+    # the basin of the true frequency, 0.5
+    WAVE_STARTS_GLOBAL_LAST = [(w,) for w in (0.9, 0.3, 0.06, 1.2, 0.7, 0.26)]
 
     @classmethod
     def fit_wave(cls, starts):
@@ -363,11 +366,12 @@ class TestSeparableLm:
             return runs[-1]
 
         monkeypatch.setattr(calibration, "least_squares", recording_least_squares)
-        best = self.fit_wave(self.WAVE_STARTS)
+        best = self.fit_wave(self.WAVE_STARTS_GLOBAL_LAST)
         costs = [run.cost for run in runs]
         assert len(costs) == calibration._REFINE_STARTS
         # only the last refined run reaches the global minimum
         assert min(costs[:-1]) > 1.0
+        assert not runs[-1].merged
         assert best.cost == min(costs) == costs[-1]
         assert np.exp(best.log_params[0]) == pytest.approx(0.5, rel=1e-9)
         assert best.plateaus[0] == pytest.approx(0.8, rel=1e-9)
@@ -379,6 +383,66 @@ class TestSeparableLm:
             np.testing.assert_allclose(permuted.log_params, forward.log_params, rtol=1e-9)
             np.testing.assert_allclose(permuted.plateaus, forward.plateaus, rtol=1e-9)
             assert permuted.cost == pytest.approx(forward.cost, abs=1e-20)
+
+    @staticmethod
+    def fit_decay(starts):
+        """The one-column fit of a noiseless decay of rate 0.5."""
+        t = np.arange(20.0)
+
+        def design(log_rate):
+            rate = np.exp(log_rate)
+            decay = np.exp(-rate * t)
+            return decay[..., None], (-rate * t * decay)[..., None, None]
+
+        return _separable_lm(
+            design, np.exp(-0.5 * t), np.ones(t.size), starts, np.log([1e-3]), np.log([1e2])
+        )
+
+    def test_a_second_start_in_the_first_runs_basin_is_merged(self, monkeypatch):
+        starts = [(0.6,), (0.45,)]
+        best, runs = recorded_lm_runs(monkeypatch, lambda: self.fit_decay(starts))
+        first, second = (run for *_, run in runs)
+        assert not first.merged and second.merged
+        assert best.starts_merged == 1
+        assert np.max(np.abs(second.x - first.x)) < calibration._MERGE_DISTANCE
+        assert second.cost >= first.cost
+        monkeypatch.setattr(calibration, "_MERGE_DISTANCE", 0.0)
+        unmerged, unmerged_runs = recorded_lm_runs(monkeypatch, lambda: self.fit_decay(starts))
+        assert unmerged.starts_merged == 0
+        assert unmerged_runs[0][3].nfev == first.nfev
+        assert second.nfev < unmerged_runs[1][3].nfev
+        assert np.exp(best.log_params[0]) == pytest.approx(0.5, rel=1e-9)
+        assert np.exp(unmerged.log_params[0]) == pytest.approx(0.5, rel=1e-9)
+
+    def test_a_run_that_ends_below_an_earlier_run_is_not_merged(self, monkeypatch):
+        # the first run stops on its evaluation limit at its start, a little
+        # above the true rate; the second passes it on the way to the truth
+        close = 0.5 * np.exp(0.007)
+        original = calibration.leastsq
+
+        def first_stops_at_its_start(fun, x0, Dfun, **kwargs):
+            if not runs:
+                return x0, None, {"fvec": fun(x0), "nfev": 1, "njev": 1}, "", 5
+            return original(fun, x0, Dfun=Dfun, **kwargs)
+
+        monkeypatch.setattr(calibration, "leastsq", first_stops_at_its_start)
+        runs = []
+        record = calibration.least_squares
+
+        def recording_least_squares(fun, x0, **kwargs):
+            runs.append(record(fun, x0, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(calibration, "least_squares", recording_least_squares)
+        best = self.fit_decay([(0.6,), (close,)])
+        stopped, passing = runs
+        assert np.exp(stopped.x[0]) == close and stopped.status == 5
+        # the second run ends within the merge distance of the first, below it
+        assert np.max(np.abs(passing.x - stopped.x)) < calibration._MERGE_DISTANCE
+        assert passing.cost < stopped.cost
+        assert not passing.merged and best.starts_merged == 0
+        assert best.cost == passing.cost
+        assert np.exp(best.log_params[0]) == pytest.approx(0.5, rel=1e-9)
 
 
 def bvls_cost(columns, observed, upper):
@@ -546,10 +610,17 @@ class TestLeastSquares:
     ``least_squares(method="lm")``: both run MINPACK's ``lmder``."""
 
     @staticmethod
-    def assert_same_run(fun, x0, jac):
-        run = calibration.least_squares(fun, x0, jac=jac)
+    def assert_same_run(fun, x0, jac, run):
+        """A run that was not merged is scipy's run from ``x0``; a merged
+        one stops at the point of scipy's run after as many evaluations."""
+        points = []
+
+        def recording(x):
+            points.append(x.copy())
+            return fun(x)
+
         oracle = scipy.optimize.least_squares(
-            fun,
+            recording,
             x0,
             jac=jac,
             method="lm",
@@ -558,6 +629,12 @@ class TestLeastSquares:
             ftol=1e-12,
             gtol=1e-12,
         )
+        # scipy evaluates the residuals where MINPACK asks, x0 first
+        assert len(points) == oracle.nfev
+        if run.merged:
+            assert run.nfev <= oracle.nfev
+            assert np.array_equal(run.x, points[run.nfev - 1])
+            return
         assert np.array_equal(run.x, oracle.x)
         assert run.cost == oracle.cost
         assert run.nfev == oracle.nfev
@@ -568,23 +645,22 @@ class TestLeastSquares:
         price = noisy_draw("fax")[0]
         _, runs = recorded_lm_runs(monkeypatch, lambda: PriceDeclineFit().fit(price))
         assert len(runs) == 1
-        fun, x0, jac, _ = runs[0]
-        self.assert_same_run(fun, x0, jac)
+        self.assert_same_run(*runs[0])
 
     def test_matches_scipy_from_every_refined_two_wave_start(self, monkeypatch):
         _, runs = recorded_lm_runs(monkeypatch, lambda: fit_two_wave(*noisy_draw("bw_tv")))
         two_wave = [run for run in runs if run[1].size == 3]
         assert len(two_wave) == calibration._REFINE_STARTS
-        for fun, x0, jac, _ in two_wave:
-            self.assert_same_run(fun, x0, jac)
+        for run in two_wave:
+            self.assert_same_run(*run)
 
     def test_matches_scipy_on_the_sinusoid(self, monkeypatch):
         _, runs = recorded_lm_runs(
             monkeypatch, lambda: TestSeparableLm.fit_wave(TestSeparableLm.WAVE_STARTS)
         )
         assert len(runs) == calibration._REFINE_STARTS
-        for fun, x0, jac, _ in runs:
-            self.assert_same_run(fun, x0, jac)
+        for run in runs:
+            self.assert_same_run(*run)
 
     @pytest.mark.parametrize("status", range(9))
     def test_only_minpack_codes_1_to_4_are_success(self, monkeypatch, status):
@@ -659,6 +735,7 @@ class TestFitTwoWave:
             "at_bound",
             "starts_screened",
             "starts_refined",
+            "starts_merged",
             "price_converged",
             "price_rate_identified",
         }
@@ -675,10 +752,11 @@ class TestFitTwoWave:
         result, runs = recorded_lm_runs(
             monkeypatch, lambda: fit_two_wave(*noisy_draw("bw_tv"))
         )
-        two_wave = [run.nfev for *_, run in runs if run.x.size == 3]
+        two_wave = [run for *_, run in runs if run.x.size == 3]
         assert len(two_wave) == result.provenance["starts_refined"]
-        assert result.provenance["nfev_refined"] == sum(two_wave)
-        assert result.provenance["nfev"] in two_wave
+        assert result.provenance["nfev_refined"] == sum(run.nfev for run in two_wave)
+        assert result.provenance["starts_merged"] == sum(run.merged for run in two_wave)
+        assert result.provenance["nfev"] in [run.nfev for run in two_wave if not run.merged]
 
     def test_sse_is_natural_scale_per_series(self):
         good = BENCHMARKS["bw_tv"]

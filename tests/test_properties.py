@@ -471,7 +471,8 @@ def test_screened_two_wave_fit_matches_the_full_lattice(good, seed):
 
 
 def per_start_screen(design, observed, weights, starts, log_lo, log_hi, upper=1.0):
-    """The starts the per-start screen refines, in lattice order.
+    """The starts the per-start screen refines, cheapest first, ties going
+    to the smaller coordinates.
 
     A copy of the screen the batched solve replaced: each start's columns
     from a design call of its own, its plateaus by ``lstsq``, then by BVLS
@@ -491,8 +492,8 @@ def per_start_screen(design, observed, weights, starts, log_lo, log_hi, upper=1.
             ).x
         resid = weighted_observed - weighted @ coef
         if np.all(np.isfinite(resid)):
-            screened.append((float(resid @ resid), index))
-    return sorted(index for _, index in sorted(screened)[: calibration._REFINE_STARTS])
+            screened.append((float(resid @ resid), tuple(start), index))
+    return [index for *_, index in sorted(screened)[: calibration._REFINE_STARTS]]
 
 
 SCREEN_FITS = [
@@ -530,6 +531,15 @@ def test_batched_screen_refines_the_starts_of_the_per_start_screen(good, noise, 
     assert len(refined) == len(expected)
     for x0, start in zip(refined, expected):
         assert x0.tobytes() == start.tobytes()
+
+
+@pytest.mark.parametrize("good, noise, seed", SCREEN_FITS)
+def test_merged_runs_leave_the_fit_of_every_run_refined_to_its_end(good, noise, seed):
+    merged = fit_draw(good, noise, seed)
+    with mock.patch.object(calibration, "_MERGE_DISTANCE", 0.0):
+        unmerged = fit_draw(good, noise, seed)
+    assert unmerged.provenance["starts_merged"] == 0
+    assert_same_fit(merged, unmerged)
 
 
 def recorded_calls(fit, *names):
