@@ -1,7 +1,7 @@
 """Gather benchmark runs of two checkouts into one ``BENCH_<pr>.json``.
 
-    python3 scripts/bench_record.py --pr 31 --parent A --change B \\
-        --timed calibrate:3141-3150 --traced calibrate:3101 > BENCH_31.json
+    python3 scripts/bench_record.py --pr N --parent A --change B \\
+        --timed calibrate:3141-3150 --traced calibrate:3101 > BENCH_N.json
 
 ``A`` and ``B`` are git checkouts of the parent and the change, each of
 which ran ``perfbench/run.py`` with the listed seeds, so its results lie
@@ -10,9 +10,10 @@ run (``--trace 0``) gives the four end-to-end metrics, and the runs of
 one seed on both sides are one pair; a traced run (``--trace 1``) gives
 the layer metrics named by ``--layer``.  Each side is recorded by its git
 revision and the tree of its ``src``, which a squashed or rebased commit
-keeps.  Per workload and metric the record holds the median of each side,
-the change in percent, and the pairs the change won.  Numbers are read
-from the result files, never typed in.
+keeps.  Per workload and metric the record holds the median and
+quartiles of each side, the change of the median in percent, and the
+pairs the change won.  Numbers are read from the result files, never
+typed in.
 """
 
 from __future__ import annotations
@@ -53,8 +54,17 @@ def result(checkout, workload, seed, trace):
     return json.loads(path.read_text(encoding="utf-8"))
 
 
+def quartiles(values):
+    """First and third quartile (inclusive method; one value is its own)."""
+    if len(values) < 2:
+        return [values[0], values[0]]
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return [q1, q3]
+
+
 def summary(pairs, names):
-    """Median of each side, the change in percent and the pairs the change won.
+    """Median and quartiles of each side, the change of the median in
+    percent, and the pairs the change won.
 
     A metric that is better lower (every one but a ratio) is won by the
     smaller value.
@@ -68,6 +78,8 @@ def summary(pairs, names):
         out[name] = {
             "parent_median": medians[0],
             "change_median": medians[1],
+            "parent_quartiles": quartiles(parent),
+            "change_quartiles": quartiles(change),
             "change_pct": 100.0 * (medians[1] / medians[0] - 1.0) if medians[0] else None,
             "change_won": sum((c < p) if lower else (c > p) for p, c in zip(parent, change)),
         }
@@ -95,9 +107,8 @@ def record(args):
                     pair[side] = {name: run["metrics"][name]["value"] for name in names}
                     pair[side].update(correct=run["correct"], failed=run["failed"])
                 pairs.append(pair)
-            first = runs["parent"]
             bench["workloads"].setdefault(workload, {})[kind] = {
-                "seconds": first["seconds"],
+                "seconds": runs["parent"]["seconds"],
                 "runs": len(pairs),
                 "seeds": seeds,
                 "summary": summary(pairs, names),
