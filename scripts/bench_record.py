@@ -8,7 +8,7 @@ which ran ``perfbench/run.py`` with the listed seeds, so its results lie
 in its own ``perfbench/out/<workload>-seed<n>-trace<t>.json``.  A timed
 run (``--trace 0``) gives the four end-to-end metrics, and the runs of
 one seed on both sides are one pair; a traced run (``--trace 1``) gives
-the layer metrics named by ``--layer``.  Each side is recorded by its git
+the layer metrics of ``LAYERS``.  Each side is recorded by its git
 revision and the tree of its ``src``, which a squashed or rebased commit
 keeps.  Per workload and metric the record holds the median and
 quartiles of each side, the change of the median in percent, and the
@@ -31,6 +31,7 @@ LAYERS = (
     "calibration.lm_skipped_starts",
     "calibration.lm_nfev",
     "calibration.lm_useful_ratio",
+    "diffusion.bass_ode_s",
 )
 SIDES = ("parent", "change")
 
@@ -96,7 +97,7 @@ def record(args):
         },
         "workloads": {},
     }
-    for kind, specs, names in (("timed", args.timed, END_TO_END), ("traced", args.traced, args.layer)):
+    for kind, specs, names in (("timed", args.timed, END_TO_END), ("traced", args.traced, LAYERS)):
         for workload, seeds in map(seeds_of, specs):
             pairs = []
             for seed in seeds:
@@ -124,9 +125,7 @@ def main(argv=None):
     parser.add_argument("--change", required=True, help="checkout of the change")
     parser.add_argument("--timed", action="append", default=[], help="workload:first-last seeds")
     parser.add_argument("--traced", action="append", default=[], help="workload:first-last seeds")
-    parser.add_argument("--layer", action="append", help=f"traced metric (default {LAYERS})")
     args = parser.parse_args(argv)
-    args.layer = tuple(args.layer or LAYERS)
     json.dump(record(args), sys.stdout, indent=1)
     sys.stdout.write("\n")
     return 0

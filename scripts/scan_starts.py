@@ -1,6 +1,6 @@
 """Seeded scan of the two-wave fit's start screen over the parameter box.
 
-    python3 scripts/scan_starts.py [--check]
+    python3 scripts/scan_starts.py
 
 Fits 700 goods drawn by ``fit_draws(np.random.default_rng(2029), 700)``
 from ``tests/test_properties.py`` without noise, each also with first
@@ -9,15 +9,12 @@ rejects it against the truth: any field of ``TWO_WAVE_FIELDS`` more than
 1e-6 relative off (a zero floor ratio, 1e-9 absolute).  Prints the
 misses, the unconverged fits, the refined and merged runs and the
 refined residual evaluations per fit, and each missed draw as
-``(draw, first purchases only)``.
-
-With ``--check`` the exit status is 1 when a draw outside ``KNOWN_MISSES``
-misses.
+``(draw, first purchases only)``.  The exit status is 1 when a draw
+outside ``KNOWN_MISSES`` misses.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 from pathlib import Path
 
@@ -54,13 +51,7 @@ def scan():
             yield draw, only_first, missed, result.provenance
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--check", action="store_true", help="fail when a draw outside KNOWN_MISSES misses"
-    )
-    args = parser.parse_args(argv)
-
+def main():
     fits = list(scan())
     missed = [(draw, only_first) for draw, only_first, miss, _ in fits if miss]
     per_fit = {
@@ -75,7 +66,7 @@ def main(argv=None):
     print(f"refined evaluations per fit: {per_fit['nfev_refined']:.2f}")
     print(f"missed draws: {missed}")
     new = sorted(set(missed) - KNOWN_MISSES)
-    if args.check and new:
+    if new:
         print(f"new misses: {new}", file=sys.stderr)
         return 1
     return 0

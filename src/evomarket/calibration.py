@@ -30,10 +30,10 @@ in one batched evaluation, every start's model columns from one call
 and their bounded plateaus and costs from the same two-column solve,
 then refines only the four best starts (the stage-1 filter of
 multistart scatter search, Ugray et al. 2007), cheapest first.  A run
-that comes close to the end of an earlier run at no lower cost is
-stopped there as merged, since it has reached a basin already refined
-(the distance filter of multi-level single linkage, Rinnooy Kan &
-Timmer 1987, and of scatter search).  The price fit and the
+that comes close to the end of an earlier converged run at no lower
+cost is stopped there as merged, since it has reached a basin already
+refined (the distance filter of multi-level single linkage, Rinnooy Kan
+& Timmer 1987, and of scatter search).  The price fit and the
 two-wave fit divide their residuals by the observations, matching
 multiplicative noise, so the penetration and sales series weigh in on
 the same scale.  Only the logistic substitution fit
@@ -109,7 +109,7 @@ _REFINE_STARTS = 4
 
 # A refined run is stopped as merged at the first point it evaluates that
 # lies closer than this (max-norm, log-parameters) to the end of a run that
-# finished earlier in the same fit, at a cost not below that run's: it has
+# converged earlier in the same fit, at a cost not below that run's: it has
 # reached a basin already refined.  Zero runs every start to its end.
 _MERGE_DISTANCE = 1e-2
 
@@ -340,8 +340,10 @@ def _separable_lm(design, observed, weights, starts, log_lo, log_hi, upper=1.0):
     the ``_REFINE_STARTS`` best of them, cheapest first, each from its
     start rather than from the screen's plateaus.  A run is stopped as
     merged at the first point it evaluates that lies closer than
-    ``_MERGE_DISTANCE`` (max-norm) to the end of an earlier run that was
-    not merged, at a cost not below that run's final cost.
+    ``_MERGE_DISTANCE`` (max-norm) to the end of an earlier run that
+    converged, at a cost not below that run's final cost.  A run stopped
+    on its evaluation limit or a tolerance too small to reach did not end
+    at a minimum, so it takes in no later run.
 
     Returns the refined run of lowest cost that was not merged, ties
     going to the earliest, with ``log_params`` (clipped), ``design`` (the
@@ -409,7 +411,7 @@ def _separable_lm(design, observed, weights, starts, log_lo, log_hi, upper=1.0):
     # refine: Levenberg–Marquardt from the best screened starts, cheapest
     # first, ties going to the smaller coordinates
     order = np.lexsort((*points[screened].T[::-1], cost[screened]))
-    ends = []  # (x, cost) of each run that reached its end
+    ends = []  # (x, cost) of each run that converged without being merged
 
     def merged(x, x_cost):
         return any(
@@ -421,7 +423,7 @@ def _separable_lm(design, observed, weights, starts, log_lo, log_hi, upper=1.0):
     for index in screened[order[:_REFINE_STARTS]]:
         x0 = np.log(starts[index])
         runs.append(least_squares(weighted_residuals, x0, jac=jacobian, merged=merged))
-        if not runs[-1].merged:
+        if runs[-1].success:
             ends.append((runs[-1].x, runs[-1].cost))
     best = min((run for run in runs if not run.merged), key=lambda run: run.cost)
 
@@ -429,7 +431,7 @@ def _separable_lm(design, observed, weights, starts, log_lo, log_hi, upper=1.0):
     _, best.design, _, best.plateaus, _ = solve(best.x)
     best.starts_screened = len(screened)
     best.starts_refined = len(runs)
-    best.starts_merged = len(runs) - len(ends)
+    best.starts_merged = sum(run.merged for run in runs)
     best.nfev_refined = sum(run.nfev for run in runs)
     return best
 

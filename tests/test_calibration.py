@@ -414,19 +414,18 @@ class TestSeparableLm:
         assert np.exp(best.log_params[0]) == pytest.approx(0.5, rel=1e-9)
         assert np.exp(unmerged.log_params[0]) == pytest.approx(0.5, rel=1e-9)
 
-    def test_a_run_that_ends_below_an_earlier_run_is_not_merged(self, monkeypatch):
-        # the first run stops on its evaluation limit at its start, a little
-        # above the true rate; the second passes it on the way to the truth
-        close = 0.5 * np.exp(0.007)
+    def fit_decay_first_run_ending_at_its_start(self, monkeypatch, starts, status):
+        """``fit_decay(starts)`` whose first run ends at its start with
+        MINPACK code ``status``; returns the fit and every run's result."""
+        runs = []
         original = calibration.leastsq
 
-        def first_stops_at_its_start(fun, x0, Dfun, **kwargs):
+        def first_ends_at_its_start(fun, x0, Dfun, **kwargs):
             if not runs:
-                return x0, None, {"fvec": fun(x0), "nfev": 1, "njev": 1}, "", 5
+                return x0, None, {"fvec": fun(x0), "nfev": 1, "njev": 1}, "", status
             return original(fun, x0, Dfun=Dfun, **kwargs)
 
-        monkeypatch.setattr(calibration, "leastsq", first_stops_at_its_start)
-        runs = []
+        monkeypatch.setattr(calibration, "leastsq", first_ends_at_its_start)
         record = calibration.least_squares
 
         def recording_least_squares(fun, x0, **kwargs):
@@ -434,13 +433,49 @@ class TestSeparableLm:
             return runs[-1]
 
         monkeypatch.setattr(calibration, "least_squares", recording_least_squares)
-        best = self.fit_decay([(0.6,), (close,)])
-        stopped, passing = runs
-        assert np.exp(stopped.x[0]) == close and stopped.status == 5
+        return self.fit_decay(starts), runs
+
+    def test_a_run_that_ends_below_an_earlier_run_is_not_merged(self, monkeypatch):
+        # the first run reports convergence (code 2) at its start, a little
+        # above the true rate; the second passes it on the way to the truth
+        close = 0.5 * np.exp(0.007)
+        best, (ended, passing) = self.fit_decay_first_run_ending_at_its_start(
+            monkeypatch, [(0.6,), (close,)], status=2
+        )
+        assert np.exp(ended.x[0]) == close and ended.success
         # the second run ends within the merge distance of the first, below it
-        assert np.max(np.abs(passing.x - stopped.x)) < calibration._MERGE_DISTANCE
-        assert passing.cost < stopped.cost
+        assert np.max(np.abs(passing.x - ended.x)) < calibration._MERGE_DISTANCE
+        assert passing.cost < ended.cost
         assert not passing.merged and best.starts_merged == 0
+        assert best.cost == passing.cost
+        assert np.exp(best.log_params[0]) == pytest.approx(0.5, rel=1e-9)
+
+    def test_a_run_that_did_not_converge_merges_no_later_run(self, monkeypatch):
+        # the first run stops on its evaluation limit (code 5) at its start,
+        # a little below the true rate; the second comes within the merge
+        # distance of it at a higher cost on its way to the truth
+        close = 0.5 * np.exp(-0.004)
+        entered = []
+        original = calibration.least_squares
+
+        def recording_points(fun, x0, **kwargs):
+            def residuals(x):
+                resid = fun(x)
+                entered.append((x.copy(), 0.5 * np.dot(resid, resid)))
+                return resid
+
+            return original(residuals, x0, **kwargs)
+
+        monkeypatch.setattr(calibration, "least_squares", recording_points)
+        best, (stopped, passing) = self.fit_decay_first_run_ending_at_its_start(
+            monkeypatch, [(0.6,), (close,)], status=5
+        )
+        assert np.exp(stopped.x[0]) == close and not stopped.success
+        assert any(
+            np.max(np.abs(x - stopped.x)) < calibration._MERGE_DISTANCE and cost > stopped.cost
+            for x, cost in entered[1:]
+        )
+        assert not passing.merged and passing.success and best.starts_merged == 0
         assert best.cost == passing.cost
         assert np.exp(best.log_params[0]) == pytest.approx(0.5, rel=1e-9)
 
