@@ -367,13 +367,13 @@ def _separable_lm(design, observed, weights, starts, log_lo, log_hi, upper=1.0):
             (coef,), _ = _bounded_two_column(weighted_design[None], weighted_observed, upper)
         return coef
 
-    last = None  # (log_params, columns, derivatives, plateaus, residuals)
+    last = None  # [log_params, columns, derivatives, plateaus, residuals, jacobian]
 
     def solve(log_params):
-        """Columns, derivatives, plateaus and residuals at one point.
+        """Columns, derivatives, plateaus, residuals and Jacobian at one point.
 
-        The last point is kept, so the Jacobian reuses the plateau solve
-        of the residuals at the same point.
+        The last point is kept, so the Jacobian reuses the plateau solve of
+        the residuals there, and is computed once however often it is asked.
         """
         nonlocal last
         if last is None or not np.array_equal(last[0], log_params):
@@ -384,21 +384,24 @@ def _separable_lm(design, observed, weights, starts, log_lo, log_hi, upper=1.0):
                 resid = weighted_observed - weighted @ coef
             else:
                 coef, resid = None, infeasible
-            last = (log_params.copy(), columns, derivatives, coef, resid)
+            last = [log_params.copy(), columns, derivatives, coef, resid, None]
         return last
 
     def weighted_residuals(log_params) -> np.ndarray:
         return solve(log_params)[4]
 
     def jacobian(log_params) -> np.ndarray:
-        _, columns, derivatives, coef, _ = solve(log_params)
-        slope = weights[:, None] * (coef @ derivatives)
-        free = (coef > 0) & (coef < upper)
-        if np.any(free):
-            basis = weights[:, None] * columns[:, free]
-            slope -= basis @ np.linalg.lstsq(basis, slope, rcond=None)[0]
-        slope[:, (log_params < log_lo) | (log_params > log_hi)] = 0.0
-        return -slope
+        point = solve(log_params)
+        if point[5] is None:
+            _, columns, derivatives, coef, *_ = point
+            slope = weights[:, None] * (coef @ derivatives)
+            free = (coef > 0) & (coef < upper)
+            if np.any(free):
+                basis = weights[:, None] * columns[:, free]
+                slope -= basis @ np.linalg.lstsq(basis, slope, rcond=None)[0]
+            slope[:, (log_params < log_lo) | (log_params > log_hi)] = 0.0
+            point[5] = -slope
+        return point[5]
 
     # screen: every start in one design call and one batched plateau solve
     points = np.asarray(starts, dtype=float)
@@ -428,7 +431,7 @@ def _separable_lm(design, observed, weights, starts, log_lo, log_hi, upper=1.0):
     best = min((run for run in runs if not run.merged), key=lambda run: run.cost)
 
     best.log_params = np.clip(best.x, log_lo, log_hi)
-    _, best.design, _, best.plateaus, _ = solve(best.x)
+    _, best.design, _, best.plateaus, *_ = solve(best.x)
     best.starts_screened = len(screened)
     best.starts_refined = len(runs)
     best.starts_merged = sum(run.merged for run in runs)

@@ -116,6 +116,14 @@ def _get(config, section, option, cast, default, low=None, strict=False):
     return value
 
 
+def _check_keys(config, section, known, where="unknown"):
+    """A ``[section]`` key that is neither in ``known`` nor a ``[DEFAULT]`` key is a usage error."""
+    if config.has_section(section):
+        for key in config[section]:
+            if key not in known and key not in config.defaults():
+                raise UsageError(f"[{section}] key {key!r} is {where}")
+
+
 def _read_good(config) -> GoodParams:
     """The benchmark that ``[good]`` names, or the good its keys spell out.
 
@@ -126,20 +134,14 @@ def _read_good(config) -> GoodParams:
     """
     fields = dataclasses.fields(GoodParams)
     name = _get(config, "good", "benchmark", str, None)
-    if config.has_section("good"):
-        known = {"benchmark", *config.defaults()}
-        if name is None:
-            known.update(field.name for field in fields)
-        unknown = [key for key in config["good"] if key not in known]
-        if unknown:
-            where = "unknown" if name is None else "not allowed beside 'benchmark'"
-            raise UsageError(f"[good] key {unknown[0]!r} is {where}")
     if name is not None:
+        _check_keys(config, "good", {"benchmark"}, "not allowed beside 'benchmark'")
         if name not in BENCHMARKS:
             raise UsageError(
                 f"unknown benchmark {name!r}; available: {', '.join(BENCHMARKS)}"
             )
         return BENCHMARKS[name]
+    _check_keys(config, "good", {field.name for field in fields})
     values = {"name": _get(config, "good", "name", str, "custom")}
     # every field after the name is a number
     for field in fields[1:]:
@@ -382,16 +384,12 @@ def _cmd_synth(args, config) -> int:
 
 def _cmd_dist(args, config) -> int:
     seed = args.seed if args.seed is not None else _get(config, "dist", "seed", int, 7, low=0)
-    n_paths = _get(config, "dist", "paths", int, 200_000, low=1)
-    keep = _get(config, "dist", "keep", int, 1, low=1)
-    dt = _get(config, "dist", "dt", float, 0.5, low=0.0, strict=True)
-    if n_paths * keep < 2:
-        raise UsageError(f"[dist] paths * keep must be at least 2, got {n_paths} * {keep}")
+    n_paths = _get(config, "dist", "paths", int, 200_000, low=2)
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
 
     noise = stochastic.PriceNoiseParams(restoring=1.0, noise=1.0)
-    samples = stochastic.langevin_price_ensemble(noise, dt, n_paths, keep, seed)
+    samples = stochastic.langevin_price_ensemble(noise, 0.5, n_paths, seed)
     ks = stochastic.ks_statistic(
         samples, lambda x: stochastic.laplace_cdf(x, noise.restoring, noise.noise)
     )
@@ -423,8 +421,6 @@ def _cmd_dist(args, config) -> int:
         f"price-noise samples: {samples.size}",
         f"price-noise variance: {variance!r} (stationary {noise.stationary_variance!r})",
         f"price-noise ks distance: {ks!r}",
-        # the paths are independent; the states kept along one path are
-        # not, so with keep > 1 this understates the effective sample size
         f"price-noise independent paths: {n_paths}",
         f"price-noise ks band at 1% false alarm: {1.628 / math.sqrt(n_paths)!r}",
         f"laplace fit location/scale: {location!r} / {scale!r}",
@@ -532,12 +528,19 @@ def _cmd_replicate(args, config) -> int:
     return EXIT_OK
 
 
+# each command and the keys it reads from its own section ([good]'s: _read_good)
 _COMMANDS = {
-    "simulate": _cmd_simulate,
-    "fit": _cmd_fit,
-    "synth": _cmd_synth,
-    "dist": _cmd_dist,
-    "replicate": _cmd_replicate,
+    "simulate": (_cmd_simulate, {"horizon", "step", "echoes"}),
+    "fit": (
+        _cmd_fit,
+        {
+            "price_series", "penetration_series", "sales_series", "share_series",
+            "intro_price", "income_mean", "income_growth", "income_ref_year",
+        },
+    ),
+    "synth": (_cmd_synth, {"kinds", "points", "noise", "seed"}),
+    "dist": (_cmd_dist, {"paths", "seed"}),
+    "replicate": (_cmd_replicate, {"seeds", "noise", "seed"}),
 }
 
 
@@ -551,7 +554,9 @@ def main(argv=None) -> int:
         if args.seed is not None and args.seed < 0:
             raise UsageError(f"--seed must be at least 0, got {args.seed}")
         config = _load_config(args.config)
-        return _COMMANDS[args.command](args, config)
+        command, keys = _COMMANDS[args.command]
+        _check_keys(config, args.command, keys)
+        return command(args, config)
     except UsageError as exc:
         print(f"evomarket: {exc}", file=sys.stderr)
         return EXIT_USAGE

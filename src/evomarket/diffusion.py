@@ -214,7 +214,7 @@ def bass_ode(params: BassParams, horizon: float, step: float = 1e-3) -> Adoption
     def rhs(n):
         return (a + b * n / plateau) * (plateau - n)
 
-    # the stages of _integrate.rk4_step, on the scalar itself
+    # the stages of evodyn.rk4_step, on the scalar itself
     n, path = 0.0, [0.0]
     for i in range(1, times.size):
         k1 = rhs(n)

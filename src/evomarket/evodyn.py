@@ -28,7 +28,6 @@ from typing import Sequence
 
 import numpy as np
 
-from ._integrate import rk4_step
 from ._validation import check_nonnegative, check_positive
 from .errors import StepSizeError
 from .market import MarketStructure, market_volume, market_volume_gradient
@@ -249,6 +248,26 @@ def stationary_demand(
     )
     psi = prefactor * market_volume(mu, market)
     return DemandState(potential=psi, creation_rate=creation_rate, prefactor=prefactor)
+
+
+def rk4_step(rhs, t: float, state: list, step: float) -> list:
+    """One classical fourth-order Runge–Kutta step of a list of floats.
+
+    ``rhs(t, state)`` returns the derivative as a list of the same
+    length.  Each component combines its stages in the textbook order,
+    so the step gives the same bits as the same arithmetic on a float or
+    a numpy array.
+    """
+    half = 0.5 * step
+    k1 = rhs(t, state)
+    k2 = rhs(t + half, [s + half * k for s, k in zip(state, k1)])
+    k3 = rhs(t + half, [s + half * k for s, k in zip(state, k2)])
+    k4 = rhs(t + step, [s + step * k for s, k in zip(state, k3)])
+    sixth = step / 6.0
+    return [
+        s + sixth * (a + 2.0 * b + 2.0 * c + d)
+        for s, a, b, c, d in zip(state, k1, k2, k3, k4)
+    ]
 
 
 def micro_step(

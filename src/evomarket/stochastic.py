@@ -184,36 +184,29 @@ def langevin_price_ensemble(
     params: PriceNoiseParams,
     dt: float,
     n_paths: int,
-    keep_steps: int,
     seed: int,
 ) -> np.ndarray:
-    """Post-burn-in deviation samples from many independent paths.
+    """One post-burn-in deviation from each of many independent paths.
 
-    Runs ``n_paths`` paths from zero, discards a burn-in of exactly
+    Runs ``n_paths`` paths from zero through a burn-in of exactly
     ``10 / (b^2 / noise)`` time units, ten relaxation times, taken as
-    one step, and then keeps ``keep_steps`` consecutive states of every
-    path at spacing ``dt``.  Returns the flattened samples, step-major:
-    ``n_paths * keep_steps`` of them, the states of all paths at the
-    first kept step, then at the second, and so on.
+    one step, and then one step of ``dt``.  Returns the ``n_paths``
+    end states, independent draws of one law.
 
     Every step is exact (:func:`_reflected_step`), so by
     Chapman-Kolmogorov one burn-in step draws from the same law as
-    many shorter ones, and ``dt`` sets only the spacing of the kept
-    states, never a discretisation error.  All paths draw from one
-    ``default_rng(seed)`` stream, step by step.
+    many shorter ones, and ``dt`` carries no discretisation error.  All
+    paths draw from one ``default_rng(seed)`` stream, step by step.
     """
     check_positive(dt, "dt")
-    if n_paths < 1 or keep_steps < 1:
-        raise ValueError("n_paths and keep_steps must be at least 1")
+    if n_paths < 1:
+        raise ValueError("n_paths must be at least 1")
     burn_in = 10.0 * params.noise / params.restoring**2
     rng = np.random.default_rng(seed)
     x = np.zeros(n_paths)
     _reflected_step(x, params, burn_in, rng)
-    kept = np.empty((keep_steps, n_paths))
-    for row in kept:
-        _reflected_step(x, params, dt, rng)
-        row[:] = x
-    return kept.ravel()
+    _reflected_step(x, params, dt, rng)
+    return x
 
 
 def laplace_pdf(x, restoring: float, noise: float):

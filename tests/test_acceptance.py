@@ -154,9 +154,7 @@ def laplace_verdict(samples):
 def test_criterion_04_laplace_stationarity(capsys):
     params = PriceNoiseParams(restoring=1.0, noise=1.0)
     with Stopwatch() as clock:
-        samples = langevin_price_ensemble(
-            params, dt=0.5, n_paths=200_000, keep_steps=1, seed=404
-        )
+        samples = langevin_price_ensemble(params, dt=0.5, n_paths=200_000, seed=404)
         assert samples.size == 200_000
         variance_ok, ks_ok = laplace_verdict(samples)
     assert variance_ok

@@ -414,6 +414,31 @@ class TestSeparableLm:
         assert np.exp(best.log_params[0]) == pytest.approx(0.5, rel=1e-9)
         assert np.exp(unmerged.log_params[0]) == pytest.approx(0.5, rel=1e-9)
 
+    def test_the_jacobian_is_computed_once_per_point(self, monkeypatch):
+        # leastsq asks for the Jacobian at x0 twice, to check its shape and
+        # for MINPACK's first step; both must get the one array computed there
+        runs = []
+        original = calibration.least_squares
+
+        def recording_jacobians(fun, x0, jac, **kwargs):
+            asked = []
+            runs.append(asked)
+
+            def recorded(x):
+                asked.append((x.tobytes(), jac(x)))
+                return asked[-1][1]
+
+            return original(fun, x0, jac=recorded, **kwargs)
+
+        monkeypatch.setattr(calibration, "least_squares", recording_jacobians)
+        fit_two_wave(*noisy_draw("colour_tv"))
+        distinct = 0
+        for asked in runs:
+            points = {point for point, _ in asked}
+            assert len({id(jacobian) for _, jacobian in asked}) == len(points)
+            distinct += len(points)
+        assert distinct < sum(map(len, runs))
+
     def fit_decay_first_run_ending_at_its_start(self, monkeypatch, starts, status):
         """``fit_decay(starts)`` whose first run ends at its start with
         MINPACK code ``status``; returns the fit and every run's result."""

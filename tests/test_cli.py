@@ -71,10 +71,7 @@ class TestUsageErrors:
             ("simulate", "bw_tv", "[simulate]\nechoes = 0"),
             ("simulate", "colour_tv", "[simulate]\nechoes = 0"),
             ("dist", "bw_tv", "[dist]\npaths = 0"),
-            ("dist", "bw_tv", "[dist]\nkeep = 0"),
-            ("dist", "bw_tv", "[dist]\npaths = 1\nkeep = 1"),
-            ("dist", "bw_tv", "[dist]\ndt = -1"),
-            ("dist", "bw_tv", "[dist]\ndt = nan"),
+            ("dist", "bw_tv", "[dist]\npaths = 1"),
             ("synth", "bw_tv", "[synth]\npoints = 1"),
             ("synth", "bw_tv", "[synth]\nnoise = -0.1"),
             ("synth", "bw_tv", "[synth]\nkinds = penetration,volume"),
@@ -99,6 +96,15 @@ class TestUsageErrors:
             ("fit", "bw_tv", "[fit]\nprice_series = no_such_dir/price.csv"),
             ("fit", "bw_tv", "[fit]\nincome_mean = 0"),
             ("fit", "bw_tv", "[fit]\nincome_growth = -1\nincome_mean = 100"),
+            # a key the command does not read, a typo or a retired setting
+            ("simulate", "bw_tv", "[simulate]\nechos = 3"),
+            ("fit", "bw_tv", "[fit]\nincome_men = 100"),
+            ("synth", "bw_tv", "[synth]\npoint = 10"),
+            ("dist", "bw_tv", "[dist]\npath = 2000"),
+            ("replicate", "bw_tv", "[replicate]\nseed_count = 3"),
+            ("dist", "bw_tv", "[dist]\nkeep = 0"),
+            ("dist", "bw_tv", "[dist]\ndt = -1"),
+            ("dist", "bw_tv", "[dist]\ndt = nan"),
         ],
     )
     def test_bad_config_value(self, tmp_path, capsys, command, good, setting):
@@ -126,6 +132,15 @@ class TestUsageErrors:
 
     def test_default_section_keys_are_not_good_keys(self, tmp_path):
         cfg = write_config(tmp_path, "[DEFAULT]\nseed = 3\n[good]\nbenchmark = bw_tv\n")
+        assert run("synth", "--config", str(cfg), "--out", str(tmp_path / "out")) == EXIT_OK
+
+    def test_only_the_sections_a_command_reads_are_checked(self, tmp_path):
+        # synth reads [good] and [synth]; a [DEFAULT] key shows in both
+        cfg = write_config(
+            tmp_path,
+            "[DEFAULT]\nhorizon = 3\n[good]\nbenchmark = bw_tv\n[synth]\npoints = 5\n"
+            "[fit]\nprice_series = price.csv\n[dist]\nkeep = 2\n",
+        )
         assert run("synth", "--config", str(cfg), "--out", str(tmp_path / "out")) == EXIT_OK
 
     @pytest.mark.parametrize("command", ["synth", "dist", "replicate"])
@@ -570,7 +585,7 @@ class TestFitTable:
 
 class TestDist:
     def test_writes_report(self, tmp_path):
-        cfg = write_config(tmp_path, "[dist]\npaths = 500\nkeep = 50\n")
+        cfg = write_config(tmp_path, "[dist]\npaths = 2000\n")
         out = tmp_path / "out"
         assert run("dist", "--config", str(cfg), "--seed", "3", "--out", str(out)) == EXIT_OK
         report = (out / "dist_report.txt").read_text(encoding="utf-8")
@@ -578,7 +593,7 @@ class TestDist:
         assert "long-window mean" in report
 
     def test_plot_flag_writes_svg(self, tmp_path):
-        cfg = write_config(tmp_path, "[dist]\npaths = 300\nkeep = 40\n")
+        cfg = write_config(tmp_path, "[dist]\npaths = 2000\n")
         out = tmp_path / "out"
         code = run("dist", "--config", str(cfg), "--seed", "3", "--out", str(out), "--plot")
         assert code == EXIT_OK
@@ -586,7 +601,7 @@ class TestDist:
         assert svg.startswith("<svg") and "polyline" in svg
 
     def test_reports_long_window_standard_error(self, tmp_path):
-        cfg = write_config(tmp_path, "[dist]\npaths = 300\nkeep = 40\n")
+        cfg = write_config(tmp_path, "[dist]\npaths = 2000\n")
         out = tmp_path / "out"
         assert run("dist", "--config", str(cfg), "--seed", "3", "--out", str(out)) == EXIT_OK
         report = (out / "dist_report.txt").read_text(encoding="utf-8")
@@ -602,7 +617,7 @@ class TestDist:
         assert reported == pytest.approx(expected, rel=1e-12)
 
     def test_deterministic_given_seed(self, tmp_path):
-        cfg = write_config(tmp_path, "[dist]\npaths = 300\nkeep = 40\n")
+        cfg = write_config(tmp_path, "[dist]\npaths = 2000\n")
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         run("dist", "--config", str(cfg), "--seed", "9", "--out", str(out_a))
         run("dist", "--config", str(cfg), "--seed", "9", "--out", str(out_b))

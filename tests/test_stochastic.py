@@ -56,18 +56,17 @@ class TestLangevinPriceSim:
 
 
 class TestLangevinPriceEnsemble:
-    def ensemble(self, n_paths, seed=5, keep_steps=10):
-        # the burn-in of ten relaxation times is one step; dt = 0.5 spaces
-        # the kept states
-        return langevin_price_ensemble(UNIT_NOISE, 0.5, n_paths, keep_steps, seed)
+    def ensemble(self, n_paths, seed=5):
+        # the burn-in of ten relaxation times is one step, then one step of 0.5
+        return langevin_price_ensemble(UNIT_NOISE, 0.5, n_paths, seed)
 
     def test_same_seed_is_bit_identical(self):
         assert np.array_equal(self.ensemble(2800), self.ensemble(2800))
 
     @pytest.mark.parametrize("n_paths", [2507, 10])
     def test_sample_count_and_finiteness(self, n_paths):
-        samples = self.ensemble(n_paths, keep_steps=4)
-        assert samples.shape == (4 * n_paths,)
+        samples = self.ensemble(n_paths)
+        assert samples.shape == (n_paths,)
         assert np.all(np.isfinite(samples))
 
     @pytest.mark.parametrize(
@@ -76,22 +75,18 @@ class TestLangevinPriceEnsemble:
     )
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_one_path_matches_the_scalar_stepper(self, params, dt, seed):
-        keep = 50
         burn_in = 10.0 * params.noise / params.restoring**2
-        # at dt = burn_in every step has the one length the stepper takes
-        path = langevin_price_sim(params, burn_in, keep + 1, seed)
-        samples = langevin_price_ensemble(params, burn_in, 1, keep, seed)
-        assert np.array_equal(samples, path[-keep:])
-        # at any other dt: one burn-in step, then keep steps of dt
+        # at dt = burn_in both steps have the one length the stepper takes
+        path = langevin_price_sim(params, burn_in, 2, seed)
+        samples = langevin_price_ensemble(params, burn_in, 1, seed)
+        assert np.array_equal(samples, path[-1:])
+        # at any other dt: one burn-in step, then one step of dt
         x = np.zeros(1)
         rng = np.random.default_rng(seed)
         stochastic._reflected_step(x, params, burn_in, rng)
-        expected = []
-        for _ in range(keep):
-            stochastic._reflected_step(x, params, dt, rng)
-            expected.append(x[0])
-        samples = langevin_price_ensemble(params, dt, 1, keep, seed)
-        assert np.array_equal(samples, expected)
+        stochastic._reflected_step(x, params, dt, rng)
+        samples = langevin_price_ensemble(params, dt, 1, seed)
+        assert np.array_equal(samples, x)
 
 
 def exact_step_from(x0, h, n, seed, substeps=1):
