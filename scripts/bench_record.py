@@ -32,6 +32,9 @@ LAYERS = (
     "calibration.lm_nfev",
     "calibration.lm_useful_ratio",
     "diffusion.bass_ode_s",
+    "stochastic.langevin_s",
+    "stochastic.path_steps_per_s",
+    "stochastic.sample_bytes",
 )
 SIDES = ("parent", "change")
 
@@ -67,14 +70,14 @@ def summary(pairs, names):
     """Median and quartiles of each side, the change of the median in
     percent, and the pairs the change won.
 
-    A metric that is better lower (every one but a ratio) is won by the
-    smaller value.
+    A metric that is better lower (every one but a ratio or a rate) is
+    won by the smaller value.
     """
     out = {}
     for name in names:
         parent = [pair["parent"][name] for pair in pairs]
         change = [pair["change"][name] for pair in pairs]
-        lower = not name.endswith("ratio")
+        lower = not name.endswith(("ratio", "_per_s"))
         medians = statistics.median(parent), statistics.median(change)
         out[name] = {
             "parent_median": medians[0],
