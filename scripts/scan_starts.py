@@ -6,23 +6,28 @@ Fits 700 goods drawn by ``fit_draws(np.random.default_rng(2029), 700)``
 from ``tests/test_properties.py`` without noise, each also with first
 purchases only, for 1,400 fits.  A fit misses when ``assert_same_fit``
 rejects it against the truth: any field of ``TWO_WAVE_FIELDS`` more than
-1e-6 relative off (a zero floor ratio, 1e-9 absolute).  Prints the
-misses, the unconverged fits, the refined and merged runs and the
-refined residual evaluations per fit, and each missed draw as
-``(draw, first purchases only)``.  The exit status is 1 when a draw
-outside ``KNOWN_MISSES`` misses.
+1e-6 relative off (a zero floor ratio, 1e-9 absolute).  Each fit is
+also refitted with merging off (``calibration._MERGE_FRACTION`` 0, every
+refined run to its end), and it differs when ``assert_same_fit`` rejects
+the one against the other.  Prints the misses, the unconverged fits, the
+refined and merged runs per fit, the refined residual evaluations per
+fit with merging on and off, the fits that differ, and each missed or
+differing draw as ``(draw, first purchases only)``.  The exit status is
+1 when a draw outside ``KNOWN_MISSES`` misses or any fit differs.
 """
 
 from __future__ import annotations
 
 import sys
 from pathlib import Path
+from unittest import mock
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 import numpy as np  # noqa: E402
 
+from evomarket import calibration  # noqa: E402
 from test_properties import (  # noqa: E402
     assert_same_fit,
     fit_draw,
@@ -37,39 +42,58 @@ SEED, ROWS = 2029, 700
 KNOWN_MISSES = {(107, 1), (401, 0), (406, 1), (460, 1), (548, 1)}
 
 
+def same_fit(result, expected):
+    """Whether ``assert_same_fit`` accepts ``result`` against ``expected``."""
+    try:
+        assert_same_fit(result, expected)
+    except AssertionError:
+        return False
+    return True
+
+
 def scan():
-    """Each fit's ``(draw, first purchases only, missed, provenance)``."""
+    """Each fit's ``(draw, first purchases only, missed, differs,
+    provenance, provenance with merging off)``."""
     for draw, row in enumerate(fit_draws(np.random.default_rng(SEED), ROWS)):
         for only_first, truth in enumerate((row.good, first_purchases_only(row.good))):
             result = fit_draw(truth)
-            try:
-                assert_same_fit(result, truth)
-            except AssertionError:
-                missed = True
-            else:
-                missed = False
-            yield draw, only_first, missed, result.provenance
+            with mock.patch.object(calibration, "_MERGE_FRACTION", 0.0):
+                unmerged = fit_draw(truth)
+            yield (
+                draw,
+                only_first,
+                not same_fit(result, truth),
+                not same_fit(result, unmerged),
+                result.provenance,
+                unmerged.provenance,
+            )
 
 
 def main():
     fits = list(scan())
-    missed = [(draw, only_first) for draw, only_first, miss, _ in fits if miss]
+    missed = [(draw, only_first) for draw, only_first, miss, *_ in fits if miss]
+    differ = [(draw, only_first) for draw, only_first, _, diff, *_ in fits if diff]
     per_fit = {
-        key: sum(p[key] for *_, p in fits) / len(fits)
+        key: sum(p[key] for *_, p, _ in fits) / len(fits)
         for key in ("starts_refined", "starts_merged", "nfev_refined")
     }
+    unmerged_nfev = sum(p["nfev_refined"] for *_, p in fits) / len(fits)
     print(f"fits: {len(fits)}")
     print(f"misses: {len(missed)}")
-    print(f"unconverged: {sum(not p['converged'] for *_, p in fits)}")
+    print(f"unconverged: {sum(not p['converged'] for *_, p, _ in fits)}")
     print(f"refined runs per fit: {per_fit['starts_refined']:.2f}")
     print(f"merged runs per fit: {per_fit['starts_merged']:.2f}")
     print(f"refined evaluations per fit: {per_fit['nfev_refined']:.2f}")
+    print(f"refined evaluations per fit, merging off: {unmerged_nfev:.2f}")
+    print(f"fits that differ with merging off: {len(differ)}")
     print(f"missed draws: {missed}")
+    print(f"differing draws: {differ}")
     new = sorted(set(missed) - KNOWN_MISSES)
     if new:
         print(f"new misses: {new}", file=sys.stderr)
-        return 1
-    return 0
+    if differ:
+        print(f"merged fits that differ from the unmerged: {differ}", file=sys.stderr)
+    return 1 if new or differ else 0
 
 
 if __name__ == "__main__":

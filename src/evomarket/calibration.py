@@ -30,10 +30,12 @@ in one batched evaluation, every start's model columns from one call
 and their bounded plateaus and costs from the same two-column solve,
 then refines only the four best starts (the stage-1 filter of
 multistart scatter search, Ugray et al. 2007), cheapest first.  A run
-that comes close to the end of an earlier converged run at no lower
-cost is stopped there as merged, since it has reached a basin already
-refined (the distance filter of multi-level single linkage, Rinnooy Kan
-& Timmer 1987, and of scatter search).  The price fit and the
+that comes within half the lattice's smallest spacing of the end of an
+earlier converged run, at no lower cost, is stopped there as merged,
+since it has reached a basin already refined (the distance filter of
+multi-level single linkage, Rinnooy Kan & Timmer 1987, whose critical
+radius likewise shrinks as the starts sample the box more densely).
+The price fit and the
 two-wave fit divide their residuals by the observations, matching
 multiplicative noise, so the penetration and sales series weigh in on
 the same scale.  Only the logistic substitution fit
@@ -108,10 +110,13 @@ _TWO_WAVE_LOG_HI = np.log([1.0, 10.0, 1e6])
 _REFINE_STARTS = 4
 
 # A refined run is stopped as merged at the first point it evaluates that
-# lies closer than this (max-norm, log-parameters) to the end of a run that
-# converged earlier in the same fit, at a cost not below that run's: it has
-# reached a basin already refined.  Zero runs every start to its end.
-_MERGE_DISTANCE = 1e-2
+# lies closer than this fraction of the smallest max-norm distance between
+# two log-starts to the end of a run that converged earlier in the same fit,
+# at a cost not below that run's: it has reached a basin already refined.
+# At 0.5, balls of that radius around distinct starts are disjoint, so runs
+# merge only within the resolution the start lattice already has.  Zero
+# runs every start to its end.
+_MERGE_FRACTION = 0.5
 
 # Observations below this fraction of a series' maximum are weighted as
 # if they sat at it, so exact zeros (before an onset) keep a finite weight.
@@ -340,7 +345,8 @@ def _separable_lm(design, observed, weights, starts, log_lo, log_hi, upper=1.0):
     the ``_REFINE_STARTS`` best of them, cheapest first, each from its
     start rather than from the screen's plateaus.  A run is stopped as
     merged at the first point it evaluates that lies closer than
-    ``_MERGE_DISTANCE`` (max-norm) to the end of an earlier run that
+    :func:`_merge_radius` of the log-starts (half the smallest max-norm
+    distance between two of them) to the end of an earlier run that
     converged, at a cost not below that run's final cost.  A run stopped
     on its evaluation limit or a tolerance too small to reach did not end
     at a minimum, so it takes in no later run.
@@ -415,10 +421,11 @@ def _separable_lm(design, observed, weights, starts, log_lo, log_hi, upper=1.0):
     # first, ties going to the smaller coordinates
     order = np.lexsort((*points[screened].T[::-1], cost[screened]))
     ends = []  # (x, cost) of each run that converged without being merged
+    radius = _merge_radius(np.log(points))
 
     def merged(x, x_cost):
         return any(
-            x_cost >= end_cost and np.max(np.abs(x - end)) < _MERGE_DISTANCE
+            x_cost >= end_cost and np.max(np.abs(x - end)) < radius
             for end, end_cost in ends
         )
 
@@ -437,6 +444,20 @@ def _separable_lm(design, observed, weights, starts, log_lo, log_hi, upper=1.0):
     best.starts_merged = sum(run.merged for run in runs)
     best.nfev_refined = sum(run.nfev for run in runs)
     return best
+
+
+def _merge_radius(log_starts):
+    """``_MERGE_FRACTION`` of the smallest max-norm distance between two
+    rows of ``log_starts`` (``(k, n)``), or 0 for fewer than two rows.
+
+    Like the critical distance of multi-level single linkage (Rinnooy Kan
+    & Timmer 1987), it shrinks as the starts sample the box more densely,
+    and it does not depend on the order of the starts.
+    """
+    if len(log_starts) < 2:
+        return 0.0
+    gaps = np.max(np.abs(log_starts[:, None] - log_starts[None]), axis=-1)
+    return _MERGE_FRACTION * np.min(gaps[np.triu_indices(len(log_starts), 1)])
 
 
 def _bounded_two_column(columns, observed, upper):
@@ -802,8 +823,10 @@ def fit_two_wave(
     * every start of ``TWO_WAVE_STARTS`` is screened by its cost, all in
       one batched evaluation, and Levenberg–Marquardt searches log
       innovation, log imitation and log shape from the four starts of
-      lowest cost, cheapest first, stopping a run that reaches the
-      optimum of an earlier one (see :func:`_separable_lm`);
+      lowest cost, cheapest first, stopping a run that comes within
+      half the lattice's smallest spacing (0.49 in every log-parameter,
+      half the imitation gap ln(4/1.5)) of the optimum of an earlier one
+      (see :func:`_separable_lm`);
     * inside every residual evaluation the spreading and evolutionary
       plateaus are the weighted linear least-squares solution, bounded
       to [0, 1];

@@ -542,6 +542,10 @@ _COMMANDS = {
     "dist": (_cmd_dist, {"paths", "seed"}),
     "replicate": (_cmd_replicate, {"seeds", "noise", "seed"}),
 }
+# every key some section of some command reads, the keys a [DEFAULT] key may be
+_READ_KEYS = {"benchmark", *(field.name for field in dataclasses.fields(GoodParams))}.union(
+    *(keys for _, keys in _COMMANDS.values())
+)
 
 
 def main(argv=None) -> int:
@@ -556,6 +560,9 @@ def main(argv=None) -> int:
         config = _load_config(args.config)
         command, keys = _COMMANDS[args.command]
         _check_keys(config, args.command, keys)
+        for key in config.defaults():
+            if key not in _READ_KEYS:
+                raise UsageError(f"[DEFAULT] key {key!r} is read by no command")
         return command(args, config)
     except UsageError as exc:
         print(f"evomarket: {exc}", file=sys.stderr)

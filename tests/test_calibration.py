@@ -68,6 +68,11 @@ def recorded_lm_runs(monkeypatch, fit):
         return fit(), runs
 
 
+def merge_radius(starts):
+    """The radius within which ``_separable_lm`` merges runs from ``starts``."""
+    return calibration._merge_radius(np.log(np.asarray(starts, dtype=float)))
+
+
 class TestPriceDeclineFit:
     def test_noiseless_recovery(self):
         fit = PriceDeclineFit().fit(price_series(0.103, 0.0))
@@ -404,15 +409,57 @@ class TestSeparableLm:
         first, second = (run for *_, run in runs)
         assert not first.merged and second.merged
         assert best.starts_merged == 1
-        assert np.max(np.abs(second.x - first.x)) < calibration._MERGE_DISTANCE
+        assert np.max(np.abs(second.x - first.x)) < merge_radius(starts)
         assert second.cost >= first.cost
-        monkeypatch.setattr(calibration, "_MERGE_DISTANCE", 0.0)
+        monkeypatch.setattr(calibration, "_MERGE_FRACTION", 0.0)
         unmerged, unmerged_runs = recorded_lm_runs(monkeypatch, lambda: self.fit_decay(starts))
         assert unmerged.starts_merged == 0
         assert unmerged_runs[0][3].nfev == first.nfev
         assert second.nfev < unmerged_runs[1][3].nfev
         assert np.exp(best.log_params[0]) == pytest.approx(0.5, rel=1e-9)
         assert np.exp(unmerged.log_params[0]) == pytest.approx(0.5, rel=1e-9)
+
+    def test_the_merge_radius_is_half_the_smallest_gap_of_the_log_starts(self):
+        # on the two-wave lattice the smallest gap is the imitation step ln(4/1.5)
+        radius = merge_radius(TWO_WAVE_STARTS)
+        assert radius == pytest.approx(0.5 * np.log(4.0 / 1.5), rel=1e-12)
+        assert round(radius, 4) == 0.4904
+        assert merge_radius(TWO_WAVE_STARTS[::-1]) == radius
+        log_starts = np.log(self.WAVE_STARTS_GLOBAL_LAST)
+        gaps = [
+            np.max(np.abs(a - b))
+            for i, a in enumerate(log_starts)
+            for b in log_starts[i + 1 :]
+        ]
+        assert merge_radius(self.WAVE_STARTS_GLOBAL_LAST) == 0.5 * min(gaps)
+        # one start, as in the price fit, merges nothing
+        assert merge_radius(calibration.PRICE_STARTS) == 0.0
+
+    def test_a_run_passing_an_earlier_end_just_outside_the_radius_is_not_merged(
+        self, monkeypatch
+    ):
+        # the first run reports convergence (code 2) at its start; the second
+        # evaluates its start, then one point beside that end, farther from
+        # the true rate, and reports convergence there
+        starts = [(0.6,), (0.3,)]
+        radius = merge_radius(starts)
+        end = np.log([0.6])
+        for factor, merged in ((1.0 + 1e-9, False), (1.0 - 1e-9, True)):
+            beside = end + factor * radius
+
+            def scripted(fun, x0, Dfun, **kwargs):
+                points = [x0] if x0[0] == end[0] else [x0, beside]
+                for x in points:
+                    resid = fun(x)
+                return x, None, {"fvec": resid, "nfev": len(points), "njev": 1}, "", 2
+
+            monkeypatch.setattr(calibration, "leastsq", scripted)
+            best, runs = recorded_lm_runs(monkeypatch, lambda: self.fit_decay(starts))
+            first, second = (run for *_, run in runs)
+            assert first.success and first.x[0] == end[0]
+            assert second.x[0] == beside[0] and second.cost > first.cost
+            assert second.merged == merged and best.starts_merged == merged
+            assert best is first
 
     def test_the_jacobian_is_computed_once_per_point(self, monkeypatch):
         # leastsq asks for the Jacobian at x0 twice, to check its shape and
@@ -464,12 +511,13 @@ class TestSeparableLm:
         # the first run reports convergence (code 2) at its start, a little
         # above the true rate; the second passes it on the way to the truth
         close = 0.5 * np.exp(0.007)
+        starts = [(0.6,), (close,)]
         best, (ended, passing) = self.fit_decay_first_run_ending_at_its_start(
-            monkeypatch, [(0.6,), (close,)], status=2
+            monkeypatch, starts, status=2
         )
         assert np.exp(ended.x[0]) == close and ended.success
-        # the second run ends within the merge distance of the first, below it
-        assert np.max(np.abs(passing.x - ended.x)) < calibration._MERGE_DISTANCE
+        # the second run ends within the merge radius of the first, below it
+        assert np.max(np.abs(passing.x - ended.x)) < merge_radius(starts)
         assert passing.cost < ended.cost
         assert not passing.merged and best.starts_merged == 0
         assert best.cost == passing.cost
@@ -478,8 +526,9 @@ class TestSeparableLm:
     def test_a_run_that_did_not_converge_merges_no_later_run(self, monkeypatch):
         # the first run stops on its evaluation limit (code 5) at its start,
         # a little below the true rate; the second comes within the merge
-        # distance of it at a higher cost on its way to the truth
+        # radius of it at a higher cost on its way to the truth
         close = 0.5 * np.exp(-0.004)
+        starts = [(0.6,), (close,)]
         entered = []
         original = calibration.least_squares
 
@@ -493,11 +542,11 @@ class TestSeparableLm:
 
         monkeypatch.setattr(calibration, "least_squares", recording_points)
         best, (stopped, passing) = self.fit_decay_first_run_ending_at_its_start(
-            monkeypatch, [(0.6,), (close,)], status=5
+            monkeypatch, starts, status=5
         )
         assert np.exp(stopped.x[0]) == close and not stopped.success
         assert any(
-            np.max(np.abs(x - stopped.x)) < calibration._MERGE_DISTANCE and cost > stopped.cost
+            np.max(np.abs(x - stopped.x)) < merge_radius(starts) and cost > stopped.cost
             for x, cost in entered[1:]
         )
         assert not passing.merged and passing.success and best.starts_merged == 0

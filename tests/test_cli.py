@@ -143,6 +143,15 @@ class TestUsageErrors:
         )
         assert run("synth", "--config", str(cfg), "--out", str(tmp_path / "out")) == EXIT_OK
 
+    @pytest.mark.parametrize("command", ["simulate", "synth", "dist"])
+    def test_a_default_key_no_command_reads_is_rejected(self, tmp_path, capsys, command):
+        # every section inherits [DEFAULT], so the section checks pass it by
+        cfg = write_config(tmp_path, "[DEFAULT]\nechos = 3\n[good]\nbenchmark = bw_tv\n")
+        out = tmp_path / "out"
+        assert run(command, "--config", str(cfg), "--out", str(out)) == EXIT_USAGE
+        assert "'echos'" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["synth", "dist", "replicate"])
     def test_negative_seed_flag(self, tmp_path, capsys, command):
         cfg = write_config(tmp_path, "[good]\nbenchmark = bw_tv\n")

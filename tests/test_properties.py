@@ -536,7 +536,7 @@ def test_batched_screen_refines_the_starts_of_the_per_start_screen(good, noise, 
 @pytest.mark.parametrize("good, noise, seed", SCREEN_FITS)
 def test_merged_runs_leave_the_fit_of_every_run_refined_to_its_end(good, noise, seed):
     merged = fit_draw(good, noise, seed)
-    with mock.patch.object(calibration, "_MERGE_DISTANCE", 0.0):
+    with mock.patch.object(calibration, "_MERGE_FRACTION", 0.0):
         unmerged = fit_draw(good, noise, seed)
     assert unmerged.provenance["starts_merged"] == 0
     assert_same_fit(merged, unmerged)
