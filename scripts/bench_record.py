@@ -27,6 +27,7 @@ from pathlib import Path
 
 END_TO_END = ("setup_s", "run_s", "op_s", "peak_rss_mb")
 LAYERS = (
+    "calibration.lm_s",
     "calibration.lm_starts",
     "calibration.lm_skipped_starts",
     "calibration.lm_nfev",
