@@ -25,9 +25,11 @@ replicate
     Levenberg–Marquardt runs.
 
 Configuration is an INI file with one section per parameter block (see
-README); command-line flags override file values.  Exit codes: 0
-success, 2 usage or bad configuration, 3 malformed input data, 4 fit
-failure, 5 numeric failure.
+README).  ``_COMMANDS`` declares each command's keys once, with their
+types, defaults and bounds; :func:`main` checks every value of the
+command's section, a seed that ``--seed`` overrides too, before any
+work.  Exit codes: 0 success, 2 usage or bad configuration, 3 malformed
+input data, 4 fit failure, 5 numeric failure.
 """
 
 from __future__ import annotations
@@ -76,9 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="evomarket",
         description="Simulate and calibrate the two-wave durable-goods market model.",
     )
-    parser.add_argument(
-        "command", choices=("simulate", "fit", "synth", "dist", "replicate")
-    )
+    parser.add_argument("command", choices=tuple(_COMMANDS))
     parser.add_argument("--config", type=Path, default=None, help="INI config file")
     parser.add_argument("--seed", type=int, default=None, help="master seed")
     parser.add_argument("--out", type=Path, default=Path("."), help="output directory")
@@ -156,18 +156,6 @@ def _read_good(config) -> GoodParams:
         raise UsageError(f"[good] {exc}") from exc
 
 
-def _income_from_config(config) -> IncomeModel | None:
-    mean = _get(config, "fit", "income_mean", float, None)
-    if mean is None:
-        return None
-    growth = _get(config, "fit", "income_growth", float, 0.0)
-    ref_year = _get(config, "fit", "income_ref_year", float, 0.0)
-    try:
-        return IncomeModel(mean_income=mean, growth=growth, ref_year=ref_year)
-    except ValueError as exc:
-        raise UsageError(f"[fit] income_mean or income_growth: {exc}") from exc
-
-
 def _warn(messages):
     for message in messages:
         print(f"warning: {message}", file=sys.stderr)
@@ -178,12 +166,10 @@ def _warn(messages):
 # ---------------------------------------------------------------------------
 
 
-def _cmd_simulate(args, config) -> int:
+def _cmd_simulate(args, config, settings) -> int:
     good = _read_good(config)
-    horizon = _get(config, "simulate", "horizon", float, 30.0)
-    step = _get(config, "simulate", "step", float, 0.1, low=0.0, strict=True)
-    echoes = _get(config, "simulate", "echoes", int, 1, low=1)
-    n_steps = int(round(horizon / step))
+    step, echoes = settings["step"], settings["echoes"]
+    n_steps = int(round(settings["horizon"] / step))
     if n_steps < 1:
         raise UsageError("[simulate] horizon must cover at least one step")
     spread_wave, evo_wave, warnings = wave_params(good)
@@ -235,8 +221,8 @@ def _cmd_simulate(args, config) -> int:
     return EXIT_OK
 
 
-def _fit_series(config, option, kind, required=True) -> TimeSeries | None:
-    path = _get(config, "fit", option, str, None)
+def _fit_series(settings, option, kind, required=True) -> TimeSeries | None:
+    path = settings[option]
     if path is None:
         if not required:
             return None
@@ -268,40 +254,23 @@ def write_fit_table(result: calibration.FitResult, path: Path) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def read_fit_table(path) -> dict:
-    """Parse a table written by :func:`write_fit_table`."""
-    table: dict[str, object] = {}
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != "parameter,value":
-        raise FormatError(f"{path}: missing 'parameter,value' header")
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        try:
-            key, value = line.split(",", 1)
-        except ValueError as exc:
-            raise FormatError(f"{path}:{lineno}: expected 'parameter,value'") from exc
-        if key == "good":
-            table[key] = value or None
-        else:
-            try:
-                table[key] = float(value) if value else None
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: {key} is not a number") from exc
-    return table
-
-
-def _cmd_fit(args, config) -> int:
+def _cmd_fit(args, config, settings) -> int:
     good = _read_good(config)
-    income = _income_from_config(config)
-    intro_price = _get(config, "fit", "intro_price", float, 1.0, low=0.0, strict=True)
-    price = _fit_series(config, "price_series", "nominal_price")
-    penetration = _fit_series(config, "penetration_series", "penetration")
-    sales = _fit_series(config, "sales_series", "sales")
-    share = _fit_series(config, "share_series", "share", required=False)
+    income = None
+    if settings["income_mean"] is not None:
+        try:
+            income = IncomeModel(
+                settings["income_mean"], settings["income_growth"], settings["income_ref_year"]
+            )
+        except ValueError as exc:
+            raise UsageError(f"[fit] income_mean or income_growth: {exc}") from exc
+    price = _fit_series(settings, "price_series", "nominal_price")
+    penetration = _fit_series(settings, "penetration_series", "penetration")
+    sales = _fit_series(settings, "sales_series", "sales")
+    share = _fit_series(settings, "share_series", "share", required=False)
 
     result = calibration.fit_two_wave(
-        price, penetration, sales, good, intro_price=intro_price, income=income
+        price, penetration, sales, good, intro_price=settings["intro_price"], income=income
     )
     _warn(result.provenance.get("analyst_warnings", []))
 
@@ -343,13 +312,10 @@ def _cmd_fit(args, config) -> int:
     return EXIT_OK
 
 
-def _cmd_synth(args, config) -> int:
+def _cmd_synth(args, config, settings) -> int:
     good = _read_good(config)
-    kinds = _get(config, "synth", "kinds", str, "nominal_price,penetration,sales")
-    n_points = _get(config, "synth", "points", int, 30, low=2)
-    noise = _get(config, "synth", "noise", float, 0.0, low=0.0)
-    seed = args.seed if args.seed is not None else _get(config, "synth", "seed", int, 0, low=0)
-    kinds = [k.strip() for k in kinds.split(",")]
+    n_points, noise, seed = settings["points"], settings["noise"], settings["seed"]
+    kinds = [k.strip() for k in settings["kinds"].split(",")]
     for index, kind in enumerate(kinds):
         if kind not in SERIES_KINDS:
             raise UsageError(f"[synth] kinds: unknown series kind {kind!r}")
@@ -382,9 +348,8 @@ def _cmd_synth(args, config) -> int:
     return EXIT_OK
 
 
-def _cmd_dist(args, config) -> int:
-    seed = args.seed if args.seed is not None else _get(config, "dist", "seed", int, 7, low=0)
-    n_paths = _get(config, "dist", "paths", int, 200_000, low=2)
+def _cmd_dist(args, config, settings) -> int:
+    seed, n_paths = settings["seed"], settings["paths"]
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
 
@@ -421,7 +386,6 @@ def _cmd_dist(args, config) -> int:
         f"price-noise samples: {samples.size}",
         f"price-noise variance: {variance!r} (stationary {noise.stationary_variance!r})",
         f"price-noise ks distance: {ks!r}",
-        f"price-noise independent paths: {n_paths}",
         f"price-noise ks band at 1% false alarm: {1.628 / math.sqrt(n_paths)!r}",
         f"laplace fit location/scale: {location!r} / {scale!r}",
         f"log-size skew: {skew!r}",
@@ -451,14 +415,8 @@ def _cmd_dist(args, config) -> int:
     return EXIT_OK
 
 
-def _cmd_replicate(args, config) -> int:
-    seed = (
-        args.seed
-        if args.seed is not None
-        else _get(config, "replicate", "seed", int, 20250808, low=0)
-    )
-    n_seeds = _get(config, "replicate", "seeds", int, 50, low=1)
-    noise = _get(config, "replicate", "noise", float, 0.02, low=0.0)
+def _cmd_replicate(args, config, settings) -> int:
+    seed, n_seeds, noise = settings["seed"], settings["seeds"], settings["noise"]
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
 
@@ -528,19 +486,41 @@ def _cmd_replicate(args, config) -> int:
     return EXIT_OK
 
 
-# each command and the keys it reads from its own section ([good]'s: _read_good)
+# each command and the keys it reads from its own section ([good]'s:
+# _read_good), each with the (type, default[, lowest[, lowest excluded]])
+# that _get takes
 _COMMANDS = {
-    "simulate": (_cmd_simulate, {"horizon", "step", "echoes"}),
+    "simulate": (
+        _cmd_simulate,
+        {"horizon": (float, 30.0), "step": (float, 0.1, 0.0, True), "echoes": (int, 1, 1)},
+    ),
     "fit": (
         _cmd_fit,
         {
-            "price_series", "penetration_series", "sales_series", "share_series",
-            "intro_price", "income_mean", "income_growth", "income_ref_year",
+            "income_mean": (float, None),
+            "income_growth": (float, 0.0),
+            "income_ref_year": (float, 0.0),
+            "intro_price": (float, 1.0, 0.0, True),
+            "price_series": (str, None),
+            "penetration_series": (str, None),
+            "sales_series": (str, None),
+            "share_series": (str, None),
         },
     ),
-    "synth": (_cmd_synth, {"kinds", "points", "noise", "seed"}),
-    "dist": (_cmd_dist, {"paths", "seed"}),
-    "replicate": (_cmd_replicate, {"seeds", "noise", "seed"}),
+    "synth": (
+        _cmd_synth,
+        {
+            "kinds": (str, "nominal_price,penetration,sales"),
+            "points": (int, 30, 2),
+            "noise": (float, 0.0, 0.0),
+            "seed": (int, 0, 0),
+        },
+    ),
+    "dist": (_cmd_dist, {"seed": (int, 7, 0), "paths": (int, 200_000, 2)}),
+    "replicate": (
+        _cmd_replicate,
+        {"seed": (int, 20250808, 0), "seeds": (int, 50, 1), "noise": (float, 0.02, 0.0)},
+    ),
 }
 # every key some section of some command reads, the keys a [DEFAULT] key may be
 _READ_KEYS = {"benchmark", *(field.name for field in dataclasses.fields(GoodParams))}.union(
@@ -558,12 +538,15 @@ def main(argv=None) -> int:
         if args.seed is not None and args.seed < 0:
             raise UsageError(f"--seed must be at least 0, got {args.seed}")
         config = _load_config(args.config)
-        command, keys = _COMMANDS[args.command]
-        _check_keys(config, args.command, keys)
+        command, table = _COMMANDS[args.command]
+        _check_keys(config, args.command, table)
         for key in config.defaults():
             if key not in _READ_KEYS:
                 raise UsageError(f"[DEFAULT] key {key!r} is read by no command")
-        return command(args, config)
+        settings = {key: _get(config, args.command, key, *spec) for key, spec in table.items()}
+        if args.seed is not None and "seed" in settings:
+            settings["seed"] = args.seed
+        return command(args, config, settings)
     except UsageError as exc:
         print(f"evomarket: {exc}", file=sys.stderr)
         return EXIT_USAGE

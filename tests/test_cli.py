@@ -1,6 +1,6 @@
 import configparser
+import csv
 import dataclasses
-import re
 
 import numpy as np
 import pytest
@@ -15,12 +15,10 @@ from evomarket.cli import (
     EXIT_USAGE,
     _read_good,
     main,
-    read_fit_table,
     write_fit_table,
 )
 from evomarket.calibration import FitResult
 from evomarket.diffusion import BassParams, bass_penetration, bass_rate
-from evomarket.errors import FormatError
 from evomarket.series import TimeSeries, read_series_csv, write_series_csv
 
 
@@ -32,6 +30,14 @@ def write_config(tmp_path, text, name="run.ini"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return path
+
+
+def fit_table(path):
+    """The rows of a fit table below its header, as written: values are strings."""
+    with open(path, newline="", encoding="utf-8") as handle:
+        header, *rows = csv.reader(handle)
+    assert header == ["parameter", "value"]
+    return dict(rows)
 
 
 # a custom good with bw_tv's diffusion parameters and no repurchase rows
@@ -96,6 +102,8 @@ class TestUsageErrors:
             ("fit", "bw_tv", "[fit]\nprice_series = no_such_dir/price.csv"),
             ("fit", "bw_tv", "[fit]\nincome_mean = 0"),
             ("fit", "bw_tv", "[fit]\nincome_growth = -1\nincome_mean = 100"),
+            # checked though no income_mean asks for an income model
+            ("fit", "bw_tv", "[fit]\nincome_growth = abc"),
             # a key the command does not read, a typo or a retired setting
             ("simulate", "bw_tv", "[simulate]\nechos = 3"),
             ("fit", "bw_tv", "[fit]\nincome_men = 100"),
@@ -152,13 +160,25 @@ class TestUsageErrors:
         assert "'echos'" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["synth", "dist", "replicate"])
-    def test_negative_seed_flag(self, tmp_path, capsys, command):
-        cfg = write_config(tmp_path, "[good]\nbenchmark = bw_tv\n")
+    @pytest.mark.parametrize(
+        "command, seed, setting",
+        [
+            ("synth", "-1", ""),
+            ("dist", "-1", ""),
+            ("replicate", "-1", ""),
+            # a seed in the file is checked though --seed overrides it
+            ("synth", "3", "[synth]\nseed = abc\n"),
+            ("dist", "3", "[dist]\nseed = -4\n"),
+            ("replicate", "3", "[replicate]\nseed = -1\n"),
+        ],
+        ids=["synth", "dist", "replicate", "synth-file", "dist-file", "replicate-file"],
+    )
+    def test_negative_seed_flag(self, tmp_path, capsys, command, seed, setting):
+        cfg = write_config(tmp_path, "[good]\nbenchmark = bw_tv\n" + setting)
         out = tmp_path / "out"
-        code = run(command, "--config", str(cfg), "--seed", "-1", "--out", str(out))
+        code = run(command, "--config", str(cfg), "--seed", seed, "--out", str(out))
         assert code == EXIT_USAGE
-        assert "--seed" in capsys.readouterr().err
+        assert (f"[{command}] seed" if setting else "--seed") in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -311,11 +331,11 @@ sales_series = {data_dir}/sales.csv
         fit_cfg = self.fit_config(tmp_path, data)
         out = tmp_path / "fitted"
         assert run("fit", "--config", str(fit_cfg), "--out", str(out)) == EXIT_OK
-        table = read_fit_table(out / "fit_table.csv")
+        table = fit_table(out / "fit_table.csv")
         good = BENCHMARKS["colour_tv"]
-        assert table["decline_rate"] == pytest.approx(good.decline_rate, rel=1e-3)
-        assert table["shape"] == pytest.approx(good.shape, rel=1e-3)
-        assert table["spreading_plateau"] == pytest.approx(
+        assert float(table["decline_rate"]) == pytest.approx(good.decline_rate, rel=1e-3)
+        assert float(table["shape"]) == pytest.approx(good.shape, rel=1e-3)
+        assert float(table["spreading_plateau"]) == pytest.approx(
             good.spreading_plateau, rel=1e-3
         )
         meta = (out / "fit_meta.txt").read_text(encoding="utf-8")
@@ -361,7 +381,7 @@ sales_series = {data_dir}/sales.csv
         fit_cfg = self.fit_config(tmp_path, data, benchmark="vcr")
         out = tmp_path / "fitted"
         assert run("fit", "--config", str(fit_cfg), "--out", str(out), "--plot") == EXIT_OK
-        assert read_fit_table(out / "fit_table.csv")["evolutionary_plateau"] == 0.0
+        assert float(fit_table(out / "fit_table.csv")["evolutionary_plateau"]) == 0.0
         svg = (out / "fit.svg").read_text(encoding="utf-8")
         assert svg.startswith("<svg") and "polyline" in svg
 
@@ -424,9 +444,9 @@ sales_series = {data_dir}/sales.csv
         assert run("fit", "--config", str(cfg), "--out", str(out)) == EXIT_OK
         share = read_series_csv(data / "share.csv")
         expected = FisherPryFit(origin_year=BENCHMARKS["colour_tv"].intro_year).fit(share)
-        table = read_fit_table(out / "fit_table.csv")
-        assert table["advantage"] == expected.advantage_
-        assert table["intercept"] == expected.intercept_
+        table = fit_table(out / "fit_table.csv")
+        assert float(table["advantage"]) == expected.advantage_
+        assert float(table["intercept"]) == expected.intercept_
         meta = (out / "fit_meta.txt").read_text(encoding="utf-8").splitlines()
         assert f"sse[share]: {expected.sse_!r}" in meta
 
@@ -531,7 +551,7 @@ sales_series = {data_dir}/sales.csv
         cfg = self.fit_config(tmp_path, data, benchmark="fax")
         code = run("fit", "--config", str(cfg), "--out", str(tmp_path / "o"))
         assert code == EXIT_OK
-        assert read_fit_table(tmp_path / "o" / "fit_table.csv")["decline_rate"] > 50.0
+        assert float(fit_table(tmp_path / "o" / "fit_table.csv")["decline_rate"]) > 50.0
         meta = (tmp_path / "o" / "fit_meta.txt").read_text(encoding="utf-8").splitlines()
         assert "price_rate_identified: False" in meta
         assert "converged: True" in meta
@@ -552,11 +572,12 @@ class TestFitTable:
         )
         path = tmp_path / "table.csv"
         write_fit_table(result, path)
-        table = read_fit_table(path)
+        table = fit_table(path)
         assert table["good"] == "colour_tv"
-        assert table["decline_rate"] == 0.103
-        assert table["floor_ratio"] == 1 / 3.0
-        assert table["advantage"] is None
+        assert table["decline_rate"] == "0.103"
+        assert table["floor_ratio"] == repr(1 / 3.0)
+        # a field the fit did not set is blank
+        assert table["advantage"] == ""
         assert list(table) == [
             "good",
             "decline_rate",
@@ -575,21 +596,6 @@ class TestFitTable:
             "advantage",
             "intercept",
         ]
-
-    @pytest.mark.parametrize(
-        ("text", "message"),
-        [
-            ("good,colour_tv\n", ": missing 'parameter,value' header"),
-            ("parameter,value\ngood,colour_tv\nshape\n", ":3: expected 'parameter,value'"),
-            ("parameter,value\nshape,abc\n", ":2: shape is not a number"),
-        ],
-        ids=["no_header", "no_comma", "not_a_number"],
-    )
-    def test_malformed_table_names_the_line(self, tmp_path, text, message):
-        path = tmp_path / "table.csv"
-        path.write_text(text, encoding="utf-8")
-        with pytest.raises(FormatError, match=re.escape(f"{path}{message}")):
-            read_fit_table(path)
 
 
 class TestDist:
