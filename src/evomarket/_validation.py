@@ -15,6 +15,13 @@ def as_float_array(values, name: str) -> np.ndarray:
     return arr
 
 
+def read_only_copy(values, name: str) -> np.ndarray:
+    """A float copy of ``values`` that nothing can write, checked as by :func:`as_float_array`."""
+    arr = as_float_array(np.array(values, dtype=float), name)
+    arr.setflags(write=False)
+    return arr
+
+
 def check_positive(value: float, name: str) -> float:
     value = float(value)
     if not value > 0:

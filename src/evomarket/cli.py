@@ -462,15 +462,13 @@ def _cmd_replicate(args, config, settings) -> int:
                 cells.extend(["", ""])
         lines.append(",".join(cells))
     (out / "replicate_matrix.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    # timings vary from run to run, so they stay out of the matrix; the
-    # share contest is a closed-form regression with nothing to converge
-    # and no Levenberg–Marquardt run
+    # timings vary from run to run, so they stay out of the matrix
     meta_lines = []
     for report, elapsed in zip(reports, seconds):
         good = report["good"]
         meta_lines.append(f"seconds[{good}]: {elapsed!r}")
-        meta_lines.append(f"unconverged[{good}]: {report.get('unconverged', 0)}")
-        meta_lines.append(f"nfev_refined[{good}]: {report.get('nfev_refined', 0)}")
+        meta_lines.append(f"unconverged[{good}]: {report['unconverged']}")
+        meta_lines.append(f"nfev_refined[{good}]: {report['nfev_refined']}")
     (out / "replicate_meta.txt").write_text("\n".join(meta_lines) + "\n", encoding="utf-8")
 
     print(f"round-trip suite: {n_seeds} seeds, {noise:.0%} noise")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._validation import as_float_array, check_nonnegative, check_positive, check_unit_interval
+from ._validation import check_nonnegative, check_positive, check_unit_interval, read_only_copy
 from .errors import NumericError
 from .market import MarketStructure
 
@@ -102,7 +102,8 @@ class GompertzParams:
 class AdoptionCurve:
     """Sampled penetration and adoption rate on a shared time grid.
 
-    ``times`` are years on the curve's own clock.
+    ``times`` are years on the curve's own clock.  All three arrays are
+    read-only float copies of the arrays given.
     """
 
     times: np.ndarray
@@ -110,9 +111,9 @@ class AdoptionCurve:
     rate: np.ndarray
 
     def __post_init__(self):
-        times = as_float_array(self.times, "times")
-        penetration = as_float_array(self.penetration, "penetration")
-        rate = as_float_array(self.rate, "rate")
+        times = read_only_copy(self.times, "times")
+        penetration = read_only_copy(self.penetration, "penetration")
+        rate = read_only_copy(self.rate, "rate")
         if not (times.size == penetration.size == rate.size):
             raise ValueError("times, penetration and rate must share a grid")
         object.__setattr__(self, "times", times)
@@ -315,8 +316,8 @@ def gompertz_from_price(
         The rate channel holds the centred finite difference of the
         penetration (one-sided at the ends).
     """
-    times = as_float_array(times, "times")
-    prices = as_float_array(prices, "prices")
+    times = read_only_copy(times, "times")
+    prices = read_only_copy(prices, "prices")
     if times.size != prices.size:
         raise ValueError("times and prices must have equal length")
     check_positive(plateau, "plateau")

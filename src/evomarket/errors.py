@@ -5,6 +5,8 @@ Plain ``ValueError`` is used for domain errors on scalar arguments
 cover failures that callers and the command line need to tell apart.
 """
 
+__all__ = ["EvomarketError", "FormatError", "FitError", "NumericError", "StepSizeError"]
+
 
 class EvomarketError(Exception):
     """Base class for package-specific failures."""

@@ -19,6 +19,15 @@ import numpy as np
 
 from ._validation import check_nonnegative, check_positive, check_unit_interval
 
+__all__ = [
+    "IncomeModel",
+    "MarketStructure",
+    "income_pdf",
+    "real_price",
+    "market_volume",
+    "market_volume_gradient",
+]
+
 
 @dataclass(frozen=True)
 class IncomeModel:

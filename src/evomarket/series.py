@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._validation import as_float_array
+from ._validation import read_only_copy
 from .errors import FormatError
 
 __all__ = ["SERIES_KINDS", "TimeSeries", "read_series_csv", "write_series_csv"]
@@ -28,15 +28,19 @@ _UNIT_KINDS = {"penetration", "share"}
 
 @dataclass(frozen=True)
 class TimeSeries:
-    """Strictly time-ordered observations of one market quantity."""
+    """Strictly time-ordered observations of one market quantity.
+
+    ``years`` and ``values`` are read-only float copies of the arrays
+    given, so no write by the caller can undo the checks made here.
+    """
 
     years: np.ndarray
     values: np.ndarray
     kind: str | None = None
 
     def __post_init__(self):
-        years = as_float_array(self.years, "years")
-        values = as_float_array(self.values, "values")
+        years = read_only_copy(self.years, "years")
+        values = read_only_copy(self.values, "values")
         if years.size != values.size:
             raise FormatError("years and values must have equal length")
         if years.size == 0:

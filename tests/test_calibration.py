@@ -943,6 +943,13 @@ class TestFitTwoWave:
         assert abs(report["medians"]["evolutionary_plateau"]) < 0.05
         assert report["unconverged"] == 0
 
+    def test_share_round_trip_reports_as_round_trip_does(self):
+        report = vhs_round_trip(n_seeds=3)
+        assert report.keys() == round_trip(BENCHMARKS["colour_tv"], n_seeds=1).keys()
+        assert report["good"] == "vcr_formats" and report["n_seeds"] == 3
+        assert report["unconverged"] == report["nfev_refined"] == 0
+        assert report["passed"] == {"advantage": abs(report["medians"]["advantage"]) <= 0.15}
+
     def test_round_trip_sums_nfev_refined_over_its_fits(self, monkeypatch):
         fits = []
         original = calibration.fit_two_wave

@@ -114,6 +114,17 @@ class TestBassOde:
         assert np.all(bass_penetration(curve.times, params) == 0.0)
         assert bass_penetration(2.5, params) == 0.0
 
+    @pytest.mark.parametrize("plateau", [0.6, 0.0])
+    def test_curve_arrays_are_read_only(self, plateau):
+        curve = bass_ode(BassParams(innovation=0.3, imitation=1.0, plateau=plateau), 5.0, 0.01)
+        before = [curve.times.copy(), curve.penetration.copy(), curve.rate.copy()]
+        for array in (curve.times, curve.penetration, curve.rate):
+            with pytest.raises(ValueError, match="read-only"):
+                array[-1] = 5.0
+        assert not np.shares_memory(curve.penetration, curve.rate)
+        for kept, array in zip(before, (curve.times, curve.penetration, curve.rate)):
+            assert np.array_equal(kept, array)
+
     def test_colour_tv_saturates_at_plateau(self):
         curve = bass_ode(COLOUR_TV, horizon=30.0, step=1e-2)
         assert curve.penetration[-1] == pytest.approx(0.01, abs=1e-5)
@@ -274,6 +285,18 @@ class TestGompertzFromPrice:
             times, GompertzParams(plateau=plateau, shape=shape, rate=decline.rate)
         )
         assert np.max(np.abs(curve.penetration - direct)) < 1e-12
+
+    def test_caller_writes_after_the_call_leave_the_curve_unchanged(self, market):
+        times = np.array([0.0, 1.0, 2.0])
+        prices = market.minimum_price + np.array([0.6, 0.4, 0.2])
+        curve = gompertz_from_price(times, prices, market, plateau=0.9)
+        assert curve.times is not times
+        before = [curve.times.copy(), curve.penetration.copy(), curve.rate.copy()]
+        times[0], prices[:] = 7.0, market.minimum_price
+        for kept, array in zip(before, (curve.times, curve.penetration, curve.rate)):
+            assert np.array_equal(kept, array)
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 5.0
 
     def test_price_below_floor_rejected(self, market):
         times = np.array([0.0, 1.0])

@@ -33,6 +33,20 @@ class TestTimeSeries:
         with pytest.raises(ValueError):
             TimeSeries(np.array([1950.0, 1951.0]), np.array([0.1, np.nan]))
 
+    def test_caller_writes_after_construction_leave_the_series_unchanged(self):
+        years, values = np.array([1.0, 2.0, 3.0]), np.array([0.1, 0.2, 0.3])
+        ts = TimeSeries(years, values, "penetration")
+        years[2], values[0] = 0.0, 5.0
+        assert ts.years.tolist() == [1.0, 2.0, 3.0]
+        assert ts.values.tolist() == [0.1, 0.2, 0.3]
+
+    @pytest.mark.parametrize("field", ["years", "values"])
+    def test_arrays_are_read_only(self, field):
+        ts = TimeSeries(np.array([1.0, 2.0]), np.array([0.1, 0.2]), "penetration")
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(ts, field)[0] = 5.0
+        assert ts.years.tolist() == [1.0, 2.0] and ts.values.tolist() == [0.1, 0.2]
+
 
 
 class TestReadSeriesCsv:
