@@ -7,13 +7,15 @@ from ``tests/test_properties.py`` without noise, each also with first
 purchases only, for 1,400 fits.  A fit misses when ``assert_same_fit``
 rejects it against the truth: any field of ``TWO_WAVE_FIELDS`` more than
 1e-6 relative off (a zero floor ratio, 1e-9 absolute).  Each fit is
-also refitted with merging off (``calibration._MERGE_FRACTION`` 0, every
-refined run to its end), and it differs when ``assert_same_fit`` rejects
-the one against the other.  Prints the misses, the unconverged fits, the
-refined and merged runs per fit, the refined residual evaluations per
-fit with merging on and off, the fits that differ, and each missed or
-differing draw as ``(draw, first purchases only)``.  The exit status is
-1 when a draw outside ``KNOWN_MISSES`` misses or any fit differs.
+also refitted with every screened start refined to its end: the stop at
+the rounding floor and merging both off (``calibration._ROUNDING_FLOOR``
+and ``calibration._MERGE_FRACTION`` 0), and it differs when
+``assert_same_fit`` rejects the one against the other.  Prints the
+misses, the unconverged fits, the refined and merged runs per fit, the
+refined residual evaluations per fit both ways, the fits that differ,
+and each missed or differing draw as ``(draw, first purchases only)``.
+The exit status is 1 when a draw outside ``KNOWN_MISSES`` misses or any
+fit differs.
 """
 
 from __future__ import annotations
@@ -53,19 +55,19 @@ def same_fit(result, expected):
 
 def scan():
     """Each fit's ``(draw, first purchases only, missed, differs,
-    provenance, provenance with merging off)``."""
+    provenance, provenance with every screened start refined to its end)``."""
     for draw, row in enumerate(fit_draws(np.random.default_rng(SEED), ROWS)):
         for only_first, truth in enumerate((row.good, first_purchases_only(row.good))):
             result = fit_draw(truth)
-            with mock.patch.object(calibration, "_MERGE_FRACTION", 0.0):
-                unmerged = fit_draw(truth)
+            with mock.patch.multiple(calibration, _MERGE_FRACTION=0.0, _ROUNDING_FLOOR=0.0):
+                full = fit_draw(truth)
             yield (
                 draw,
                 only_first,
                 not same_fit(result, truth),
-                not same_fit(result, unmerged),
+                not same_fit(result, full),
                 result.provenance,
-                unmerged.provenance,
+                full.provenance,
             )
 
 
@@ -77,22 +79,22 @@ def main():
         key: sum(p[key] for *_, p, _ in fits) / len(fits)
         for key in ("starts_refined", "starts_merged", "nfev_refined")
     }
-    unmerged_nfev = sum(p["nfev_refined"] for *_, p in fits) / len(fits)
+    full_nfev = sum(p["nfev_refined"] for *_, p in fits) / len(fits)
     print(f"fits: {len(fits)}")
     print(f"misses: {len(missed)}")
     print(f"unconverged: {sum(not p['converged'] for *_, p, _ in fits)}")
     print(f"refined runs per fit: {per_fit['starts_refined']:.2f}")
     print(f"merged runs per fit: {per_fit['starts_merged']:.2f}")
     print(f"refined evaluations per fit: {per_fit['nfev_refined']:.2f}")
-    print(f"refined evaluations per fit, merging off: {unmerged_nfev:.2f}")
-    print(f"fits that differ with merging off: {len(differ)}")
+    print(f"refined evaluations per fit, every screened start to its end: {full_nfev:.2f}")
+    print(f"fits that differ with every screened start refined to its end: {len(differ)}")
     print(f"missed draws: {missed}")
     print(f"differing draws: {differ}")
     new = sorted(set(missed) - KNOWN_MISSES)
     if new:
         print(f"new misses: {new}", file=sys.stderr)
     if differ:
-        print(f"merged fits that differ from the unmerged: {differ}", file=sys.stderr)
+        print(f"fits that differ from their full refine: {differ}", file=sys.stderr)
     return 1 if new or differ else 0
 
 

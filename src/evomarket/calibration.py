@@ -35,10 +35,12 @@ earlier converged run, at no lower cost, is stopped there as merged,
 since it has reached a basin already refined (the distance filter of
 multi-level single linkage, Rinnooy Kan & Timmer 1987, whose critical
 radius likewise shrinks as the starts sample the box more densely).
-The price fit and the
-two-wave fit divide their residuals by the observations, matching
-multiplicative noise, so the penetration and sales series weigh in on
-the same scale.  Only the logistic substitution fit
+The refine ends after a converged run whose residuals are at the
+rounding floor, as no later start can beat a cost of zero (the
+stopping rule of multistart search at a known optimum value, Boender
+& Rinnooy Kan 1987).  The price fit and the two-wave fit divide their
+residuals by the observations, matching multiplicative noise, so the
+penetration and sales series weigh in on the same scale.  Only the logistic substitution fit
 (:class:`FisherPryFit`) is a closed-form regression.
 
 The onset delay between introduction and the start of the price decline
@@ -117,6 +119,13 @@ _REFINE_STARTS = 4
 # merge only within the resolution the start lattice already has.  Zero
 # runs every start to its end.
 _MERGE_FRACTION = 0.5
+
+# The refine ends after a converged run whose weighted residuals all lie
+# below this many ``observed.size`` machine epsilons of the largest weighted
+# observation: that run reproduces the data to rounding, and since the cost
+# cannot go below zero no later start can do better.  Zero refines every
+# screened start.
+_ROUNDING_FLOOR = 1.0
 
 # Observations below this fraction of a series' maximum are weighted as
 # if they sat at it, so exact zeros (before an onset) keep a finite weight.
@@ -349,7 +358,13 @@ def _separable_lm(design, observed, weights, starts, log_lo, log_hi, upper=1.0):
     distance between two of them) to the end of an earlier run that
     converged, at a cost not below that run's final cost.  A run stopped
     on its evaluation limit or a tolerance too small to reach did not end
-    at a minimum, so it takes in no later run.
+    at a minimum, so it takes in no later run.  The refine ends after a
+    converged run whose weighted residuals all lie below the rounding
+    floor, ``_ROUNDING_FLOOR`` times ``observed.size`` machine epsilons of
+    the largest weighted observation: that run reproduces the data to
+    rounding, and as the cost cannot go below zero no later start can
+    do better, so ``starts_refined`` can read 1.  A run stopped on its
+    evaluation limit, or merged, never ends the refine.
 
     Returns the refined run of lowest cost that was not merged, ties
     going to the earliest, with ``log_params`` (clipped), ``design`` (the
@@ -429,12 +444,16 @@ def _separable_lm(design, observed, weights, starts, log_lo, log_hi, upper=1.0):
             for end, end_cost in ends
         )
 
+    floor = _ROUNDING_FLOOR * observed.size * np.finfo(float).eps
+    floor *= np.max(np.abs(weighted_observed))
     runs = []
     for index in screened[order[:_REFINE_STARTS]]:
         x0 = np.log(starts[index])
         runs.append(least_squares(weighted_residuals, x0, jac=jacobian, merged=merged))
         if runs[-1].success:
             ends.append((runs[-1].x, runs[-1].cost))
+            if np.max(np.abs(runs[-1].fun)) < floor:
+                break
     best = min((run for run in runs if not run.merged), key=lambda run: run.cost)
 
     best.log_params = np.clip(best.x, log_lo, log_hi)
@@ -548,13 +567,13 @@ def least_squares(fun, x0, jac, merged=None):
     evaluates; the run stops at the first point where it holds, and
     returns that point.  It does not change the iterates before.
 
-    Returns the end point ``x``, ``cost`` (half the squared norm of its
-    residuals), the residual and Jacobian evaluations ``nfev`` and
-    ``njev`` (None for a merged run), ``merged`` (whether ``merged``
-    stopped the run), MINPACK's return code ``status`` (None for a merged
-    run) and ``success``: whether a tolerance was met (codes 1 to 4)
-    rather than the evaluation limit (5) or a tolerance too small to
-    reach (6 to 8).
+    Returns the end point ``x``, its residuals ``fun`` (None for a merged
+    run), ``cost`` (half their squared norm), the residual and Jacobian
+    evaluations ``nfev`` and ``njev`` (None for a merged run), ``merged``
+    (whether ``merged`` stopped the run), MINPACK's return code
+    ``status`` (None for a merged run) and ``success``: whether a
+    tolerance was met (codes 1 to 4) rather than the evaluation limit (5)
+    or a tolerance too small to reach (6 to 8).
     """
     # leastsq evaluates x0 more than once before its first step, so a
     # stopped run counts its points, each repeat once
@@ -585,6 +604,7 @@ def least_squares(fun, x0, jac, merged=None):
         return OptimizeResult(
             x=stop.x,
             cost=stop.cost,
+            fun=None,
             nfev=nfev,
             njev=None,
             merged=True,
@@ -595,6 +615,7 @@ def least_squares(fun, x0, jac, merged=None):
     return OptimizeResult(
         x=x,
         cost=0.5 * np.dot(resid, resid),
+        fun=resid,
         nfev=info["nfev"],
         njev=info["njev"],
         merged=False,
@@ -825,8 +846,9 @@ def fit_two_wave(
       innovation, log imitation and log shape from the four starts of
       lowest cost, cheapest first, stopping a run that comes within
       half the lattice's smallest spacing (0.49 in every log-parameter,
-      half the imitation gap ln(4/1.5)) of the optimum of an earlier one
-      (see :func:`_separable_lm`);
+      half the imitation gap ln(4/1.5)) of the optimum of an earlier one,
+      and refining no further start once a converged run reproduces the
+      data to rounding (see :func:`_separable_lm`);
     * inside every residual evaluation the spreading and evolutionary
       plateaus are the weighted linear least-squares solution, bounded
       to [0, 1];
@@ -850,7 +872,8 @@ def fit_two_wave(
     below the weight floor by its second observation, so the decline
     rate is only a lower bound.  ``provenance["starts_screened"]`` counts
     the starts with finite residuals at the screen,
-    ``provenance["starts_refined"]`` the runs refined from them and
+    ``provenance["starts_refined"]`` the runs refined from them (1 when
+    the first run reproduces noiseless data to rounding) and
     ``provenance["starts_merged"]`` those of the runs stopped as merged.
 
     Raises

@@ -313,6 +313,8 @@ class TestSeparableLm:
             return runs[-1]
 
         monkeypatch.setattr(calibration, "least_squares", counting_least_squares)
+        # the decay is exact, so the first run would end the refine
+        monkeypatch.setattr(calibration, "_ROUNDING_FLOOR", 0.0)
         best = _separable_lm(
             design,
             observed,
@@ -404,6 +406,8 @@ class TestSeparableLm:
         )
 
     def test_a_second_start_in_the_first_runs_basin_is_merged(self, monkeypatch):
+        # the decay is exact, so the first run would end the refine
+        monkeypatch.setattr(calibration, "_ROUNDING_FLOOR", 0.0)
         starts = [(0.6,), (0.45,)]
         best, runs = recorded_lm_runs(monkeypatch, lambda: self.fit_decay(starts))
         first, second = (run for *_, run in runs)
@@ -418,6 +422,32 @@ class TestSeparableLm:
         assert second.nfev < unmerged_runs[1][3].nfev
         assert np.exp(best.log_params[0]) == pytest.approx(0.5, rel=1e-9)
         assert np.exp(unmerged.log_params[0]) == pytest.approx(0.5, rel=1e-9)
+
+    def test_an_exact_run_ends_the_refine(self, monkeypatch):
+        # both starts lead to the true rate; the first run reproduces the
+        # decay to rounding, so the second start is never refined
+        best, runs = recorded_lm_runs(monkeypatch, lambda: self.fit_decay([(0.6,), (0.45,)]))
+        assert len(runs) == best.starts_refined == 1
+        assert best.success and not best.merged
+        floor = 20 * np.finfo(float).eps
+        assert np.max(np.abs(best.fun)) < floor
+        assert np.exp(best.log_params[0]) == pytest.approx(0.5, rel=1e-12)
+
+    @pytest.mark.parametrize("status, refined", [(2, 1), (5, 2)])
+    def test_only_a_converged_exact_run_ends_the_refine(self, monkeypatch, status, refined):
+        # the first run ends at its start, the true rate, with residuals at
+        # rounding: it ends the refine when it converged (code 2), but not
+        # when it stopped on its evaluation limit (code 5)
+        best, runs = self.fit_decay_first_run_ending_at_its_start(
+            monkeypatch, [(0.6,), (0.5,)], status
+        )
+        exact = runs[0]
+        assert np.exp(exact.x[0]) == 0.5
+        assert np.max(np.abs(exact.fun)) < 20 * np.finfo(float).eps
+        assert exact.success is (status == 2)
+        assert len(runs) == best.starts_refined == refined
+        assert runs[-1].success
+        assert np.exp(best.log_params[0]) == pytest.approx(0.5, rel=1e-12)
 
     def test_the_merge_radius_is_half_the_smallest_gap_of_the_log_starts(self):
         # on the two-wave lattice the smallest gap is the imitation step ln(4/1.5)
@@ -766,6 +796,8 @@ class TestLeastSquares:
             self.assert_same_run(*run)
 
     def test_matches_scipy_on_the_sinusoid(self, monkeypatch):
+        # the wave is exact, so the run that reaches it would end the refine
+        monkeypatch.setattr(calibration, "_ROUNDING_FLOOR", 0.0)
         _, runs = recorded_lm_runs(
             monkeypatch, lambda: TestSeparableLm.fit_wave(TestSeparableLm.WAVE_STARTS)
         )
@@ -830,7 +862,9 @@ class TestFitTwoWave:
         )
         assert all(v >= 0 for v in result.sse.values())
 
-    def test_provenance_records_inputs(self):
+    def test_provenance_records_inputs(self, monkeypatch):
+        # noiseless, so the first run would end the refine
+        monkeypatch.setattr(calibration, "_ROUNDING_FLOOR", 0.0)
         good = BENCHMARKS["vcr"]
         price = synthesize("nominal_price", good)
         penetration = synthesize("penetration", good)

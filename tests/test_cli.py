@@ -7,7 +7,7 @@ import pytest
 
 from evomarket import calibration
 from evomarket.benchmarks import BENCHMARKS, ROUND_TRIP_GOODS, VCR_FORMAT_CONTEST
-from evomarket.calibration import FisherPryFit, TWO_WAVE_STARTS, _REFINE_STARTS, synthesize
+from evomarket.calibration import FisherPryFit, TWO_WAVE_STARTS, synthesize
 from evomarket.cli import (
     EXIT_FIT,
     EXIT_FORMAT,
@@ -344,7 +344,8 @@ sales_series = {data_dir}/sales.csv
         assert "njev: " in meta
         assert "price_rate_identified: True" in meta
         assert f"starts_screened: {len(TWO_WAVE_STARTS)}" in meta
-        assert f"starts_refined: {_REFINE_STARTS}" in meta
+        # noiseless, so the first run reproduces the data to rounding and ends the refine
+        assert "starts_refined: 1" in meta
         assert "nfev_refined: " in meta
         assert "nfev_refined" not in (out / "fit_table.csv").read_text(encoding="utf-8")
 
@@ -360,9 +361,11 @@ sales_series = {data_dir}/sales.csv
         svg = (out / "fit.svg").read_text(encoding="utf-8")
         assert svg.startswith("<svg") and "polyline" in svg
 
-    def test_fit_plot_flag_with_a_zero_fitted_plateau(self, tmp_path):
+    def test_fit_plot_flag_with_a_zero_fitted_plateau(self, tmp_path, monkeypatch):
         # a pure spreading wave: the fit puts the evolutionary plateau at
-        # its lower bound 0, where GompertzParams cannot hold it
+        # its lower bound 0, where GompertzParams cannot hold it; with every
+        # screened start refined, since the first exact run ends at 6.4e-17
+        monkeypatch.setattr(calibration, "_ROUNDING_FLOOR", 0.0)
         vcr = BENCHMARKS["vcr"]
         data = tmp_path / "data"
         data.mkdir()
