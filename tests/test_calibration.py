@@ -429,8 +429,7 @@ class TestSeparableLm:
         best, runs = recorded_lm_runs(monkeypatch, lambda: self.fit_decay([(0.6,), (0.45,)]))
         assert len(runs) == best.starts_refined == 1
         assert best.success and not best.merged
-        floor = 20 * np.finfo(float).eps
-        assert np.max(np.abs(best.fun)) < floor
+        assert np.max(np.abs(best.fun)) < 20 * np.finfo(float).eps
         assert np.exp(best.log_params[0]) == pytest.approx(0.5, rel=1e-12)
 
     @pytest.mark.parametrize("status, refined", [(2, 1), (5, 2)])

@@ -523,9 +523,7 @@ def test_batched_screen_refines_the_starts_of_the_per_start_screen(good, noise, 
         searches[-1][2].append(args[1])
         return refine(*args, **kwargs)
 
-    with mock.patch.object(calibration, "_separable_lm", searching), mock.patch.object(
-        calibration, "least_squares", refining
-    ):
+    with mock.patch.multiple(calibration, _separable_lm=searching, least_squares=refining):
         fit_draw(good, noise, seed)
     for (design, *problem), kwargs, refined in searches:
         observed, weights, starts, log_lo, log_hi = problem
