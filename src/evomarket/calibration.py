@@ -55,16 +55,15 @@ attributes that carry a trailing underscore.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import OptimizeResult, leastsq
 
 from ._validation import as_float_array, check_nonnegative, check_positive
 from .benchmarks import VCR_FORMAT_CONTEST, GoodParams, wave_params
 from .diffusion import PriceDecline, _bass_jets, _gompertz_jets, mean_price
 # not called here, but kept: the benchmark's tracer wraps these module attributes
-from scipy.optimize import lsq_linear
 from .diffusion import bass_penetration, bass_rate, gompertz_penetration, gompertz_rate
 from .errors import FitError, FormatError
 from .evodyn import fisher_pry_share
@@ -126,6 +125,10 @@ _MERGE_FRACTION = 0.5
 # cannot go below zero no later start can do better.  Zero refines every
 # screened start.
 _ROUNDING_FLOOR = 1.0
+
+# Machine epsilon, the unit of the plateau solve's rank test and of the
+# rounding floor.
+_EPS = np.finfo(float).eps
 
 # Observations below this fraction of a series' maximum are weighted as
 # if they sat at it, so exact zeros (before an onset) keep a finite weight.
@@ -208,6 +211,8 @@ class PriceDeclineFit:
         Whether the winning Levenberg–Marquardt run met its tolerances.
     nfev_ : int
         Residual evaluations of the winning run.
+    edge_solves_ : int
+        Points of the refine whose amplitude or floor lies on its bound.
     rate_identified_ : bool
         False when ``exp(-rate * (t1 - t0))``, over the first two
         observations after the onset, is below ``_WEIGHT_FLOOR``: the
@@ -281,6 +286,7 @@ class PriceDeclineFit:
         self.sse_ = float((resid**2).sum())
         self.converged_ = bool(best.success)
         self.nfev_ = int(best.nfev)
+        self.edge_solves_ = best.edge_solves
         # once the model falls below the weight floor between the first two
         # observations, the residuals hardly depend on the rate: it is only
         # bounded from below
@@ -380,32 +386,24 @@ def _separable_lm(design, observed, weights, starts, log_lo, log_hi, upper=1.0):
         When no start yields finite residuals.
     """
     weighted_observed = weights * observed
-    infeasible = np.full(observed.size, np.inf)
+    edge_solves = 0
 
-    def plateaus(weighted_design: np.ndarray) -> np.ndarray:
-        coef = np.linalg.lstsq(weighted_design, weighted_observed, rcond=None)[0]
-        if np.any((coef < 0) | (coef > upper)):
-            (coef,), _ = _bounded_two_column(weighted_design[None], weighted_observed, upper)
-        return coef
-
-    last = None  # [log_params, columns, derivatives, plateaus, residuals, jacobian]
+    last = None  # [log_params, columns, derivatives, plateaus, residuals, basis, jacobian]
 
     def solve(log_params):
-        """Columns, derivatives, plateaus, residuals and Jacobian at one point.
+        """Columns, derivatives, plateaus, residuals, basis and Jacobian at one point.
 
         The last point is kept, so the Jacobian reuses the plateau solve of
         the residuals there, and is computed once however often it is asked.
         """
-        nonlocal last
+        nonlocal last, edge_solves
         if last is None or not np.array_equal(last[0], log_params):
             columns, derivatives = design(np.clip(log_params, log_lo, log_hi))
-            weighted = weights[:, None] * columns
-            if np.all(np.isfinite(weighted)):
-                coef = plateaus(weighted)
-                resid = weighted_observed - weighted @ coef
-            else:
-                coef, resid = None, infeasible
-            last = [log_params.copy(), columns, derivatives, coef, resid, None]
+            coef, resid, basis = _solve_plateaus(
+                weights[:, None] * columns, weighted_observed, upper
+            )
+            edge_solves += coef is not None and len(basis) < coef.size
+            last = [log_params.copy(), columns, derivatives, coef, resid, basis, None]
         return last
 
     def weighted_residuals(log_params) -> np.ndarray:
@@ -413,21 +411,28 @@ def _separable_lm(design, observed, weights, starts, log_lo, log_hi, upper=1.0):
 
     def jacobian(log_params) -> np.ndarray:
         point = solve(log_params)
-        if point[5] is None:
-            _, columns, derivatives, coef, *_ = point
+        if point[6] is None:
+            _, _, derivatives, coef, _, basis, _ = point
             slope = weights[:, None] * (coef @ derivatives)
-            free = (coef > 0) & (coef < upper)
-            if np.any(free):
-                basis = weights[:, None] * columns[:, free]
-                slope -= basis @ np.linalg.lstsq(basis, slope, rcond=None)[0]
+            slope -= basis.T @ (basis @ slope)
             slope[:, (log_params < log_lo) | (log_params > log_hi)] = 0.0
-            point[5] = -slope
-        return point[5]
+            point[6] = -slope
+        return point[6]
 
-    # screen: every start in one design call and one batched plateau solve
     points = np.asarray(starts, dtype=float)
-    columns, _ = design(np.clip(np.log(points), log_lo, log_hi))
-    _, cost = _bounded_two_column(weights[:, None] * columns, weighted_observed, upper)
+    if len(points) > 1:
+        # screen: every start's columns from one design call, each start's
+        # plateaus from its own solve
+        columns, _ = design(np.clip(np.log(points), log_lo, log_hi))
+        resids = [
+            _solve_plateaus(weights[:, None] * rows, weighted_observed, upper)[1]
+            for rows in columns
+        ]
+    else:
+        # one start has no rank to screen for: its run's first evaluation,
+        # which the point cache hands to Levenberg–Marquardt, checks it
+        resids = [solve(np.log(points[0]))[4]]
+    cost = np.array([np.dot(resid, resid) for resid in resids])
     screened = np.flatnonzero(np.isfinite(cost))
     if not screened.size:
         raise FitError("no start gave finite residuals")
@@ -444,7 +449,7 @@ def _separable_lm(design, observed, weights, starts, log_lo, log_hi, upper=1.0):
             for end, end_cost in ends
         )
 
-    floor = _ROUNDING_FLOOR * observed.size * np.finfo(float).eps
+    floor = _ROUNDING_FLOOR * observed.size * _EPS
     floor *= np.max(np.abs(weighted_observed))
     runs = []
     for index in screened[order[:_REFINE_STARTS]]:
@@ -462,6 +467,7 @@ def _separable_lm(design, observed, weights, starts, log_lo, log_hi, upper=1.0):
     best.starts_refined = len(runs)
     best.starts_merged = sum(run.merged for run in runs)
     best.nfev_refined = sum(run.nfev for run in runs)
+    best.edge_solves = edge_solves
     return best
 
 
@@ -479,69 +485,82 @@ def _merge_radius(log_starts):
     return _MERGE_FRACTION * np.min(gaps[np.triu_indices(len(log_starts), 1)])
 
 
-def _bounded_two_column(columns, observed, upper):
-    """Bounded linear least squares of a batch of one- or two-column problems.
+def _solve_plateaus(columns, observed, upper):
+    """Bounded linear least squares of one problem of one or two columns.
 
-    ``columns`` is ``(k, n, c)``, k problems of ``n`` rows and ``c`` of
-    1 or 2 columns that share ``observed`` (``n`` values); each
-    coefficient lies in ``[0, upper]``, with ``upper`` one bound or one
-    per column, possibly infinite.  A single column is solved as two,
-    the second zero.  The solve is exact, as BVLS is on two variables:
-    it keeps the unbounded solution, from a QR factorization and back
-    substitution, when that lies in the box and the ratio of ``R``'s
-    singular values exceeds ``max(n, 2)`` machine epsilons (``lstsq``'s
-    default rank cutoff); otherwise the optimum lies on the box's
-    boundary, and the cheapest of its at most four edges wins, each
-    edge one coefficient at a finite bound and the other the clipped
-    one-column solution.
+    ``columns`` is ``(n, c)``, ``n`` rows and ``c`` of 1 or 2 columns,
+    fitted to ``observed``; each coefficient lies in ``[0, upper]``, with
+    ``upper`` one bound or one per column, possibly infinite.  A single
+    column is solved as two, the second zero.  Modified Gram–Schmidt
+    factors the columns with ``observed`` as the augmented column, a
+    stable least-squares solve (Björck, *Numerical Methods for Least
+    Squares Problems*, 1996, §2.4), which gives the unbounded solution
+    and its residual.  That solution is kept when it lies in the box and
+    ``|r00 * r11|`` exceeds ``max(n, 2)`` machine epsilons of ``R``'s
+    squared Frobenius norm (``lstsq``'s default rank cutoff); otherwise
+    the optimum lies on the box's boundary, and the cheapest of its at
+    most four edges wins, ties going to the first, each edge one
+    coefficient at a finite bound and the other the clipped one-column
+    solution.  The solve is exact, as BVLS is on two variables.
 
-    Each problem's sums run along its own rows, so its result does not
-    depend on the others in the batch.  Returns ``(coefficients,
-    cost)``: ``(k, c)`` and the residual sums of squares ``(k,)``, where
-    a problem whose columns or cost are not finite gets cost ``inf``.
+    Returns ``(coef, resid, basis)``: the ``(c,)`` coefficients, the
+    residuals ``observed - columns @ coef``, and orthonormal rows
+    ``(k, n)`` spanning the ``k`` columns whose coefficient lies
+    strictly inside its bounds: the Gram–Schmidt basis when both do, the
+    one such column normalized, or none.  Columns that are not all
+    finite give ``(None, inf residuals, None)``.
     """
-    k, n, c = columns.shape
-    finite = np.all(np.isfinite(columns), axis=(1, 2))
-    a = np.zeros((k, 2, n))
-    a[:, :c] = np.swapaxes(columns, 1, 2)
-    a[~finite] = 0.0
+    n, c = columns.shape
+    if not np.isfinite(columns).all():
+        return None, np.full(n, np.inf), None
+    a = np.zeros((2, n))
+    a[:c] = columns.T
     hi = np.zeros(2)
     hi[:c] = upper
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        q, r = np.linalg.qr(np.swapaxes(a, 1, 2))
-        qty = np.add.reduce(np.ascontiguousarray(np.swapaxes(q, 1, 2)) * observed, axis=-1)
-        r00, r01, r11 = r[:, 0, 0], r[:, 0, 1], r[:, 1, 1]
-        interior = np.empty((k, 2))
-        interior[:, 1] = qty[:, 1] / r11
-        interior[:, 0] = (qty[:, 0] - r01 * interior[:, 1]) / r00
-        well = np.abs(r00 * r11) > max(n, 2) * np.finfo(float).eps * (
-            r00 * r00 + r01 * r01 + r11 * r11
-        )
-        inside = well & np.all((interior >= 0) & (interior <= hi), axis=1)
+    hi = hi.tolist()
+    s00 = float(np.dot(a[0], a[0]))
+    if s00 > 0.0:
+        # modified Gram–Schmidt on [a0 | a1 | observed]
+        r00 = math.sqrt(s00)
+        q0 = a[0] / r00
+        r01 = float(np.dot(q0, a[1]))
+        v = a[1] - r01 * q0
+        r11 = math.sqrt(float(np.dot(v, v)))
+        if r00 * r11 > max(n, 2) * _EPS * (s00 + r01 * r01 + r11 * r11):
+            z0 = float(np.dot(q0, observed))
+            rest = observed - z0 * q0
+            q1 = v / r11
+            z1 = float(np.dot(q1, rest))
+            c1 = z1 / r11
+            c0 = (z0 - r01 * c1) / r00
+            # an interior solution on a bound is also the solution of an edge
+            if 0.0 < c0 < hi[0] and 0.0 < c1 < hi[1]:
+                return np.array([c0, c1]), rest - z1 * q1, np.array([q0, q1])
 
-        # the edges: one coefficient at a bound, the other solved and clipped
-        aty = np.add.reduce(a * observed, axis=-1)
-        gram = np.add.reduce(a[:, :, None] * a[:, None, :], axis=-1)
-        candidates = [interior]
-        for fixed, free in ((0, 1), (1, 0)):
-            norm = gram[:, free, free]
-            for bound in (0.0, hi[fixed]):
-                if bound == np.inf:  # no edge at an infinite bound
-                    continue
-                edge = np.empty((k, 2))
-                edge[:, fixed] = bound
-                solved = (aty[:, free] - bound * gram[:, fixed, free]) / norm
-                edge[:, free] = np.where(norm > 0, np.clip(solved, 0.0, hi[free]), 0.0)
-                candidates.append(edge)
-        coef = np.stack(candidates)
-        resid = observed - coef[..., :1] * a[:, 0] - coef[..., 1:] * a[:, 1]
-        cost = np.add.reduce(resid * resid, axis=-1)
-    # the interior where it lies in the box, else the cheapest edge, ties to the first
-    pick = np.where(inside, 0, 1 + np.argmin(cost[1:], axis=0))
-    rows = np.arange(k)
-    coef, cost = coef[pick, rows], cost[pick, rows]
-    cost[~(finite & np.isfinite(cost))] = np.inf
-    return coef[:, :c], cost
+    # the edges: one coefficient at a bound, the other solved and clipped
+    aty, gram = a @ observed, a @ a.T
+    edges, frees = [], []
+    for fixed, free in ((0, 1), (1, 0)):
+        norm = gram[free, free]
+        for bound in (0.0, hi[fixed]):
+            if bound == np.inf:  # no edge at an infinite bound
+                continue
+            edge = [0.0, 0.0]
+            edge[fixed] = bound
+            if norm > 0.0:
+                solved = (aty[free] - bound * gram[fixed, free]) / norm
+                edge[free] = min(max(solved, 0.0), hi[free])
+            edges.append(edge)
+            frees.append(free)
+    edges = np.array(edges)
+    resids = observed - edges @ a
+    pick = np.argmin(np.einsum("ij,ij->i", resids, resids))
+    coef, free = edges[pick], frees[pick]
+    if 0.0 < coef[free] < hi[free]:
+        basis = a[free : free + 1] / math.sqrt(gram[free, free])
+    else:
+        basis = np.empty((0, n))
+    return coef[:c], resids[pick], basis
 
 
 class _Merged(Exception):
@@ -550,6 +569,35 @@ class _Merged(Exception):
     def __init__(self, x, cost):
         super().__init__()
         self.x, self.cost = x, cost
+
+
+class OptimizeResult(dict):
+    """A run's result: a dict whose keys read and set as attributes, like
+    scipy's ``OptimizeResult``, without importing scipy."""
+
+    def __getattr__(self, name):
+        try:
+            return self[name]
+        except KeyError:
+            raise AttributeError(name) from None
+
+    __setattr__ = dict.__setitem__
+
+
+def leastsq(*args, **kwargs):
+    """``scipy.optimize.leastsq``, imported at the first call, so that
+    importing evomarket leaves the optimizer unloaded."""
+    from scipy.optimize import leastsq
+
+    return leastsq(*args, **kwargs)
+
+
+def lsq_linear(*args, **kwargs):
+    """``scipy.optimize.lsq_linear``, imported at the first call.  Not
+    called here, but kept: the benchmark's tracer wraps this attribute."""
+    from scipy.optimize import lsq_linear
+
+    return lsq_linear(*args, **kwargs)
 
 
 def least_squares(fun, x0, jac, merged=None):
@@ -965,6 +1013,8 @@ def fit_two_wave(
             "starts_screened": best.starts_screened,
             "starts_refined": best.starts_refined,
             "starts_merged": best.starts_merged,
+            "edge_solves": best.edge_solves,
+            "price_edge_solves": price_fit.edge_solves_,
             "price_converged": price_fit.converged_,
             "price_rate_identified": price_fit.rate_identified_,
             "analyst_warnings": warnings,

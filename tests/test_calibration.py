@@ -634,25 +634,64 @@ def bounded_problems(rng):
 BOUNDED_PROBLEMS = bounded_problems(np.random.default_rng(2029))
 
 
-class TestBoundedTwoColumn:
-    """``calibration._bounded_two_column`` against scipy's BVLS."""
+def lstsq_projection(columns, slope):
+    """``slope`` with the span of ``columns`` projected out by ``lstsq``."""
+    if not columns.shape[1]:
+        return slope
+    return slope - columns @ np.linalg.lstsq(columns, slope, rcond=None)[0]
 
-    @staticmethod
-    def solve(columns, observed, upper):
-        coef, cost = calibration._bounded_two_column(columns[None], observed, upper)
-        return coef[0], cost[0]
+
+def recorded_solves(monkeypatch, fit):
+    """Run ``fit()``; return every plateau solve of its refine (its
+    Levenberg–Marquardt runs, not the screen) as ``(columns, observed,
+    upper, coef, resid, basis)``."""
+    calls, refining = [], []
+    solve, least_squares = calibration._solve_plateaus, calibration.least_squares
+
+    def recording_solve(columns, observed, upper):
+        result = solve(columns, observed, upper)
+        if refining:
+            # leastsq works in the residual array of a run's first evaluation
+            copies = (None if x is None else x.copy() for x in result)
+            calls.append((columns, observed, upper, *copies))
+        return result
+
+    def refining_least_squares(*args, **kwargs):
+        refining.append(True)
+        try:
+            return least_squares(*args, **kwargs)
+        finally:
+            refining.pop()
+
+    with monkeypatch.context() as patch:
+        patch.setattr(calibration, "_solve_plateaus", recording_solve)
+        patch.setattr(calibration, "least_squares", refining_least_squares)
+        fit()
+    return calls
+
+
+class TestSolvePlateaus:
+    """``calibration._solve_plateaus`` against scipy's BVLS."""
 
     @pytest.mark.parametrize(
         "columns, observed, upper",
         [pytest.param(*problem[1:], id=problem[0]) for problem in BOUNDED_PROBLEMS],
     )
     def test_cost_is_bvls_cost(self, columns, observed, upper):
-        coef, cost = self.solve(columns, observed, upper)
+        coef, resid, basis = calibration._solve_plateaus(columns, observed, upper)
         assert np.all((coef >= 0.0) & (coef <= upper))
-        resid = observed - columns @ coef
-        assert cost == pytest.approx(float(resid @ resid), rel=1e-12)
+        scale = np.abs(observed).max() + np.abs(columns).max()
+        np.testing.assert_allclose(resid, observed - columns @ coef, rtol=0, atol=1e-12 * scale)
+        cost = float(resid @ resid)
         expected = bvls_cost(columns, observed, upper)
         assert abs(cost - expected) <= 1e-12 * expected + 1e-14 * (observed @ observed)
+        # the basis spans the columns whose coefficient is strictly inside its bounds
+        free = (coef > 0.0) & (coef < upper)
+        assert basis.shape == (free.sum(), observed.size)
+        np.testing.assert_allclose(
+            np.abs(basis.T @ (basis @ columns[:, free])), np.abs(columns[:, free]),
+            rtol=0, atol=1e-9 * scale,
+        )
 
     def test_problems_cover_the_interior_every_edge_and_every_corner(self):
         places = set()
@@ -673,74 +712,82 @@ class TestBoundedTwoColumn:
         for scale in (-1.0, 0.4, 3.0):
             column = rng.random(20)
             observed = scale * column + 0.05 * rng.standard_normal(20)
-            coef, cost = self.solve(column[:, None], observed, upper)
+            coef, resid, _ = calibration._solve_plateaus(column[:, None], observed, upper)
             assert coef.shape == (1,)
             expected = bvls_cost(column[:, None], observed, upper)
+            cost = float(resid @ resid)
             assert cost == pytest.approx(expected, rel=1e-12, abs=1e-14 * (observed @ observed))
 
-    def test_non_finite_columns_are_dropped_and_each_row_is_solved_alone(self):
+    @pytest.mark.parametrize("row, value", [(7, np.nan), (0, np.inf), (29, -np.inf)])
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_non_finite_columns_have_infinite_residuals(self, row, value, column):
         rng = np.random.default_rng(11)
-        observed = rng.random(30)
-        batch = rng.standard_normal((25, 30, 2)) * rng.choice([1e-3, 1.0, 1e3], (25, 1, 2))
-        batch[3, 7, 0] = np.nan
-        batch[8, 0, 1] = np.inf
-        batch[9, 29, 0] = -np.inf
-        coef, cost = calibration._bounded_two_column(batch, observed, 1.0)
-        dropped = np.zeros(25, dtype=bool)
-        dropped[[3, 8, 9]] = True
-        assert np.all(np.isinf(cost[dropped]))
-        assert np.all(np.isfinite(cost[~dropped]))
-        for row in range(25):
-            alone_coef, alone_cost = self.solve(batch[row], observed, 1.0)
-            assert alone_cost.tobytes() == cost[row].tobytes()
-            if not dropped[row]:
-                assert alone_coef.tobytes() == coef[row].tobytes()
-                expected = bvls_cost(batch[row], observed, 1.0)
-                assert abs(cost[row] - expected) <= 1e-12 * expected + 1e-14 * (observed @ observed)
+        columns = rng.standard_normal((30, 2))
+        columns[row, column] = value
+        coef, resid, basis = calibration._solve_plateaus(columns, rng.random(30), 1.0)
+        assert coef is None and basis is None
+        assert resid.shape == (30,) and np.all(resid == np.inf)
 
     def test_no_runtime_warnings(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for _, columns, observed, upper in BOUNDED_PROBLEMS:
-                self.solve(columns, observed, upper)
-            calibration._bounded_two_column(np.full((2, 5, 2), np.nan), np.ones(5), 1.0)
+                calibration._solve_plateaus(columns, observed, upper)
+            calibration._solve_plateaus(np.full((5, 2), np.nan), np.ones(5), 1.0)
 
-    def test_refine_falls_back_to_it_on_the_fits_own_problems(self, monkeypatch):
-        # the refine solves a point's plateaus here only when lstsq's solution
-        # leaves the box; record those one-problem calls, not the screen's
-        calls, refining = [], []
-        solve, least_squares = calibration._bounded_two_column, calibration.least_squares
+    def test_is_bvls_at_every_point_of_the_refine(self, monkeypatch):
+        def fits():
+            for name in ("bw_tv", "colour_tv"):
+                fit_two_wave(*noisy_draw(name))
+            PriceDeclineFit().fit(price_series(0.103, 0.0, noise=0.02, seed=2))
+
+        calls = recorded_solves(monkeypatch, fits)
+        # both problems: the two-wave plateaus in [0, 1], the price's in [0, inf) x [0, 1]
+        assert {np.ndim(upper) for _, _, upper, *_ in calls} == {0, 1}
+        edges = 0
+        for columns, observed, upper, coef, resid, basis in calls:
+            expected = bvls_cost(columns, observed, upper)
+            assert float(resid @ resid) == pytest.approx(expected, rel=1e-12)
+            edges += len(basis) < coef.size
+        assert edges > 0
+
+    @pytest.mark.parametrize("fit, free", [
+        (lambda: fit_two_wave(*noisy_draw("colour_tv")), 2),
+        (lambda: PriceDeclineFit().fit(price_series(0.103, 0.0, noise=0.02, seed=2)), 1),
+    ], ids=["colour_tv", "price"])
+    def test_basis_projects_as_lstsq_does(self, monkeypatch, fit, free):
+        # at the refine's points, projecting a slope with the returned basis
+        # matches projecting the free columns out by lstsq
+        calls = recorded_solves(monkeypatch, fit)
+        rng = np.random.default_rng(5)
+        assert any(len(basis) == free for *_, basis in calls)
+        for columns, _, upper, coef, _, basis in calls:
+            inside = (coef > 0.0) & (coef < upper)
+            slope = rng.standard_normal((columns.shape[0], 3)) * np.abs(columns).max()
+            expected = lstsq_projection(columns[:, inside], slope)
+            projected = slope - basis.T @ (basis @ slope)
+            assert np.abs(projected - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+    @pytest.mark.parametrize("name", ["colour_tv", "fax"])
+    def test_provenance_counts_the_refine_points_on_an_edge(self, monkeypatch, name):
+        # (price problem, plateaus on an edge) of every solve, screen included
+        calls = []
+        solve = calibration._solve_plateaus
 
         def recording_solve(columns, observed, upper):
-            coef, cost = solve(columns, observed, upper)
-            if refining:
-                calls.append((columns[0], observed, upper, coef[0], cost[0]))
-            return coef, cost
+            coef, resid, basis = solve(columns, observed, upper)
+            calls.append((np.ndim(upper) == 1, len(basis) < coef.size))
+            return coef, resid, basis
 
-        def refining_least_squares(*args, **kwargs):
-            refining.append(True)
-            try:
-                return least_squares(*args, **kwargs)
-            finally:
-                refining.pop()
-
-        monkeypatch.setattr(calibration, "_bounded_two_column", recording_solve)
-        monkeypatch.setattr(calibration, "least_squares", refining_least_squares)
-        for name in ("bw_tv", "colour_tv"):
-            fit_two_wave(*noisy_draw(name))
-        PriceDeclineFit().fit(price_series(0.103, 0.0, noise=0.02, seed=2))
-
-        # both problems: the two-wave plateaus in [0, 1], the price's in [0, inf) x [0, 1]
-        assert {np.ndim(upper) for *_, upper, _, _ in calls} == {0, 1}
-        for columns, observed, upper, coef, cost in calls:
-            assert cost == pytest.approx(bvls_cost(columns, observed, upper), rel=1e-12)
-            x = scipy.optimize.lsq_linear(columns, observed, bounds=(0.0, upper), method="bvls").x
-            bounds = np.broadcast_to(upper, coef.shape)
-            held = (x == 0.0) | (x == bounds)
-            assert np.any(held)
-            assert np.all(coef[held] == x[held])
-            # so Kaufman's projection treats the held coefficient as fixed
-            assert not np.all((coef > 0) & (coef < upper))
+        monkeypatch.setattr(calibration, "_solve_plateaus", recording_solve)
+        result = fit_two_wave(*noisy_draw(name))
+        # the price fit has one start and no screen; the two-wave screen solves each start
+        price = [edge for is_price, edge in calls if is_price]
+        two_wave = [edge for is_price, edge in calls if not is_price][len(TWO_WAVE_STARTS) :]
+        assert result.provenance["price_edge_solves"] == sum(price)
+        assert result.provenance["edge_solves"] == sum(two_wave)
+        assert result.provenance["edge_solves"] > 0
 
 
 class TestLeastSquares:

@@ -347,7 +347,9 @@ sales_series = {data_dir}/sales.csv
         # noiseless, so the first run reproduces the data to rounding and ends the refine
         assert "starts_refined: 1" in meta
         assert "nfev_refined: " in meta
-        assert "nfev_refined" not in (out / "fit_table.csv").read_text(encoding="utf-8")
+        assert "edge_solves: " in meta and "price_edge_solves: " in meta
+        table_text = (out / "fit_table.csv").read_text(encoding="utf-8")
+        assert "nfev_refined" not in table_text and "edge_solves" not in table_text
 
     def test_fit_plot_flag_writes_svg(self, tmp_path):
         data = tmp_path / "data"
@@ -654,6 +656,7 @@ class TestReplicate:
         assert (out_a / "replicate_matrix.csv").read_bytes() == (
             out_b / "replicate_matrix.csv"
         ).read_bytes()
+        assert b"edge_solves" not in (out_a / "replicate_matrix.csv").read_bytes()
 
     def test_missed_tolerance_exits_with_fit_code(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setitem(calibration.ROUND_TRIP_TOLERANCES, "shape", 0.0)

@@ -434,16 +434,26 @@ class TestReproductionParamSim:
         assert result.short_window < self.params.amortization
 
 
-def test_import_leaves_scipy_signal_and_stats_out():
+def loaded_by_import(modules):
+    """Those of ``modules`` that a fresh ``import evomarket`` loads."""
     source = str(Path(evomarket.__file__).parents[1])
     probe = (
         f"import sys; sys.path.insert(0, {source!r}); import evomarket; "
-        "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))"
+        f"print(sorted(m for m in {tuple(modules)!r} if m in sys.modules))"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_import_leaves_scipy_signal_and_stats_out():
+    assert loaded_by_import(["scipy.signal", "scipy.stats"]) == "[]"
+
+
+def test_import_leaves_the_optimizer_unloaded():
+    # calibration imports scipy.optimize only when a fit runs
+    assert loaded_by_import(["scipy.optimize"]) == "[]"
 
 
 class TestKsStatistic:
