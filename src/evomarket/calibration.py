@@ -17,17 +17,19 @@ price, and the plateaus of both waves, enter their models linearly, so
 only the decline rate, the innovation rate, the imitation rate and the
 shape constant are searched nonlinearly (separable least squares, Golub
 & Pereyra 1973): Levenberg–Marquardt over their logs, with the linear
-coefficients solved inside every residual evaluation by bounded linear
-least squares: ``lstsq``, or one exact two-column solve where that leaves
-the bounds.  Levenberg–Marquardt is MINPACK's ``lmder`` (Moré 1978)
-called through ``scipy.optimize.leastsq``, with the steps scaled by the
-Jacobian's column norms and an explicit limit of ``100 * n`` residual
-evaluations for ``n`` searched parameters.  It gets Kaufman's analytic
-variable-projection Jacobian, built from the derivatives of the model
-columns that ``diffusion``'s kernels compute beside the columns, so no
-finite differences are taken.  The search screens a fixed start lattice
-in one batched evaluation, every start's model columns from one call
-and their bounded plateaus and costs from the same two-column solve,
+coefficients solved inside every residual evaluation by one exact
+bounded two-column solve, a modified Gram–Schmidt factorization of the
+weighted columns and the data that gives the plateaus, the residuals and
+the orthonormal basis the Jacobian projects with.  Levenberg–Marquardt
+is MINPACK's ``lmder`` (Moré 1978) called through
+``scipy.optimize.leastsq``, which is imported only when a fit runs, with
+the steps scaled by the Jacobian's column norms and an explicit limit of
+``100 * n`` residual evaluations for ``n`` searched parameters.  It gets
+Kaufman's analytic variable-projection Jacobian, built from the
+derivatives of the model columns that ``diffusion``'s kernels compute
+beside the columns, so no finite differences are taken.  The search
+screens a fixed start lattice, every start's model columns from one
+call and each start's bounded plateaus and cost from the same solve,
 then refines only the four best starts (the stage-1 filter of
 multistart scatter search, Ugray et al. 2007), cheapest first.  A run
 that comes within half the lattice's smallest spacing of the end of an
@@ -332,9 +334,8 @@ def _separable_lm(design, observed, weights, starts, log_lo, log_hi, upper=1.0):
     returns both arrays with a leading axis of ``k``, each row with the
     bits of its own one-point call.  At every point the plateaus are the
     weighted linear least-squares solution, bounded to ``[0, upper]``
-    (``upper`` is one bound or one per column) through
-    :func:`_bounded_two_column` when ``lstsq``'s solution leaves the box.
-    Residuals are ``weights * (observed - model)``.
+    (``upper`` is one bound or one per column), from one
+    :func:`_solve_plateaus`.  Residuals are ``weights * (observed - model)``.
 
     Each Levenberg–Marquardt run is MINPACK's ``lmder`` called through
     ``scipy.optimize.leastsq`` by :func:`least_squares`, with
@@ -344,17 +345,20 @@ def _separable_lm(design, observed, weights, starts, log_lo, log_hi, upper=1.0):
     Pereyra, Inverse Problems 19, 2003) ``J = -P W (dA/dtheta . c)``:
     the weighted derivative of the model at fixed plateaus ``c``, with
     ``P`` projecting out the weighted columns whose plateau lies
-    strictly inside its bounds.  Coordinates outside ``[log_lo, log_hi]``
+    strictly inside its bounds, through the orthonormal basis the
+    plateau solve returns.  Coordinates outside ``[log_lo, log_hi]``
     get zero columns, since clipping freezes them.  ``J.T @ r`` is the
     exact gradient of the cost, so the stationary points are those of
     the cost itself.  The residuals and the Jacobian at one point share
-    one plateau solve.
+    one plateau solve, and the Jacobian calls no solver.
 
     The search runs in two stages.  The screen evaluates every start
     (given on the natural scale) in one batched ``design`` call, solves
-    every start's bounded plateaus and cost at once with
-    :func:`_bounded_two_column`, and drops the starts whose weighted
-    columns or cost are not finite.  The refinement ranks the rest by
+    each start's bounded plateaus and cost with :func:`_solve_plateaus`,
+    and drops the starts whose weighted columns or cost are not finite.
+    A single start is not screened: its run's first evaluation, which
+    the point cache hands to Levenberg–Marquardt, is its feasibility
+    check.  The refinement ranks the rest by
     cost, ties going to the smaller coordinates (so the order of
     ``starts`` does not matter), and runs Levenberg–Marquardt only from
     the ``_REFINE_STARTS`` best of them, cheapest first, each from its
@@ -376,9 +380,10 @@ def _separable_lm(design, observed, weights, starts, log_lo, log_hi, upper=1.0):
     going to the earliest, with ``log_params`` (clipped), ``design`` (the
     unweighted columns there), ``plateaus``, ``starts_screened`` (the
     starts with finite residuals), ``starts_refined``, ``starts_merged``
-    (the refined runs stopped as merged) and ``nfev_refined`` (the
-    residual evaluations of all refined runs, merged ones included)
-    added.
+    (the refined runs stopped as merged), ``nfev_refined`` (the
+    residual evaluations of all refined runs, merged ones included) and
+    ``edge_solves`` (the points of the refine whose plateaus lie on an
+    edge of the box: one of them held at a bound) added.
 
     Raises
     ------
@@ -488,26 +493,24 @@ def _merge_radius(log_starts):
 def _solve_plateaus(columns, observed, upper):
     """Bounded linear least squares of one problem of one or two columns.
 
-    ``columns`` is ``(n, c)``, ``n`` rows and ``c`` of 1 or 2 columns,
-    fitted to ``observed``; each coefficient lies in ``[0, upper]``, with
-    ``upper`` one bound or one per column, possibly infinite.  A single
-    column is solved as two, the second zero.  Modified Gram–Schmidt
-    factors the columns with ``observed`` as the augmented column, a
-    stable least-squares solve (Björck, *Numerical Methods for Least
-    Squares Problems*, 1996, §2.4), which gives the unbounded solution
-    and its residual.  That solution is kept when it lies in the box and
-    ``|r00 * r11|`` exceeds ``max(n, 2)`` machine epsilons of ``R``'s
-    squared Frobenius norm (``lstsq``'s default rank cutoff); otherwise
-    the optimum lies on the box's boundary, and the cheapest of its at
-    most four edges wins, ties going to the first, each edge one
-    coefficient at a finite bound and the other the clipped one-column
-    solution.  The solve is exact, as BVLS is on two variables.
+    ``columns`` is ``(n, c)``, ``c`` of 1 or 2, fitted to ``observed``;
+    each coefficient lies in ``[0, upper]``, with ``upper`` one bound or
+    one per column, possibly infinite.  A single column is solved as two,
+    the second zero.  The solve is exact, as BVLS is on two variables:
+    modified Gram–Schmidt on ``[columns | observed]`` (Björck, *Numerical
+    Methods for Least Squares Problems*, 1996, §2.4) gives the unbounded
+    solution, kept when it lies inside the box and ``|r00 * r11|``
+    exceeds ``max(n, 2)`` machine epsilons of ``R``'s squared Frobenius
+    norm (``lstsq``'s default rank cutoff); otherwise the optimum lies on
+    the box's boundary, and the cheapest of its at most four edges wins,
+    ties going to the first, each edge one coefficient at a finite bound
+    and the other the clipped one-column solution.
 
     Returns ``(coef, resid, basis)``: the ``(c,)`` coefficients, the
     residuals ``observed - columns @ coef``, and orthonormal rows
-    ``(k, n)`` spanning the ``k`` columns whose coefficient lies
-    strictly inside its bounds: the Gram–Schmidt basis when both do, the
-    one such column normalized, or none.  Columns that are not all
+    spanning the columns whose coefficient lies strictly inside its
+    bounds (Gram–Schmidt's, orthogonal to within machine epsilon times
+    the condition number, when both do).  Columns that are not all
     finite give ``(None, inf residuals, None)``.
     """
     n, c = columns.shape
@@ -517,10 +520,8 @@ def _solve_plateaus(columns, observed, upper):
     a[:c] = columns.T
     hi = np.zeros(2)
     hi[:c] = upper
-    hi = hi.tolist()
     s00 = float(np.dot(a[0], a[0]))
     if s00 > 0.0:
-        # modified Gram–Schmidt on [a0 | a1 | observed]
         r00 = math.sqrt(s00)
         q0 = a[0] / r00
         r01 = float(np.dot(q0, a[1]))
@@ -533,33 +534,29 @@ def _solve_plateaus(columns, observed, upper):
             z1 = float(np.dot(q1, rest))
             c1 = z1 / r11
             c0 = (z0 - r01 * c1) / r00
-            # an interior solution on a bound is also the solution of an edge
+            # an interior solution on a bound is also an edge's solution
             if 0.0 < c0 < hi[0] and 0.0 < c1 < hi[1]:
                 return np.array([c0, c1]), rest - z1 * q1, np.array([q0, q1])
 
     # the edges: one coefficient at a bound, the other solved and clipped
     aty, gram = a @ observed, a @ a.T
-    edges, frees = [], []
+    edges = []
     for fixed, free in ((0, 1), (1, 0)):
-        norm = gram[free, free]
         for bound in (0.0, hi[fixed]):
             if bound == np.inf:  # no edge at an infinite bound
                 continue
             edge = [0.0, 0.0]
             edge[fixed] = bound
-            if norm > 0.0:
-                solved = (aty[free] - bound * gram[fixed, free]) / norm
+            if gram[free, free] > 0.0:
+                solved = (aty[free] - bound * gram[fixed, free]) / gram[free, free]
                 edge[free] = min(max(solved, 0.0), hi[free])
             edges.append(edge)
-            frees.append(free)
     edges = np.array(edges)
     resids = observed - edges @ a
     pick = np.argmin(np.einsum("ij,ij->i", resids, resids))
-    coef, free = edges[pick], frees[pick]
-    if 0.0 < coef[free] < hi[free]:
-        basis = a[free : free + 1] / math.sqrt(gram[free, free])
-    else:
-        basis = np.empty((0, n))
+    coef = edges[pick]
+    free = (coef > 0.0) & (coef < hi)  # at most one: an edge holds the other
+    basis = a[free] / np.sqrt(gram.diagonal()[free])[:, None]
     return coef[:c], resids[pick], basis
 
 
@@ -889,8 +886,8 @@ def fit_two_wave(
       maximum-likelihood weighting under multiplicative noise and puts
       both series on the same relative scale; the weighted penetration
       and sales residuals are stacked into one vector;
-    * every start of ``TWO_WAVE_STARTS`` is screened by its cost, all in
-      one batched evaluation, and Levenberg–Marquardt searches log
+    * every start of ``TWO_WAVE_STARTS`` is screened by its cost, the
+      columns of all from one model call, and Levenberg–Marquardt searches log
       innovation, log imitation and log shape from the four starts of
       lowest cost, cheapest first, stopping a run that comes within
       half the lattice's smallest spacing (0.49 in every log-parameter,
@@ -899,7 +896,8 @@ def fit_two_wave(
       data to rounding (see :func:`_separable_lm`);
     * inside every residual evaluation the spreading and evolutionary
       plateaus are the weighted linear least-squares solution, bounded
-      to [0, 1];
+      to [0, 1], from one modified Gram–Schmidt factorization that also
+      gives the Jacobian its projection;
     * the model columns and their derivatives come from raw-array
       kernels on evaluation times (the lags, echo weights and onset
       shift) that the model computes once per fit, and give
@@ -923,6 +921,10 @@ def fit_two_wave(
     ``provenance["starts_refined"]`` the runs refined from them (1 when
     the first run reproduces noiseless data to rounding) and
     ``provenance["starts_merged"]`` those of the runs stopped as merged.
+    ``provenance["edge_solves"]`` counts the refine's points whose
+    plateaus lie on an edge of their box (one held at 0 or 1), and
+    ``price_edge_solves`` the price fit's points whose amplitude or
+    floor is held at its bound.
 
     Raises
     ------

@@ -689,8 +689,7 @@ class TestSolvePlateaus:
         free = (coef > 0.0) & (coef < upper)
         assert basis.shape == (free.sum(), observed.size)
         np.testing.assert_allclose(
-            np.abs(basis.T @ (basis @ columns[:, free])), np.abs(columns[:, free]),
-            rtol=0, atol=1e-9 * scale,
+            basis.T @ (basis @ columns[:, free]), columns[:, free], rtol=0, atol=1e-9 * scale
         )
 
     def test_problems_cover_the_interior_every_edge_and_every_corner(self):
