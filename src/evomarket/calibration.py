@@ -19,8 +19,9 @@ shape constant are searched nonlinearly (separable least squares, Golub
 & Pereyra 1973): Levenberg–Marquardt over their logs, with the linear
 coefficients solved inside every residual evaluation by one exact
 bounded two-column solve, a modified Gram–Schmidt factorization of the
-weighted columns and the data that gives the plateaus, the residuals and
-the orthonormal basis the Jacobian projects with.  Levenberg–Marquardt
+weighted columns and the data (Björck, *Numerical Methods for Least
+Squares Problems*, 1996) that gives the plateaus, the residuals and the
+orthonormal basis the Jacobian projects with.  Levenberg–Marquardt
 is MINPACK's ``lmder`` (Moré 1978) called through
 ``scipy.optimize.leastsq``, which is imported only when a fit runs, with
 the steps scaled by the Jacobian's column norms and an explicit limit of
@@ -345,8 +346,8 @@ def _separable_lm(design, observed, weights, starts, log_lo, log_hi, upper=1.0):
     Pereyra, Inverse Problems 19, 2003) ``J = -P W (dA/dtheta . c)``:
     the weighted derivative of the model at fixed plateaus ``c``, with
     ``P`` projecting out the weighted columns whose plateau lies
-    strictly inside its bounds, through the orthonormal basis the
-    plateau solve returns.  Coordinates outside ``[log_lo, log_hi]``
+    strictly inside its bounds, with the plateau solve's orthonormal
+    basis.  Coordinates outside ``[log_lo, log_hi]``
     get zero columns, since clipping freezes them.  ``J.T @ r`` is the
     exact gradient of the cost, so the stationary points are those of
     the cost itself.  The residuals and the Jacobian at one point share
@@ -355,10 +356,9 @@ def _separable_lm(design, observed, weights, starts, log_lo, log_hi, upper=1.0):
     The search runs in two stages.  The screen evaluates every start
     (given on the natural scale) in one batched ``design`` call, solves
     each start's bounded plateaus and cost with :func:`_solve_plateaus`,
-    and drops the starts whose weighted columns or cost are not finite.
-    A single start is not screened: its run's first evaluation, which
-    the point cache hands to Levenberg–Marquardt, is its feasibility
-    check.  The refinement ranks the rest by
+    and drops the starts whose weighted columns or cost are not finite;
+    a lone start is checked by its run's first evaluation, from the
+    point cache.  The refinement ranks the rest by
     cost, ties going to the smaller coordinates (so the order of
     ``starts`` does not matter), and runs Levenberg–Marquardt only from
     the ``_REFINE_STARTS`` best of them, cheapest first, each from its
@@ -382,8 +382,7 @@ def _separable_lm(design, observed, weights, starts, log_lo, log_hi, upper=1.0):
     starts with finite residuals), ``starts_refined``, ``starts_merged``
     (the refined runs stopped as merged), ``nfev_refined`` (the
     residual evaluations of all refined runs, merged ones included) and
-    ``edge_solves`` (the points of the refine whose plateaus lie on an
-    edge of the box: one of them held at a bound) added.
+    ``edge_solves`` (the refine's points with a plateau at a bound) added.
 
     Raises
     ------
@@ -392,6 +391,9 @@ def _separable_lm(design, observed, weights, starts, log_lo, log_hi, upper=1.0):
     """
     weighted_observed = weights * observed
     edge_solves = 0
+
+    def plateaus(columns):
+        return _solve_plateaus(weights[:, None] * columns, weighted_observed, upper)
 
     last = None  # [log_params, columns, derivatives, plateaus, residuals, basis, jacobian]
 
@@ -404,9 +406,7 @@ def _separable_lm(design, observed, weights, starts, log_lo, log_hi, upper=1.0):
         nonlocal last, edge_solves
         if last is None or not np.array_equal(last[0], log_params):
             columns, derivatives = design(np.clip(log_params, log_lo, log_hi))
-            coef, resid, basis = _solve_plateaus(
-                weights[:, None] * columns, weighted_observed, upper
-            )
+            coef, resid, basis = plateaus(columns)
             edge_solves += coef is not None and len(basis) < coef.size
             last = [log_params.copy(), columns, derivatives, coef, resid, basis, None]
         return last
@@ -425,17 +425,10 @@ def _separable_lm(design, observed, weights, starts, log_lo, log_hi, upper=1.0):
         return point[6]
 
     points = np.asarray(starts, dtype=float)
-    if len(points) > 1:
-        # screen: every start's columns from one design call, each start's
-        # plateaus from its own solve
+    if len(points) > 1:  # screen: every start's columns from one design call
         columns, _ = design(np.clip(np.log(points), log_lo, log_hi))
-        resids = [
-            _solve_plateaus(weights[:, None] * rows, weighted_observed, upper)[1]
-            for rows in columns
-        ]
-    else:
-        # one start has no rank to screen for: its run's first evaluation,
-        # which the point cache hands to Levenberg–Marquardt, checks it
+        resids = [plateaus(rows)[1] for rows in columns]
+    else:  # one start: its run's first evaluation checks it
         resids = [solve(np.log(points[0]))[4]]
     cost = np.array([np.dot(resid, resid) for resid in resids])
     screened = np.flatnonzero(np.isfinite(cost))
@@ -497,20 +490,19 @@ def _solve_plateaus(columns, observed, upper):
     each coefficient lies in ``[0, upper]``, with ``upper`` one bound or
     one per column, possibly infinite.  A single column is solved as two,
     the second zero.  The solve is exact, as BVLS is on two variables:
-    modified Gram–Schmidt on ``[columns | observed]`` (Björck, *Numerical
-    Methods for Least Squares Problems*, 1996, §2.4) gives the unbounded
-    solution, kept when it lies inside the box and ``|r00 * r11|``
-    exceeds ``max(n, 2)`` machine epsilons of ``R``'s squared Frobenius
-    norm (``lstsq``'s default rank cutoff); otherwise the optimum lies on
-    the box's boundary, and the cheapest of its at most four edges wins,
-    ties going to the first, each edge one coefficient at a finite bound
-    and the other the clipped one-column solution.
+    modified Gram–Schmidt on ``[columns | observed]`` (Björck 1996,
+    §2.4) gives the unbounded solution, kept when it lies inside the box
+    and ``|r00 * r11|`` exceeds ``max(n, 2)`` machine epsilons of
+    ``R``'s squared Frobenius norm (``lstsq``'s default rank cutoff);
+    otherwise the cheapest of the box's at most four edges wins, ties
+    going to the first, each edge one coefficient at a finite bound and
+    the other the clipped one-column solution.
 
     Returns ``(coef, resid, basis)``: the ``(c,)`` coefficients, the
     residuals ``observed - columns @ coef``, and orthonormal rows
     spanning the columns whose coefficient lies strictly inside its
-    bounds (Gram–Schmidt's, orthogonal to within machine epsilon times
-    the condition number, when both do).  Columns that are not all
+    bounds (Gram–Schmidt's when both do, orthogonal to within machine
+    epsilon times the condition number).  Columns that are not all
     finite give ``(None, inf residuals, None)``.
     """
     n, c = columns.shape
