@@ -750,13 +750,21 @@ class TestSolvePlateaus:
             edges += len(basis) < coef.size
         assert edges > 0
 
-    @pytest.mark.parametrize("fit, free", [
-        (lambda: fit_two_wave(*noisy_draw("colour_tv")), 2),
-        (lambda: PriceDeclineFit().fit(price_series(0.103, 0.0, noise=0.02, seed=2)), 1),
-    ], ids=["colour_tv", "price"])
+    @pytest.mark.parametrize(
+        "fit, free",
+        [
+            pytest.param(lambda: fit_two_wave(*noisy_draw("colour_tv")), 2, id="colour_tv"),
+            pytest.param(
+                lambda: PriceDeclineFit().fit(price_series(0.103, 0.0, noise=0.02, seed=2)),
+                1,
+                id="price",
+            ),
+        ],
+    )
     def test_basis_projects_as_lstsq_does(self, monkeypatch, fit, free):
-        # at the refine's points, projecting a slope with the returned basis
-        # matches projecting the free columns out by lstsq
+        # at the refine's points, the Jacobian's projection of a slope of the
+        # columns' scale with the returned basis is the one lstsq gave: the
+        # free columns projected out
         calls = recorded_solves(monkeypatch, fit)
         rng = np.random.default_rng(5)
         assert any(len(basis) == free for *_, basis in calls)
@@ -766,7 +774,6 @@ class TestSolvePlateaus:
             expected = lstsq_projection(columns[:, inside], slope)
             projected = slope - basis.T @ (basis @ slope)
             assert np.abs(projected - expected).max() <= 1e-12 * np.abs(expected).max()
-
 
     @pytest.mark.parametrize("name", ["colour_tv", "fax"])
     def test_provenance_counts_the_refine_points_on_an_edge(self, monkeypatch, name):
