@@ -33,6 +33,9 @@ LAYERS = (
     "calibration.lm_nfev",
     "calibration.lm_useful_ratio",
     "diffusion.bass_ode_s",
+    "diffusion.closed_form_s",
+    "series.write_s",
+    "series.read_s",
     "stochastic.langevin_s",
     "stochastic.path_steps_per_s",
     "stochastic.sample_bytes",

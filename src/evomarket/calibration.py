@@ -600,6 +600,10 @@ def least_squares(fun, x0, jac, merged=None):
     passed explicitly, since ``leastsq``'s own default with a Jacobian is
     ``100 * (x0.size + 1)``.
 
+    ``fun``'s arrays are copied before MINPACK sees them, as it writes
+    later residuals into the first array it is given; ``fun`` may keep
+    and return them again.
+
     ``merged(x, cost)``, when given, is asked at every point the run
     evaluates; the run stops at the first point where it holds, and
     returns that point.  It does not change the iterates before.
@@ -618,7 +622,9 @@ def least_squares(fun, x0, jac, merged=None):
 
     def residuals(x):
         nonlocal nfev, last
-        resid = fun(x)
+        # MINPACK works in the array of a run's first evaluation, so it
+        # gets a copy, and no array that ``fun`` returned is written
+        resid = fun(x).copy()
         if merged is not None and (point := x.tobytes()) != last:
             nfev, last = nfev + 1, point
             cost = 0.5 * np.dot(resid, resid)
@@ -906,9 +912,12 @@ def fit_two_wave(
     evaluations of all refined runs together, merged ones included.
     ``provenance["at_bound"]`` names those of innovation, imitation and
     shape whose log value ended within 1e-9 of the search box's edge,
-    where the fit cannot move them.  ``price_rate_identified`` is False when the price collapsed
-    below the weight floor by its second observation, so the decline
-    rate is only a lower bound.  ``provenance["starts_screened"]`` counts
+    where the fit cannot move them, and the spreading or evolutionary
+    plateau when it ended within 1e-9 of 0 or 1, its bounds; at 0 the
+    data do not determine the wave's other parameters.
+    ``price_rate_identified`` is False when the price collapsed below the
+    weight floor by its second observation, so the decline rate is only
+    a lower bound.  ``provenance["starts_screened"]`` counts
     the starts with finite residuals at the screen,
     ``provenance["starts_refined"]`` the runs refined from them (1 when
     the first run reproduces noiseless data to rounding) and
@@ -964,14 +973,18 @@ def fit_two_wave(
         _TWO_WAVE_LOG_HI,
     )
     innovation, imitation, shape = map(float, np.exp(best.log_params))
-    # clipping freezes a parameter on the box's edge, so report any that ends there
-    on_edge = (best.log_params - _TWO_WAVE_LOG_LO <= 1e-9) | (
-        _TWO_WAVE_LOG_HI - best.log_params <= 1e-9
-    )
-    at_bound = tuple(
-        name for name, edge in zip(("innovation", "imitation", "shape"), on_edge) if edge
-    )
     spreading_plateau, evolutionary_plateau = map(float, best.plateaus)
+    # clipping freezes a parameter on the box's edge, and the plateau solve
+    # holds a plateau at 0 or 1, so report any that ends there
+    on_edge = np.concatenate(
+        [
+            (best.log_params - _TWO_WAVE_LOG_LO <= 1e-9)
+            | (_TWO_WAVE_LOG_HI - best.log_params <= 1e-9),
+            np.minimum(best.plateaus, 1.0 - best.plateaus) <= 1e-9,
+        ]
+    )
+    names = ("innovation", "imitation", "shape", "spreading_plateau", "evolutionary_plateau")
+    at_bound = tuple(name for name, edge in zip(names, on_edge) if edge)
     resid = observed - best.design @ np.array([spreading_plateau, evolutionary_plateau])
     pen_resid, sales_resid = resid[: t_pen.size], resid[t_pen.size :]
 

@@ -128,25 +128,40 @@ def _check_nonneg_times(t):
     return t_arr
 
 
+def _bass_terms(t, a, b):
+    """``(s, decay, denom, rise)``: ``s = a + b``, ``decay = exp(-s t)``,
+    ``denom = a + b * decay`` and ``rise = 1 - decay``, the terms the Bass
+    expressions are written in."""
+    s = a + b
+    decay = np.exp(-s * t)
+    return s, decay, a + b * decay, 1.0 - decay
+
+
+def _bass_penetration_of(a, b, plateau, decay, rise):
+    """The package's one Bass penetration, from the terms of :func:`_bass_terms`."""
+    return plateau * rise / (1.0 + (b / a) * decay)
+
+
+def _bass_rate_of(a, plateau, s, decay, denom):
+    """The package's one Bass rate, from the terms of :func:`_bass_terms`."""
+    return plateau * a * (s * s) * decay / denom**2
+
+
 def _bass_jets(t, innovation, imitation, plateau):
     """Bass penetration and rate jets by log innovation and log imitation.
 
-    The package's one Bass expression: the public closed forms return
-    column 0, and the fit reads every column.  ``t`` must be non-negative.
-    The parameters may be arrays that broadcast against ``t``, such as a
-    ``(k, 1)`` column of k parameter sets.  Returns two arrays of the
-    broadcast shape plus ``(3,)``, the value in ``[..., 0]``.
+    The value columns are the public closed forms', from the same
+    expressions, and the fit reads every column.  ``t`` must be
+    non-negative.  The parameters may be arrays that broadcast against
+    ``t``, such as a ``(k, 1)`` column of k parameter sets.  Returns two
+    arrays of the broadcast shape plus ``(3,)``, the value in ``[..., 0]``.
     """
     a, b = innovation, imitation
-    s = a + b
-    s2 = s * s
-    decay = np.exp(-s * t)
-    denom = a + b * decay
-    rise = 1.0 - decay
+    s, decay, denom, rise = _bass_terms(t, a, b)
     pen = np.empty(np.shape(decay) + (3,))
     rate = np.empty(np.shape(decay) + (3,))
-    pen[..., 0] = plateau * rise / (1.0 + (b / a) * decay)
-    rate[..., 0] = plateau * a * s2 * decay / denom**2
+    pen[..., 0] = _bass_penetration_of(a, b, plateau, decay, rise)
+    rate[..., 0] = _bass_rate_of(a, plateau, s, decay, denom)
     scale = plateau * a * decay / denom**2
     pen[..., 1] = scale * (a * s * t + b * rise)
     pen[..., 2] = scale * b * (s * t - rise)
@@ -166,8 +181,10 @@ def bass_penetration(t, params: BassParams):
     plateau.  Matches :func:`bass_ode` to integrator accuracy.
     """
     t_arr = _check_nonneg_times(t)
-    pen, _ = _bass_jets(t_arr, params.innovation, params.imitation, params.plateau)
-    return float(pen[..., 0]) if np.isscalar(t) else pen[..., 0]
+    a, b = params.innovation, params.imitation
+    _, decay, _, rise = _bass_terms(t_arr, a, b)
+    pen = _bass_penetration_of(a, b, params.plateau, decay, rise)
+    return float(pen) if np.isscalar(t) else pen
 
 
 def bass_rate(t, params: BassParams):
@@ -178,8 +195,10 @@ def bass_rate(t, params: BassParams):
     affordable potential is exhausted.
     """
     t_arr = _check_nonneg_times(t)
-    _, rate = _bass_jets(t_arr, params.innovation, params.imitation, params.plateau)
-    return float(rate[..., 0]) if np.isscalar(t) else rate[..., 0]
+    a = params.innovation
+    s, decay, denom, _ = _bass_terms(t_arr, a, params.imitation)
+    rate = _bass_rate_of(a, params.plateau, s, decay, denom)
+    return float(rate) if np.isscalar(t) else rate
 
 
 def bass_ode(params: BassParams, horizon: float, step: float = 1e-3) -> AdoptionCurve:
@@ -241,23 +260,38 @@ def mean_price(t, decline: PriceDecline):
     return float(out) if np.isscalar(t) else out
 
 
+def _gompertz_terms(t_prime, plateau, shape, rate):
+    """``(decay, value, live)``: ``decay = exp(-2 rate t')``, the package's
+    one Gompertz penetration ``value = plateau * exp(-shape * decay)`` and
+    ``live = value > 0``.  The value is zero where ``decay`` overflows;
+    there the terms multiply inf by 0, so callers evaluate them, and
+    :func:`_gompertz_rate_of`, under
+    ``np.errstate(over="ignore", invalid="ignore")``."""
+    decay = np.exp(-2.0 * rate * t_prime)
+    value = plateau * np.exp(-shape * decay)
+    return decay, value, value > 0
+
+
+def _gompertz_rate_of(rate, shape, decay, value, live):
+    """The package's one Gompertz rate, from the terms of
+    :func:`_gompertz_terms`; zero where the penetration is."""
+    return np.where(live, 2.0 * rate * shape * decay * value, 0.0)
+
+
 def _gompertz_jets(t_prime, plateau, shape, rate):
     """Gompertz penetration and rate jets by log shape, on the all-real clock.
 
-    The package's one Gompertz expression, read like :func:`_bass_jets`,
-    whose parameters broadcast the same way.  Zero where
-    ``exp(-2 rate t')`` overflows.  Returns two arrays of the broadcast
-    shape plus ``(2,)``, the value in ``[..., 0]``.
+    Read like :func:`_bass_jets`, whose parameters broadcast the same
+    way.  Zero where ``exp(-2 rate t')`` overflows.  Returns two arrays
+    of the broadcast shape plus ``(2,)``, the value in ``[..., 0]``.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        decay = np.exp(-2.0 * rate * t_prime)
-        value = plateau * np.exp(-shape * decay)
+        decay, value, live = _gompertz_terms(t_prime, plateau, shape, rate)
         pen = np.empty(np.shape(value) + (2,))
         out = np.empty(np.shape(value) + (2,))
         pen[..., 0] = value
-        live = value > 0
-        pen[..., 1] = np.where(live, -shape * decay * pen[..., 0], 0.0)
-        out[..., 0] = np.where(live, 2.0 * rate * shape * decay * pen[..., 0], 0.0)
+        out[..., 0] = _gompertz_rate_of(rate, shape, decay, value, live)
+        pen[..., 1] = np.where(live, -shape * decay * value, 0.0)
         out[..., 1] = np.where(live, out[..., 0] * (1.0 - shape * decay), 0.0)
     return pen, out
 
@@ -270,8 +304,9 @@ def gompertz_penetration(t_prime, params: GompertzParams):
     where ``exp(-2 rate t')`` overflows.
     """
     t_arr = np.asarray(t_prime, dtype=float)
-    pen, _ = _gompertz_jets(t_arr, params.plateau, params.shape, params.rate)
-    return float(pen[..., 0]) if np.isscalar(t_prime) else pen[..., 0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, pen, _ = _gompertz_terms(t_arr, params.plateau, params.shape, params.rate)
+    return float(pen) if np.isscalar(t_prime) else pen
 
 
 def gompertz_rate(t_prime, params: GompertzParams):
@@ -283,8 +318,10 @@ def gompertz_rate(t_prime, params: GompertzParams):
     where ``exp(-2 rate t')`` overflows.
     """
     t_arr = np.asarray(t_prime, dtype=float)
-    _, rate = _gompertz_jets(t_arr, params.plateau, params.shape, params.rate)
-    return float(rate[..., 0]) if np.isscalar(t_prime) else rate[..., 0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = _gompertz_terms(t_arr, params.plateau, params.shape, params.rate)
+        rate = _gompertz_rate_of(params.rate, params.shape, *terms)
+    return float(rate) if np.isscalar(t_prime) else rate
 
 
 def gompertz_from_price(

@@ -7,6 +7,13 @@ whole-line ``#`` comments.  Both functions work on whole columns, not
 row by row: the writer renders each column with ``repr`` and joins the
 text once, and the reader splits all cells in one pass and checks each
 column at once.
+
+Each direction keeps its last year column, because a caller that
+writes or reads several series on one time grid (``evomarket simulate``
+writes penetration, sales and price) repeats it: the writer reuses the
+``repr`` cells of years whose bytes equal the last ones it rendered, and
+the reader reuses the array parsed from year cells equal to the last
+ones it parsed.  Neither memo changes a byte written or a value read.
 """
 
 from __future__ import annotations
@@ -24,6 +31,13 @@ __all__ = ["SERIES_KINDS", "TimeSeries", "read_series_csv", "write_series_csv"]
 SERIES_KINDS = ("nominal_price", "penetration", "sales", "share")
 
 _UNIT_KINDS = {"penetration", "share"}
+
+# The two one-entry memos, each one tuple replaced whole, so that a
+# reader of it never pairs one key with another key's column.  They stay
+# apart: the writer may emit only cells it rendered itself, never a
+# padded cell such as " 1950" that the reader parsed.
+_written_years = (None, None)  # (bytes of the years, their repr cells)
+_read_years = (None, None)  # (raw year cells, the years parsed from them)
 
 
 @dataclass(frozen=True)
@@ -79,8 +93,10 @@ def read_series_csv(path) -> TimeSeries:
     Every error is a ``FormatError`` naming the file; a bad header or
     row is named by its line number.  The file is checked column by
     column; once a check fails, the lines are scanned again to find the
-    first line at fault.
+    first line at fault.  The year column is parsed only when its raw
+    cells differ from those of the last file read, whose years are kept.
     """
+    global _read_years
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
@@ -104,12 +120,17 @@ def read_series_csv(path) -> TimeSeries:
     stride = width + 1
     if len(cells) != stride * len(data) - 1 or set(cells[width::stride]) - {"\n"}:
         raise _first_bad_line(path, text)
+    year_cells = cells[0::stride]
+    last_cells, years = _read_years
     try:
-        years = np.array(list(map(float, map(str.strip, cells[0::stride]))))
+        if year_cells != last_cells:
+            years = np.array(list(map(float, map(str.strip, year_cells))))
+            years.setflags(write=False)
+            _read_years = year_cells, years
         values = np.array(list(map(float, map(str.strip, cells[1::stride]))))
     except ValueError:
         raise _first_bad_line(path, text) from None
-    kinds = set(map(str.strip, cells[2::stride])) if width == 3 else {None}
+    kinds = {k.strip() for k in set(cells[2::stride])} if width == 3 else {None}
     finite = np.isfinite(years).all() and np.isfinite(values).all()
     if not finite or len(kinds) != 1 or (years[1:] <= years[:-1]).any():
         raise _first_bad_line(path, text)
@@ -166,11 +187,20 @@ def write_series_csv(series: TimeSeries, path) -> None:
     ``year,value[,kind]`` row per observation: newline line endings, no
     comments, no padding.  Numbers are rendered with ``repr`` (shortest
     round-trip), so write followed by read reproduces the series exactly.
+    The year cells are rendered only when the bytes of the years differ
+    from those of the last series written, whose cells are kept.
     """
+    global _written_years
     header, tail = "year,value\n", "\n"
     if series.kind is not None:
         header, tail = "year,value,kind\n", f",{series.kind}\n"
+    # bytes, not values, so that -0.0 is not written as 0.0
+    key = series.years.tobytes()
+    last_key, year_cells = _written_years
+    if key != last_key:
+        year_cells = list(map(repr, series.years.tolist()))
+        _written_years = key, year_cells
     parts = [None, ",", None, tail] * len(series)  # year, ",", value, tail per row
-    parts[0::4] = map(repr, series.years.tolist())
+    parts[0::4] = year_cells
     parts[2::4] = map(repr, series.values.tolist())
     Path(path).write_text(header + "".join(parts), encoding="utf-8")

@@ -651,9 +651,7 @@ def recorded_solves(monkeypatch, fit):
     def recording_solve(columns, observed, upper):
         result = solve(columns, observed, upper)
         if refining:
-            # leastsq works in the residual array of a run's first evaluation
-            copies = (None if x is None else x.copy() for x in result)
-            calls.append((columns, observed, upper, *copies))
+            calls.append((columns, observed, upper, *result))
         return result
 
     def refining_least_squares(*args, **kwargs):
@@ -857,6 +855,25 @@ class TestLeastSquares:
         for run in runs:
             self.assert_same_run(*run)
 
+    @pytest.mark.parametrize("name", ["bw_tv", "colour_tv"])
+    def test_arrays_the_residuals_return_stay_as_returned(self, monkeypatch, name):
+        # MINPACK writes later residuals into the first array of a run,
+        # and that array is the one _separable_lm's point cache holds
+        returned, original = [], calibration.least_squares
+
+        def keeping_least_squares(fun, x0, **kwargs):
+            def keeping(x):
+                returned.append((fun, x.copy(), fun(x)))
+                return returned[-1][2]
+
+            return original(keeping, x0, **kwargs)
+
+        monkeypatch.setattr(calibration, "least_squares", keeping_least_squares)
+        fit_two_wave(*noisy_draw(name))
+        assert len({id(fun) for fun, *_ in returned}) == 2  # the price and two-wave fits
+        for fun, x, resid in returned:
+            assert np.array_equal(resid, fun(x))
+
     @pytest.mark.parametrize("status", range(9))
     def test_only_minpack_codes_1_to_4_are_success(self, monkeypatch, status):
         def stopped(fun, x0, Dfun, **kwargs):
@@ -912,6 +929,7 @@ class TestFitTwoWave:
         assert result.spreading_plateau == pytest.approx(
             good.spreading_plateau, rel=1e-6
         )
+        assert result.provenance["at_bound"] == ()
         assert all(v >= 0 for v in result.sse.values())
 
     def test_provenance_records_inputs(self, monkeypatch):

@@ -387,6 +387,9 @@ sales_series = {data_dir}/sales.csv
         out = tmp_path / "fitted"
         assert run("fit", "--config", str(fit_cfg), "--out", str(out), "--plot") == EXIT_OK
         assert float(fit_table(out / "fit_table.csv")["evolutionary_plateau"]) == 0.0
+        # the plateau on its bound leaves the fitted shape undetermined, and says so
+        meta = (out / "fit_meta.txt").read_text(encoding="utf-8").splitlines()
+        assert "at_bound: ('evolutionary_plateau',)" in meta
         svg = (out / "fit.svg").read_text(encoding="utf-8")
         assert svg.startswith("<svg") and "polyline" in svg
 

@@ -377,3 +377,48 @@ class TestJetsOverParameterSets:
             one_pen, one_out = diffusion._gompertz_jets(t_prime, 1.0, shape[i], 0.3)
             assert pen[i].tobytes() == one_pen.tobytes()
             assert out[i].tobytes() == one_out.tobytes()
+
+
+class TestClosedFormsAreTheJetsValues:
+    """The public closed forms compute values only, with the bits of the
+    jets' value column, on a 4,001-point grid, on scalars and on each row
+    of a ``(k, 1)`` column of parameter sets."""
+
+    T = 0.01 * np.arange(4001)
+    BASS = [BW_TV, COLOUR_TV, FAX, BassParams(0.3, 0.0, 1.0)]
+    # from long before the onset, where exp(-2 rate t') overflows
+    GOMPERTZ = [GompertzParams(0.77, 8.5, 0.2), GompertzParams(1.0, 40.0, 2.0)]
+
+    def test_bass(self):
+        a = np.array([[p.innovation] for p in self.BASS])
+        b = np.array([[p.imitation] for p in self.BASS])
+        for plateau in (1.0, 0.18):
+            pen, rate = diffusion._bass_jets(self.T, a, b, plateau)
+            for row, params in enumerate(self.BASS):
+                params = BassParams(params.innovation, params.imitation, plateau)
+                assert bass_penetration(self.T, params).tobytes() == pen[row, :, 0].tobytes()
+                assert bass_rate(self.T, params).tobytes() == rate[row, :, 0].tobytes()
+                for t in (0.0, 3.7, 40.0):
+                    one_pen, one_rate = diffusion._bass_jets(
+                        np.asarray(t), params.innovation, params.imitation, plateau
+                    )
+                    assert bass_penetration(t, params) == float(one_pen[0])
+                    assert bass_rate(t, params) == float(one_rate[0])
+
+    def test_gompertz(self):
+        t_prime = self.T - 20.0 - 380.0 * (self.T < 20.0)
+        shape = np.array([[p.shape] for p in self.GOMPERTZ])
+        for params in self.GOMPERTZ:
+            pen, out = diffusion._gompertz_jets(t_prime, params.plateau, shape, params.rate)
+            for row, row_shape in enumerate(shape[:, 0]):
+                one = GompertzParams(params.plateau, row_shape, params.rate)
+                values = gompertz_penetration(t_prime, one)
+                assert values.tobytes() == pen[row, :, 0].tobytes()
+                assert gompertz_rate(t_prime, one).tobytes() == out[row, :, 0].tobytes()
+                assert values[0] == 0.0 < values[-1]
+                for t in (-400.0, -3.7, 0.0, 25.0):
+                    one_pen, one_out = diffusion._gompertz_jets(
+                        np.asarray(t), one.plateau, one.shape, one.rate
+                    )
+                    assert gompertz_penetration(t, one) == float(one_pen[0])
+                    assert gompertz_rate(t, one) == float(one_out[0])

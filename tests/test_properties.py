@@ -757,3 +757,30 @@ def test_a_broken_row_is_named_by_its_line(series, kind, row, fault, noise, tmp_
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(FormatError, match=f":{broken + 1}: "):
         read_series_csv(path)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(
+    grids=st.lists(time_series(), min_size=2, max_size=2),
+    order=st.lists(st.integers(0, 1), min_size=1, max_size=8),
+)
+@example(
+    grids=[
+        TimeSeries(np.array([0.0, 1.0]), np.array([0.5, 0.5])),
+        TimeSeries(np.array([-0.0, 1.0]), np.array([0.5, 0.5])),
+    ],
+    order=[0, 1, 0, 0, 1, 1],
+)
+def test_series_files_are_exact_under_any_interleaving_of_two_grids(grids, order, tmp_path_factory):
+    """Each write and read after any earlier one, on the same grid or the other."""
+    path = tmp_path_factory.getbasetemp() / "property_interleaved.csv"
+    for step, which in enumerate(order):
+        grid = grids[which]
+        kind = (None, "sales")[step % 2]
+        series = TimeSeries(grid.years, np.roll(grid.values, step), kind)
+        write_series_csv(series, path)
+        assert path.read_bytes() == per_row_text(series).encode("utf-8")
+        clone = read_series_csv(path)
+        assert clone.years.tobytes() == series.years.tobytes()
+        assert clone.values.tobytes() == series.values.tobytes()
+        assert clone.kind == kind

@@ -215,3 +215,62 @@ class TestWriteReadRoundTrip:
         write_series_csv(ts, tmp_path / "a.csv")
         write_series_csv(ts, tmp_path / "b.csv")
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+class TestLastYearColumn:
+    """The writer and the reader each keep their last year column; what
+    they keep shows in no byte written and no value read."""
+
+    def write(self, path, years, text):
+        path.write_text("year,value\n" + "".join(f"{y},{text}\n" for y in years), "utf-8")
+        return path
+
+    def test_warm_write_is_the_cold_write(self, tmp_path):
+        years = 1950.0 + 0.01 * np.arange(400)
+        b = TimeSeries(years, np.linspace(0.0, 1.0, years.size), "penetration")
+        write_series_csv(TimeSeries(years[:3] - 1.0, np.ones(3)), tmp_path / "other.csv")
+        write_series_csv(b, tmp_path / "b_cold.csv")
+        write_series_csv(TimeSeries(years, np.full(years.size, 7.5), "sales"), tmp_path / "a.csv")
+        write_series_csv(b, tmp_path / "b_warm.csv")
+        assert (tmp_path / "b_warm.csv").read_bytes() == (tmp_path / "b_cold.csv").read_bytes()
+        a = (tmp_path / "a.csv").read_text(encoding="utf-8").splitlines()
+        assert [row.split(",")[0] for row in a[1:]] == [repr(y) for y in years.tolist()]
+
+    def test_negative_zero_after_zero(self, tmp_path):
+        write_series_csv(TimeSeries([0.0, 1.0], [0.5, 0.5]), tmp_path / "zero.csv")
+        years = read_series_csv(tmp_path / "zero.csv").years
+        assert years.tobytes() == np.array([0.0, 1.0]).tobytes()
+        write_series_csv(TimeSeries([-0.0, 1.0], [0.5, 0.5]), tmp_path / "negative.csv")
+        text = (tmp_path / "negative.csv").read_text(encoding="utf-8")
+        assert text == "year,value\n-0.0,0.5\n1.0,0.5\n"
+        years = read_series_csv(tmp_path / "negative.csv").years
+        assert years.tobytes() == np.array([-0.0, 1.0]).tobytes()
+
+    def test_reads_parse_year_cells_that_differ_from_the_last(self, tmp_path):
+        for cells, expected in [
+            (["1950.0", "1951.0"], [1950.0, 1951.0]),
+            (["1950", "1951"], [1950.0, 1951.0]),
+            ([" 1950", "1951 "], [1950.0, 1951.0]),
+            (["\x1f1950", "1951"], [1950.0, 1951.0]),
+            (["1950", "1952"], [1950.0, 1952.0]),
+            (["1_950", "1.952e3"], [1950.0, 1952.0]),
+        ]:
+            ts = read_series_csv(self.write(tmp_path / "s.csv", cells, "0.5"))
+            assert ts.years.tolist() == expected
+
+    def test_a_file_with_the_last_years_is_still_checked(self, tmp_path):
+        path = self.write(tmp_path / "s.csv", ["1950", "1951"], "0.5")
+        read_series_csv(path)
+        with pytest.raises(FormatError, match=":2: non-numeric"):
+            read_series_csv(self.write(path, ["1950", "1951"], "abc"))
+        with pytest.raises(FormatError, match=":3: non-numeric"):
+            read_series_csv(self.write(path, ["1950", "19x1"], "0.5"))
+        ts = read_series_csv(self.write(path, ["1950", "1951"], "0.25"))
+        assert ts.years.tolist() == [1950.0, 1951.0] and ts.values.tolist() == [0.25, 0.25]
+
+    def test_the_writer_renders_years_the_reader_parsed(self, tmp_path):
+        # a memo shared with the reader would write the padded cells back
+        read_series_csv(self.write(tmp_path / "padded.csv", [" 1950", " 1951"], "0.5"))
+        write_series_csv(TimeSeries([1950.0, 1951.0], [0.5, 0.5]), tmp_path / "out.csv")
+        text = (tmp_path / "out.csv").read_text(encoding="utf-8")
+        assert text == "year,value\n1950.0,0.5\n1951.0,0.5\n"
